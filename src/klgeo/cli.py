@@ -6,16 +6,17 @@ Exit codes: 0 ok, 1 config error, 2 I/O error, 3 check failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-
-import numpy as np
 
 from . import checks, experiments, geometry, ngram, optimize
 from .dist import BinaryVerifier, FiniteDistribution, condition
 from .io import (
+    SCHEMAS,
     ConfigError,
     RunConfig,
+    _parse_int_list,
     fmt_float,
     parse_config,
     write_csv,
@@ -57,11 +58,9 @@ def _load_config(args) -> RunConfig:
     else:
         cfg = RunConfig(command=args.command)
     # command-line flags override config values where the key exists
-    from .io import SCHEMAS
     schema = SCHEMAS[args.command]
     overrides = {}
     if args.seeds is not None and "seeds" in schema:
-        from .io import _parse_int_list
         overrides["seeds"] = _parse_int_list(args.seeds)
     if args.lambdas is not None and "lambdas" in schema:
         overrides["lambdas"] = [float(x) for x in args.lambdas.split(",")]
@@ -105,20 +104,16 @@ REFS_COLUMNS = ("seed", "A1_base", "fkl_ref_validity", "fkl_ref_kl",
                 "tvd_ref_tvd", "pstar_entropy")
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    out = cfg.values["_out"]
+def cmd_sweep(cfg: RunConfig, out: str) -> int:
     seeds = cfg["seeds"]
     lambdas = cfg["lambdas"] or list(experiments.DEFAULT_LAMBDA_GRID)
     opt_cfg = optimize.OptimizerConfig(learning_rate=cfg["learning_rate"],
                                        steps=cfg["steps"])
-    fkl_cfg = optimize.OptimizerConfig(learning_rate=cfg["fkl_learning_rate"],
-                                       steps=cfg["fkl_steps"])
-    tvd_cfg = optimize.OptimizerConfig(
-        learning_rate=0.1, steps=cfg["tvd_steps"], schedule=("decay", 0.5, 1000),
-        restarts=cfg["tvd_restarts"], init=("random", 0, 1.0))
+    tvd_cfg = dataclasses.replace(optimize.TVD_FIT_CONFIG, steps=cfg["tvd_steps"],
+                                  restarts=cfg["tvd_restarts"])
     summaries = [
-        experiments.run_sweep(seed, cfg["order"], lambdas, opt_cfg, fkl_cfg,
-                              tvd_cfg, cfg["sigma"], warm_start=cfg["warm_start"])
+        experiments.run_sweep(seed, cfg["order"], lambdas, opt_cfg, tvd_cfg,
+                              cfg["sigma"], warm_start=cfg["warm_start"])
         for seed in seeds
     ]
 
@@ -143,9 +138,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     summary = {"seeds": list(seeds), "lambdas": [float(l) for l in lambdas],
                "order": cfg["order"]}
     if len(summaries) >= 2:
-        agg = _aggregate(summaries, lambdas)
-        summary["per_lambda"] = agg.per_lambda
-        summary["references"] = agg.references
+        summary["per_lambda"], summary["references"] = experiments.aggregate(
+            summaries, len(lambdas))
     write_json(os.path.join(out, "summary.json"), summary)
 
     if cfg["plots"]:
@@ -161,30 +155,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _aggregate(summaries, lambdas):
-    class _Shim:
-        pass
-
-    from .experiments import REF_METRICS, SWEEP_METRICS
-    shim = _Shim()
-    shim.per_lambda = {}
-    for metric in SWEEP_METRICS:
-        means, stds = [], []
-        for i in range(len(lambdas)):
-            vals = np.array([getattr(s.records[i], metric) for s in summaries])
-            means.append(float(vals.mean()))
-            stds.append(float(vals.std()))
-        shim.per_lambda[metric] = {"mean": means, "std": stds}
-    shim.references = {}
-    for metric in REF_METRICS:
-        vals = np.array([getattr(s, metric) for s in summaries])
-        shim.references[metric] = {"mean": float(vals.mean()),
-                                   "std": float(vals.std())}
-    return shim
-
-
-def cmd_geometry(cfg: RunConfig) -> int:
-    out = cfg.values["_out"]
+def cmd_geometry(cfg: RunConfig, out: str) -> int:
     lambdas = cfg["lambdas"] or [-10.0, -5.0, -2.0, 0.0, 0.5, 1.0, 2.0, 3.0,
                                  5.0, 10.0, 20.0, 40.0]
 
@@ -230,7 +201,7 @@ def cmd_geometry(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_check(cfg: RunConfig) -> int:
+def cmd_check(cfg: RunConfig, out: str) -> int:
     tolerance = cfg["tolerance"] or None
     results = checks.run_all(tolerance)
     width = max(len(name) for name in results)
@@ -246,7 +217,7 @@ def cmd_check(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(cfg: RunConfig) -> int:
+def cmd_gradcheck(cfg: RunConfig, out: str) -> int:
     space = ngram.SequenceSpace(3, 3)
     base_pol = ngram.random_base_model(space, cfg["seed"])
     orders = (ngram.bigram_orders(space) if cfg["order"] == "bigram"
@@ -280,24 +251,17 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         _prepare_out(args.out)
-        cfg.values["_out"] = args.out
     except IOError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
     try:
-        _echo_config_safe(cfg, args.out)
+        _echo_config(cfg, args.out)
         handler = {"sweep": cmd_sweep, "geometry": cmd_geometry,
                    "check": cmd_check, "gradcheck": cmd_gradcheck}[args.command]
-        return handler(cfg)
+        return handler(cfg, args.out)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-def _echo_config_safe(cfg: RunConfig, out: str):
-    echo = RunConfig(cfg.command, {k: v for k, v in cfg.values.items()
-                                   if not k.startswith("_")})
-    _echo_config(echo, out)
 
 
 if __name__ == "__main__":

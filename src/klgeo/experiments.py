@@ -39,7 +39,6 @@ from .ngram import (
     to_distribution,
 )
 from .optimize import (
-    FORWARD_KL_FIT_CONFIG,
     TVD_FIT_CONFIG,
     OptimizerConfig,
     ascend_j_beta,
@@ -134,18 +133,13 @@ def top_sequences(dist: FiniteDistribution, k: int) -> tuple:
     return tuple((dist.outcomes[i], float(dist.probs[i])) for i in order)
 
 
-def top_sequences_table(record: SweepRecord, k: int) -> list:
-    """Rows (sequence, probability) from a sweep record, at most k of them."""
-    return list(record.top_sequences[:k])
-
-
 def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
               cfg: OptimizerConfig = OptimizerConfig(),
-              fkl_cfg: OptimizerConfig = FORWARD_KL_FIT_CONFIG,
               tvd_cfg: OptimizerConfig = TVD_FIT_CONFIG,
               sigma: float = DEFAULT_SIGMA,
               warm_start: bool = False) -> SeedSummary:
-    """One seed: fresh ascent per grid point plus both reference policies.
+    """One seed: fresh ascent per grid point plus both reference policies
+    (the closed-form forward-KL projection and the best TVD fit).
 
     Each grid point starts cold from the base model unless warm_start is
     set, in which case each ascent is initialized at the previous grid
@@ -169,7 +163,7 @@ def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
         current = trace.final_policy
         records.append(make_sweep_record(fam, pstar, to_distribution(current), lam))
 
-    fkl_trace = fit_forward_kl(pstar, template, fkl_cfg)
+    fkl_trace = fit_forward_kl(pstar, template)
     fkl_dist = to_distribution(fkl_trace.final_policy)
     tvd_trace = fit_tvd(pstar, template, tvd_cfg)
     tvd_dist = to_distribution(tvd_trace.final_policy)
@@ -205,20 +199,26 @@ class MultiSeedResult:
 
 def multi_seed(seeds, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
                cfg: OptimizerConfig = OptimizerConfig(),
-               fkl_cfg: OptimizerConfig = FORWARD_KL_FIT_CONFIG,
                tvd_cfg: OptimizerConfig = TVD_FIT_CONFIG,
                sigma: float = DEFAULT_SIGMA) -> MultiSeedResult:
     """Aggregate sweeps over several seeds; raw summaries are retained."""
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ValueError("multi_seed needs at least 2 seeds")
-    summaries = [run_sweep(s, family_order, lambdas, cfg, fkl_cfg, tvd_cfg, sigma)
+    summaries = [run_sweep(s, family_order, lambdas, cfg, tvd_cfg, sigma)
                  for s in seeds]
     lambdas = [float(l) for l in lambdas]
+    per_lambda, references = aggregate(summaries, len(lambdas))
+    return MultiSeedResult(summaries=summaries, lambdas=lambdas,
+                           per_lambda=per_lambda, references=references)
+
+
+def aggregate(summaries, n_lambdas: int) -> tuple:
+    """Across-seed mean/std: (per_lambda, references) as in MultiSeedResult."""
     per_lambda = {}
     for metric in SWEEP_METRICS:
         means, stds = [], []
-        for i in range(len(lambdas)):
+        for i in range(n_lambdas):
             vals = np.array([getattr(s.records[i], metric) for s in summaries])
             means.append(float(vals.mean()))
             stds.append(float(vals.std()))
@@ -227,8 +227,7 @@ def multi_seed(seeds, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
     for metric in REF_METRICS:
         vals = np.array([getattr(s, metric) for s in summaries])
         references[metric] = {"mean": float(vals.mean()), "std": float(vals.std())}
-    return MultiSeedResult(summaries=summaries, lambdas=lambdas,
-                           per_lambda=per_lambda, references=references)
+    return per_lambda, references
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, field
 
 from .dist import ExtendedReal
+from .experiments import DEFAULT_SIGMA
+from .optimize import TVD_FIT_CONFIG, OptimizerConfig
 from .rng import ALGORITHM
 
 LIBRARY_VERSION = "0.1.0"
@@ -32,14 +34,22 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"expected true/false, got {s!r}")
 
 
+def _parse_order(s: str) -> str:
+    if s in ("bigram", "full"):
+        return s
+    raise ValueError(f"expected bigram/full, got {s!r}")
+
+
 def _parse_int_list(s: str):
-    """Comma-separated integers; 'a..b' expands to an inclusive range."""
+    """Comma-separated integers; 'a..b' expands to an inclusive, non-empty range."""
     out = []
     for part in s.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in part.split("..", 1))
+            if hi < lo:
+                raise ValueError(f"empty range {part!r}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
     return out
@@ -64,14 +74,12 @@ SCHEMAS = {
     "sweep": {
         "seeds": (_parse_int_list, [1]),
         "lambdas": (_parse_float_list, None),  # None -> module default grid
-        "order": (str, "bigram"),
-        "steps": (int, 8000),
-        "learning_rate": (float, 0.1),
-        "fkl_steps": (int, 15000),
-        "fkl_learning_rate": (float, 0.05),
-        "tvd_restarts": (int, 200),
-        "tvd_steps": (int, 5000),
-        "sigma": (float, 0.5),
+        "order": (_parse_order, "bigram"),
+        "steps": (int, OptimizerConfig().steps),
+        "learning_rate": (float, OptimizerConfig().learning_rate),
+        "tvd_restarts": (int, TVD_FIT_CONFIG.restarts),
+        "tvd_steps": (int, TVD_FIT_CONFIG.steps),
+        "sigma": (float, DEFAULT_SIGMA),
         "warm_start": (_parse_bool, False),
         "plots": (_parse_bool, False),
         "top_k": (int, 5),
@@ -88,7 +96,7 @@ SCHEMAS = {
     },
     "gradcheck": {
         "seed": (int, 1),
-        "order": (str, "bigram"),
+        "order": (_parse_order, "bigram"),
         "h": (float, 1e-5),
         "tolerance": (float, 1e-7),
     },

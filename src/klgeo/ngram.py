@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import BinaryVerifier, FiniteDistribution, kl_divergence_finite, total_variation
+from .dist import BinaryVerifier, FiniteDistribution
 from .geometry import TiltedFamily
 from .rng import SeededRng
 
@@ -188,11 +188,15 @@ def to_distribution(pol: NGramPolicy) -> FiniteDistribution:
 # Objectives
 
 
+def _check_space(struct: _Structure, values: np.ndarray):
+    if struct.space.n_sequences != values.shape[0]:
+        raise ValueError("objective target does not match the policy's space")
+
+
 class JBetaObjective:
     """E_pi[r] - beta * KL(pi, base), as a function of the policy logits."""
 
     name = "j_beta"
-    analytic = True
 
     def __init__(self, fam: TiltedFamily, beta: float):
         if beta <= 0:
@@ -202,18 +206,14 @@ class JBetaObjective:
         self._r = fam.reward.values
         self._log_base = np.log(fam.base.probs)
 
-    def _check(self, struct: _Structure):
-        if struct.space.n_sequences != self._r.shape[0]:
-            raise ValueError("objective target does not match the policy's space")
-
     def value_theta(self, struct: _Structure, theta: np.ndarray) -> float:
-        self._check(struct)
+        _check_space(struct, self._r)
         logq = _log_probs(struct, theta)
         q = np.exp(logq)
         return float(q @ self._r - self.beta * (q @ (logq - self._log_base)))
 
     def grad_theta(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
-        self._check(struct)
+        _check_space(struct, self._r)
         logq = _log_probs(struct, theta)
         q = np.exp(logq)
         # d/dtheta sum_s q_s f_s with f = r - beta(log q - log base); the
@@ -226,7 +226,6 @@ class ForwardKLObjective:
     """KL(target, pi) as a function of the policy logits; convex in them."""
 
     name = "forward_kl"
-    analytic = True
 
     def __init__(self, target: FiniteDistribution):
         self.target = target
@@ -234,18 +233,14 @@ class ForwardKLObjective:
         pm = self._p[self._p > 0]
         self._neg_entropy = float(np.sum(pm * np.log(pm)))
 
-    def _check(self, struct: _Structure):
-        if struct.space.n_sequences != self._p.shape[0]:
-            raise ValueError("objective target does not match the policy's space")
-
     def value_theta(self, struct: _Structure, theta: np.ndarray) -> float:
-        self._check(struct)
+        _check_space(struct, self._p)
         logq = _log_probs(struct, theta)
         mask = self._p > 0
         return float(self._neg_entropy - self._p[mask] @ logq[mask])
 
     def grad_theta(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
-        self._check(struct)
+        _check_space(struct, self._p)
         # per block: (target block-marginal) * (softmax - onehot), aggregated
         return -_grad_weighted_logprob(struct, theta, self._p)
 
@@ -254,23 +249,18 @@ class TVDObjective:
     """TVD(pi, target) in the logits; non-convex, differentiated by central differences."""
 
     name = "tvd"
-    analytic = False
 
     def __init__(self, target: FiniteDistribution, h: float = FD_STEP):
         self.target = target
         self._p = target.probs
         self.h = float(h)
 
-    def _check(self, struct: _Structure):
-        if struct.space.n_sequences != self._p.shape[0]:
-            raise ValueError("objective target does not match the policy's space")
-
     def value_theta(self, struct: _Structure, theta: np.ndarray) -> float:
-        self._check(struct)
+        _check_space(struct, self._p)
         return 0.5 * float(np.abs(_probs(struct, theta) - self._p).sum())
 
     def grad_theta(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
-        self._check(struct)
+        _check_space(struct, self._p)
         n = theta.shape[0]
         eye = self.h * np.eye(n)
         thetas = np.concatenate([theta + eye, theta - eye], axis=0)
@@ -338,11 +328,3 @@ def project_policy(pol: NGramPolicy, context_lengths) -> NGramPolicy:
     """Project a policy onto a (typically lower-order) family by forward KL."""
     return conditional_projection(to_distribution(pol), pol.space, context_lengths)
 
-
-def policy_metrics(pol: NGramPolicy, target: FiniteDistribution) -> dict:
-    """Forward KL from the target and TVD to it, for reporting."""
-    q = to_distribution(pol)
-    return {
-        "forward_kl": kl_divergence_finite(target, q),
-        "tvd": total_variation(q, target),
-    }

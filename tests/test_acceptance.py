@@ -45,7 +45,6 @@ from klgeo.ngram import (
     to_distribution,
 )
 from klgeo.optimize import (
-    FORWARD_KL_FIT_CONFIG,
     OptimizerConfig,
     ascend_j_beta,
     verify_gradients,
@@ -77,8 +76,7 @@ def eight_seed_sweep():
     """One full sweep per seed: bigram family, default grid and optimizer."""
     return {
         seed: run_sweep(seed, "bigram", DEFAULT_LAMBDA_GRID,
-                        OptimizerConfig(), FORWARD_KL_FIT_CONFIG,
-                        ACCEPT_TVD_CFG)
+                        OptimizerConfig(), ACCEPT_TVD_CFG)
         for seed in SEEDS
     }
 

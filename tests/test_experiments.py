@@ -21,7 +21,6 @@ from klgeo.experiments import (
     ordering_instance,
     run_sweep,
     top_sequences,
-    top_sequences_table,
     tvd_dip_diagnostic,
 )
 from klgeo.geometry import TiltedFamily, log_partition, moment, tilted
@@ -30,7 +29,6 @@ from klgeo.rng import SeededRng
 
 
 TINY_CFG = OptimizerConfig(learning_rate=0.1, steps=200)
-TINY_FKL = OptimizerConfig(learning_rate=0.05, steps=200)
 TINY_TVD = OptimizerConfig(learning_rate=0.1, steps=200, restarts=2,
                            init=("random", 0, 1.0))
 
@@ -174,7 +172,7 @@ class TestTopSequences:
 class TestRunSweep:
     def test_structure_and_identities(self):
         lambdas = (0.5, 1.0, 2.0, 5.0)
-        summary = run_sweep(1, "bigram", lambdas, TINY_CFG, TINY_FKL, TINY_TVD)
+        summary = run_sweep(1, "bigram", lambdas, TINY_CFG, TINY_TVD)
         assert summary.seed == 1
         assert len(summary.records) == 4
         assert 0.20 <= summary.A1_base <= 0.47
@@ -193,7 +191,7 @@ class TestRunSweep:
         from klgeo.geometry import j_beta
 
         summary = run_sweep(2, "bigram", (1.0, 5.0, 20.0), TINY_CFG,
-                            TINY_FKL, TINY_TVD)
+                            TINY_TVD)
         base = summary.base
         verifier = BinaryVerifier(summary.pstar.probs > 0)
         fam = TiltedFamily(base, verifier)
@@ -205,19 +203,19 @@ class TestRunSweep:
                 j_opt - beta * rec.rkl_to_tilted, abs=1e-9)
 
     def test_full_order_runs(self):
-        summary = run_sweep(1, "full", (1.0, 5.0), TINY_CFG, TINY_FKL, TINY_TVD)
+        summary = run_sweep(1, "full", (1.0, 5.0), TINY_CFG, TINY_TVD)
         assert len(summary.records) == 2
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
-            run_sweep(1, "bigram", (5.0, 1.0), TINY_CFG, TINY_FKL, TINY_TVD)
+            run_sweep(1, "bigram", (5.0, 1.0), TINY_CFG, TINY_TVD)
         with pytest.raises(ValueError):
-            run_sweep(1, "bigram", (-1.0, 2.0), TINY_CFG, TINY_FKL, TINY_TVD)
+            run_sweep(1, "bigram", (-1.0, 2.0), TINY_CFG, TINY_TVD)
         with pytest.raises(ValueError):
-            run_sweep(1, "trigram", (1.0,), TINY_CFG, TINY_FKL, TINY_TVD)
+            run_sweep(1, "trigram", (1.0,), TINY_CFG, TINY_TVD)
 
     def test_reference_metrics_populated(self):
-        summary = run_sweep(3, "bigram", (1.0,), TINY_CFG, TINY_FKL, TINY_TVD)
+        summary = run_sweep(3, "bigram", (1.0,), TINY_CFG, TINY_TVD)
         assert 0.0 <= summary.fkl_ref_validity <= 1.0
         assert summary.fkl_ref_kl >= 0.0
         assert 0.0 <= summary.tvd_ref_tvd <= 1.0
@@ -227,15 +225,15 @@ class TestRunSweep:
             abs=1e-12)
 
     def test_deterministic(self):
-        a = run_sweep(4, "bigram", (2.0,), TINY_CFG, TINY_FKL, TINY_TVD)
-        b = run_sweep(4, "bigram", (2.0,), TINY_CFG, TINY_FKL, TINY_TVD)
+        a = run_sweep(4, "bigram", (2.0,), TINY_CFG, TINY_TVD)
+        b = run_sweep(4, "bigram", (2.0,), TINY_CFG, TINY_TVD)
         assert a.records[0].j_beta_value == b.records[0].j_beta_value
         assert a.tvd_ref_tvd == b.tvd_ref_tvd
 
 
 class TestMultiSeed:
     def test_aggregates(self):
-        res = multi_seed((1, 2), "bigram", (1.0, 5.0), TINY_CFG, TINY_FKL, TINY_TVD)
+        res = multi_seed((1, 2), "bigram", (1.0, 5.0), TINY_CFG, TINY_TVD)
         assert len(res.summaries) == 2
         assert res.lambdas == [1.0, 5.0]
         v = res.per_lambda["validity"]
@@ -249,30 +247,22 @@ class TestMultiSeed:
 
     def test_needs_two_seeds(self):
         with pytest.raises(ValueError):
-            multi_seed((1,), "bigram", (1.0,), TINY_CFG, TINY_FKL, TINY_TVD)
+            multi_seed((1,), "bigram", (1.0,), TINY_CFG, TINY_TVD)
 
 
 class TestDipDiagnostic:
     def test_requires_spanning_grid(self):
         summary = run_sweep(1, "bigram", (1.0, 2.0, 5.0), TINY_CFG,
-                            TINY_FKL, TINY_TVD)
+                            TINY_TVD)
         with pytest.raises(ValueError):
             tvd_dip_diagnostic(summary)
 
     def test_runs_on_full_grid(self):
         summary = run_sweep(1, "bigram", DEFAULT_LAMBDA_GRID, TINY_CFG,
-                            TINY_FKL, TINY_TVD)
+                            TINY_TVD)
         diag = tvd_dip_diagnostic(summary)
         assert isinstance(diag.dip_present, bool)
         assert diag.argmin_lambda in DEFAULT_LAMBDA_GRID
-
-
-class TestTopSequencesTable:
-    def test_truncates(self):
-        summary = run_sweep(1, "bigram", (1.0,), TINY_CFG, TINY_FKL, TINY_TVD)
-        rows = top_sequences_table(summary.records[0], 3)
-        assert len(rows) == 3
-        assert rows == list(summary.records[0].top_sequences[:3])
 
 
 class TestSeededRng:

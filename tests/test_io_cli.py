@@ -69,6 +69,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("command=frobnicate\n")
 
+    def test_removed_forward_kl_fit_keys(self):
+        # the forward-KL reference is closed form; its old step knobs are gone
+        for key in ("fkl_steps=15000", "fkl_learning_rate=0.05"):
+            with pytest.raises(ConfigError):
+                parse_config(f"command=sweep\n{key}\n")
+
 
 class TestFloatFormat:
     def test_exact_roundtrip(self):
@@ -164,7 +170,6 @@ def write_tiny_sweep_config(path):
         "seeds=1\n"
         "lambdas=1,5\n"
         "steps=50\n"
-        "fkl_steps=50\n"
         "tvd_restarts=2\n"
         "tvd_steps=50\n")
 
@@ -200,7 +205,7 @@ class TestCliSweep:
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text(
-            "command=sweep\nlambdas=1\nsteps=20\nfkl_steps=20\n"
+            "command=sweep\nlambdas=1\nsteps=20\n"
             "tvd_restarts=1\ntvd_steps=20\n")
         out = tmp_path / "out"
         monkeypatch.setenv("KLGEO_SEED", "3")
@@ -316,6 +321,22 @@ class TestCliErrors:
                    "--out", str(tmp_path / "out")])
         capsys.readouterr()
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["sweep", "gradcheck"])
+    def test_unknown_order_exit_one(self, tmp_path, capsys, command):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"command={command}\norder=trigram\n")
+        rc = main([command, "--config", str(cfgfile),
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert "order" in capsys.readouterr().err
+
+    def test_empty_seed_range_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["sweep", "--seeds", "3..1", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "empty range" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
     def test_unwritable_out_exit_two(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -2,19 +2,21 @@
 import numpy as np
 import pytest
 
-from klgeo.dist import condition, total_variation
+from klgeo.dist import condition, expected_reward, kl_divergence_finite, total_variation
 from klgeo.geometry import TiltedFamily
 from klgeo.ngram import (
     ForwardKLObjective,
     NGramPolicy,
     SequenceSpace,
     bigram_orders,
+    full_orders,
     make_verifier_first_equals_last,
     random_base_model,
     to_distribution,
 )
 from klgeo.optimize import (
     OptimizerConfig,
+    _gradient_run,
     ascend_j_beta,
     fit_forward_kl,
     fit_tvd,
@@ -71,10 +73,13 @@ class TestOptimizerConfig:
 
 
 class TestForwardKLFit:
+    # the descent traces below check the gradient-descent driver on the
+    # convex forward-KL objective; fit_forward_kl itself is closed form
+
     def test_trace_non_increasing(self):
         _, _, _, pstar, template = setup()
         cfg = OptimizerConfig(learning_rate=0.05, steps=2000)
-        trace = fit_forward_kl(pstar, template, cfg)
+        trace = _gradient_run(ForwardKLObjective(pstar), template, cfg, maximize=False)
         vals = trace.objective_values
         assert np.all(np.diff(vals) <= 1e-10)
         assert trace.final_value < vals[0]
@@ -82,16 +87,15 @@ class TestForwardKLFit:
 
     def test_deterministic(self):
         _, _, _, pstar, template = setup()
-        cfg = OptimizerConfig(learning_rate=0.05, steps=500)
-        a = fit_forward_kl(pstar, template, cfg)
-        b = fit_forward_kl(pstar, template, cfg)
+        a = fit_forward_kl(pstar, template)
+        b = fit_forward_kl(pstar, template)
         assert np.array_equal(a.final_policy.logits, b.final_policy.logits)
         assert np.array_equal(a.objective_values, b.objective_values)
 
     def test_trace_stride(self):
         _, _, _, pstar, template = setup()
         cfg = OptimizerConfig(learning_rate=0.05, steps=1000, record_every=250)
-        trace = fit_forward_kl(pstar, template, cfg)
+        trace = _gradient_run(ForwardKLObjective(pstar), template, cfg, maximize=False)
         # initial value plus one record every 250 steps
         assert trace.objective_values.shape == (5,)
         assert trace.steps_run == 1000
@@ -101,9 +105,34 @@ class TestForwardKLFit:
         target = to_distribution(
             NGramPolicy(SPACE, bigram_orders(SPACE), SeededRng(3).normal(21)))
         template = NGramPolicy(SPACE, bigram_orders(SPACE), np.zeros(21))
-        trace = fit_forward_kl(target, template,
-                               OptimizerConfig(learning_rate=0.1, steps=5000))
-        assert trace.final_value < 1e-6
+        trace = fit_forward_kl(target, template)
+        assert trace.final_value < 1e-12
+        assert trace.converged
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_closed_form_matches_descent(self, seed):
+        # the serial gradient-descent fit the closed form replaced is the oracle
+        _, _, _, pstar, template = setup(seed)
+        trace = fit_forward_kl(pstar, template)
+        gd = _gradient_run(ForwardKLObjective(pstar), template,
+                           OptimizerConfig(learning_rate=0.05, steps=15000),
+                           maximize=False)
+        kl = kl_divergence_finite(pstar, to_distribution(trace.final_policy))
+        kl_gd = kl_divergence_finite(pstar, to_distribution(gd.final_policy))
+        assert abs(kl - kl_gd) <= 1e-10
+        assert trace.final_value == pytest.approx(kl, abs=1e-12)
+        assert trace.steps_run == 0 and trace.objective_values.shape == (1,)
+        assert trace.converged and not trace.aborted
+
+    def test_full_order_reaches_pstar(self):
+        # p* is representable in the full-order family: the fit attains it
+        base_pol, _, fam, pstar, _ = setup()
+        trace = fit_forward_kl(pstar, base_pol)
+        q = to_distribution(trace.final_policy)
+        assert trace.final_policy.context_lengths == full_orders(SPACE)
+        assert kl_divergence_finite(pstar, q) == pytest.approx(0.0, abs=1e-14)
+        assert expected_reward(q, fam.reward) == pytest.approx(1.0, abs=1e-14)
+        assert trace.converged
 
 
 class TestJBetaAscent:
@@ -163,7 +192,6 @@ class _ExplodingObjective:
     """Stub that returns a non-finite gradient after a few calls."""
 
     name = "exploding"
-    analytic = True
 
     def __init__(self, inner, blow_at):
         self.inner = inner
@@ -184,8 +212,6 @@ class _ExplodingObjective:
 
 class TestAbort:
     def test_nonfinite_gradient_aborts(self):
-        from klgeo.optimize import _gradient_run
-
         _, _, _, pstar, template = setup()
         obj = _ExplodingObjective(ForwardKLObjective(pstar), blow_at=10)
         cfg = OptimizerConfig(learning_rate=0.05, steps=500)
