@@ -181,20 +181,28 @@ def check_ordering_crossing(tol=None):
     return ok, f"crossing at {lam_star:.4f}, gap {gap:.3e}"
 
 
-def _gradcheck(objective_name, tol):
+def gradient_error(objective_name, base_seed, order, policy_seed,
+                   h=ngram.FD_STEP):
+    """Max relative error of the analytic gradient of one sweep objective
+    ("j_beta" or "forward_kl") against central differences of step h, at a
+    random policy of the given order ("bigram" or "full") on the (3, 3)
+    first-equals-last toy whose base model has seed base_seed."""
     space = ngram.SequenceSpace(3, 3)
-    base_pol = ngram.random_base_model(space, seed=3)
-    pol = ngram.NGramPolicy(space, ngram.bigram_orders(space),
-                            SeededRng(5).normal(21))
+    orders = (ngram.bigram_orders(space) if order == "bigram"
+              else ngram.full_orders(space))
+    n_params = ngram._Structure.get(space, orders).n_params
+    pol = ngram.NGramPolicy(space, orders, SeededRng(policy_seed).normal(n_params))
+    base = ngram.to_distribution(ngram.random_base_model(space, base_seed))
+    verifier = ngram.make_verifier_first_equals_last(space)
     if objective_name == "j_beta":
-        fam = geometry.TiltedFamily(ngram.to_distribution(base_pol),
-                                    ngram.make_verifier_first_equals_last(space))
-        obj = ngram.JBetaObjective(fam, beta=0.2)
+        obj = ngram.JBetaObjective(geometry.TiltedFamily(base, verifier), beta=0.2)
     else:
-        base = ngram.to_distribution(base_pol)
-        verifier = ngram.make_verifier_first_equals_last(space)
         obj = ngram.ForwardKLObjective(dist.condition(base, verifier.mask))
-    err = optimize.verify_gradients(pol, obj)
+    return optimize.verify_gradients(pol, obj, h=h)
+
+
+def _gradcheck(objective_name, tol):
+    err = gradient_error(objective_name, 3, "bigram", 5)
     return err <= tol, f"max relative error {err:.3e}"
 
 

@@ -10,19 +10,19 @@ import dataclasses
 import os
 import sys
 
-from . import checks, experiments, geometry, ngram, optimize
-from .dist import BinaryVerifier, FiniteDistribution, condition
+from . import checks, experiments, geometry, optimize
+from .dist import BinaryVerifier, FiniteDistribution
 from .io import (
     SCHEMAS,
     ConfigError,
     RunConfig,
     _parse_int_list,
+    _parse_order,
     fmt_float,
     parse_config,
     write_csv,
     write_json,
 )
-from .rng import SeededRng
 from .svg import emit_svg
 
 EXIT_OK = 0
@@ -40,7 +40,7 @@ def _build_parser():
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seeds", default=None, help="e.g. 1,2,3 or 1..8")
         p.add_argument("--lambdas", default=None, help="comma-separated grid")
-        p.add_argument("--order", choices=("bigram", "full"), default=None)
+        p.add_argument("--order", default=None, help="bigram or full")
         p.add_argument("--plots", action="store_true", default=None)
         p.add_argument("--warm-start", action="store_true", default=None,
                        dest="warm_start")
@@ -65,7 +65,7 @@ def _load_config(args) -> RunConfig:
     if args.lambdas is not None and "lambdas" in schema:
         overrides["lambdas"] = [float(x) for x in args.lambdas.split(",")]
     if args.order is not None and "order" in schema:
-        overrides["order"] = args.order
+        overrides["order"] = _parse_order(args.order)
     if args.plots and "plots" in schema:
         overrides["plots"] = True
     if args.warm_start and "warm_start" in schema:
@@ -104,13 +104,20 @@ REFS_COLUMNS = ("seed", "A1_base", "fkl_ref_validity", "fkl_ref_kl",
                 "tvd_ref_tvd", "pstar_entropy")
 
 
-def cmd_sweep(cfg: RunConfig, out: str) -> int:
-    seeds = cfg["seeds"]
-    lambdas = cfg["lambdas"] or list(experiments.DEFAULT_LAMBDA_GRID)
+def _sweep_settings(cfg: RunConfig) -> tuple:
+    """The checked grid and the ascent and TVD-fit configs of a sweep."""
+    lambdas = experiments.check_lambdas(
+        cfg["lambdas"] or experiments.DEFAULT_LAMBDA_GRID)
     opt_cfg = optimize.OptimizerConfig(learning_rate=cfg["learning_rate"],
                                        steps=cfg["steps"])
     tvd_cfg = dataclasses.replace(optimize.TVD_FIT_CONFIG, steps=cfg["tvd_steps"],
                                   restarts=cfg["tvd_restarts"])
+    return lambdas, opt_cfg, tvd_cfg
+
+
+def cmd_sweep(cfg: RunConfig, out: str) -> int:
+    seeds = cfg["seeds"]
+    lambdas, opt_cfg, tvd_cfg = _sweep_settings(cfg)
     summaries = [
         experiments.run_sweep(seed, cfg["order"], lambdas, opt_cfg, tvd_cfg,
                               cfg["sigma"], warm_start=cfg["warm_start"])
@@ -135,7 +142,7 @@ def cmd_sweep(cfg: RunConfig, out: str) -> int:
         s.pstar_entropy)] for s in summaries]
     write_csv(os.path.join(out, "refs.csv"), REFS_COLUMNS, ref_rows)
 
-    summary = {"seeds": list(seeds), "lambdas": [float(l) for l in lambdas],
+    summary = {"seeds": list(seeds), "lambdas": lambdas,
                "order": cfg["order"]}
     if len(summaries) >= 2:
         summary["per_lambda"], summary["references"] = experiments.aggregate(
@@ -218,21 +225,10 @@ def cmd_check(cfg: RunConfig, out: str) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, out: str) -> int:
-    space = ngram.SequenceSpace(3, 3)
-    base_pol = ngram.random_base_model(space, cfg["seed"])
-    orders = (ngram.bigram_orders(space) if cfg["order"] == "bigram"
-              else ngram.full_orders(space))
-    pol = ngram.NGramPolicy(space, orders,
-                            SeededRng(cfg["seed"] + 1000).normal(
-                                ngram._Structure.get(space, orders).n_params))
-    base = ngram.to_distribution(base_pol)
-    verifier = ngram.make_verifier_first_equals_last(space)
-    fam = geometry.TiltedFamily(base, verifier)
-    pstar = condition(base, verifier.mask)
     failed = False
-    for name, obj in (("j_beta", ngram.JBetaObjective(fam, beta=0.2)),
-                      ("forward_kl", ngram.ForwardKLObjective(pstar))):
-        err = optimize.verify_gradients(pol, obj, h=cfg["h"])
+    for name in ("j_beta", "forward_kl"):
+        err = checks.gradient_error(name, cfg["seed"], cfg["order"],
+                                    cfg["seed"] + 1000, h=cfg["h"])
         ok = err <= cfg["tolerance"]
         print(f"{name:<12} max relative error {err:.3e}  "
               f"{'PASS' if ok else 'FAIL'}")
@@ -246,6 +242,8 @@ def main(argv=None) -> int:
         args.seeds = os.environ["KLGEO_SEED"]
     try:
         cfg = _load_config(args)
+        if args.command == "sweep":
+            _sweep_settings(cfg)  # bad values end here, before any output
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

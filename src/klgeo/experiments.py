@@ -133,6 +133,14 @@ def top_sequences(dist: FiniteDistribution, k: int) -> tuple:
     return tuple((dist.outcomes[i], float(dist.probs[i])) for i in order)
 
 
+def check_lambdas(lambdas) -> list:
+    """The grid as floats; rejects a non-positive or unsorted grid."""
+    lambdas = [float(l) for l in lambdas]
+    if any(l <= 0 for l in lambdas) or lambdas != sorted(lambdas):
+        raise ValueError("lambdas must be positive and sorted ascending")
+    return lambdas
+
+
 def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
               cfg: OptimizerConfig = OptimizerConfig(),
               tvd_cfg: OptimizerConfig = TVD_FIT_CONFIG,
@@ -145,9 +153,7 @@ def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
     set, in which case each ascent is initialized at the previous grid
     point's result (grid points must then be sorted ascending).
     """
-    lambdas = [float(l) for l in lambdas]
-    if any(l <= 0 for l in lambdas) or lambdas != sorted(lambdas):
-        raise ValueError("lambdas must be positive and sorted ascending")
+    lambdas = check_lambdas(lambdas)
     _, base_pol, base, verifier, fam, pstar, template = _toy_instance(
         seed, family_order, sigma)
 

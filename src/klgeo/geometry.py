@@ -139,7 +139,9 @@ def natural_param(fam: TiltedFamily, mu: float) -> float:
 
     Binary rewards use the closed form log(mu/(1-mu)) + log(A0/A1).  The
     general case runs bisection on [-60, 60] refined by Newton steps with
-    derivative Var_{p_lam}(r), stopping on a 1e-12 moment residual.
+    derivative Var_{p_lam}(r), stopping on a 1e-12 moment residual; it
+    raises ValueError when that residual is not reached (for instance when
+    lam lies outside the bracket).
     """
     if not (fam.reward.m < mu < fam.reward.M):
         raise ValueError("unattainable moment")
@@ -168,7 +170,8 @@ def natural_param(fam: TiltedFamily, mu: float) -> float:
             lam = step
         else:
             lam = 0.5 * (lo + hi)
-    return lam
+    raise ValueError(f"natural_param did not converge for mu={mu!r}; "
+                     f"last moment residual {resid:.3e}")
 
 
 def divergence_cost(fam: TiltedFamily, mu: float) -> float:

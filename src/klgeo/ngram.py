@@ -56,11 +56,12 @@ def full_orders(space: SequenceSpace) -> tuple:
 
 
 class _Structure:
-    """Precomputed index arrays tying sequences to softmax blocks.
+    """Precomputed index tying sequences to rows of one flat logit array.
 
-    For each position t there is one softmax block of shape (V^c_t, V); the
-    arrays ctx[t] and tok[t] give, per sequence, the row and column of that
-    block contributing to the sequence's log probability.
+    Every softmax block has width V, so the logits are one (R, V) array
+    whose rows are the blocks' contexts stacked by position (block t holds
+    V^c_t rows).  index[t, s] is the flat logit that sequence s uses at
+    position t.
     """
 
     _cache: dict = {}
@@ -76,19 +77,12 @@ class _Structure:
         self.space = space
         self.context_lengths = tuple(context_lengths)
         self.block_shapes = [(V ** c, V) for c in context_lengths]
-        self.offsets = np.concatenate([[0], np.cumsum([nc * V for nc, V in self.block_shapes])])
-        self.n_params = int(self.offsets[-1])
-        self.ctx = []
-        self.tok = []
-        self.flat = []
+        first_row = np.cumsum([0] + [nc for nc, _ in self.block_shapes])
+        self.n_params = int(first_row[-1]) * V
+        self.index = np.empty((T, space.n_sequences), dtype=np.intp)
         for t, c in enumerate(context_lengths):
-            ctx = np.zeros(space.n_sequences, dtype=np.intp)
-            for k in range(c):
-                ctx = ctx * V + seqs[:, t - c + k]
-            tok = seqs[:, t].copy()
-            self.ctx.append(ctx)
-            self.tok.append(tok)
-            self.flat.append(ctx * V + tok)
+            ctx = seqs[:, t - c:t] @ V ** np.arange(c - 1, -1, -1, dtype=np.intp)
+            self.index[t] = (first_row[t] + ctx) * V + seqs[:, t]
 
     @classmethod
     def get(cls, space: SequenceSpace, context_lengths: tuple) -> "_Structure":
@@ -96,6 +90,12 @@ class _Structure:
         if key not in cls._cache:
             cls._cache[key] = cls(space, context_lengths)
         return cls._cache[key]
+
+    def scatter(self, w: np.ndarray) -> np.ndarray:
+        """(R, V) array of sum_s w_s over the sequences using each logit."""
+        T = self.space.length
+        return np.bincount(self.index.ravel(), weights=np.tile(w, T),
+                           minlength=self.n_params).reshape(-1, self.space.vocab_size)
 
 
 class NGramPolicy:
@@ -126,27 +126,22 @@ class NGramPolicy:
 
     def blocks(self):
         """The logits reshaped into their per-position (n_contexts, V) blocks."""
-        s = self._struct
-        return [self.logits[s.offsets[t]:s.offsets[t + 1]].reshape(shape)
-                for t, shape in enumerate(s.block_shapes)]
+        rows = self.logits.reshape(-1, self.space.vocab_size)
+        return np.split(rows, np.cumsum([nc for nc, _ in self._struct.block_shapes[:-1]]))
 
 
-def _log_softmax_blocks(struct: _Structure, theta: np.ndarray):
-    out = []
-    for t, (nc, V) in enumerate(struct.block_shapes):
-        z = theta[struct.offsets[t]:struct.offsets[t + 1]].reshape(nc, V)
-        m = z.max(axis=1, keepdims=True)
-        e = np.exp(z - m)
-        out.append((z - m) - np.log(e.sum(axis=1, keepdims=True)))
-    return out
+def _log_softmax(struct: _Structure, theta: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of a logit vector or a (B, n_params) batch."""
+    z = theta.reshape(*theta.shape[:-1], -1, struct.space.vocab_size)
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    return ((z - m) - np.log(e.sum(axis=-1, keepdims=True))).reshape(theta.shape)
 
 
 def _log_probs(struct: _Structure, theta: np.ndarray) -> np.ndarray:
-    lsm = _log_softmax_blocks(struct, theta)
-    logq = lsm[0][struct.ctx[0], struct.tok[0]].copy()
-    for t in range(1, len(lsm)):
-        logq += lsm[t][struct.ctx[t], struct.tok[t]]
-    return logq
+    # np.take keeps the (..., N) result C-contiguous; fancy indexing would not,
+    # and the TVD finite difference's row sums depend on that memory order
+    return np.take(_log_softmax(struct, theta), struct.index, axis=-1).sum(axis=-2)
 
 
 def _probs(struct: _Structure, theta: np.ndarray) -> np.ndarray:
@@ -156,27 +151,9 @@ def _probs(struct: _Structure, theta: np.ndarray) -> np.ndarray:
 def _grad_weighted_logprob(struct: _Structure, theta: np.ndarray,
                            w: np.ndarray) -> np.ndarray:
     """Gradient of sum_s w_s * log q_s in the logits, for fixed weights w."""
-    lsm = _log_softmax_blocks(struct, theta)
-    grad = np.empty(struct.n_params)
-    for t, (nc, V) in enumerate(struct.block_shapes):
-        sw = np.bincount(struct.flat[t], weights=w, minlength=nc * V).reshape(nc, V)
-        sc = sw.sum(axis=1, keepdims=True)
-        g = sw - np.exp(lsm[t]) * sc
-        grad[struct.offsets[t]:struct.offsets[t + 1]] = g.ravel()
-    return grad
-
-
-def _batched_probs(struct: _Structure, thetas: np.ndarray) -> np.ndarray:
-    """Sequence probabilities for a (B, n_params) batch of logit vectors."""
-    B = thetas.shape[0]
-    logq = np.zeros((B, struct.space.n_sequences))
-    for t, (nc, V) in enumerate(struct.block_shapes):
-        z = thetas[:, struct.offsets[t]:struct.offsets[t + 1]].reshape(B, nc, V)
-        m = z.max(axis=2, keepdims=True)
-        e = np.exp(z - m)
-        lsm = (z - m) - np.log(e.sum(axis=2, keepdims=True))
-        logq += lsm[:, struct.ctx[t], struct.tok[t]]
-    return np.exp(logq)
+    sw = struct.scatter(w)
+    q = np.exp(_log_softmax(struct, theta)).reshape(sw.shape)
+    return (sw - q * sw.sum(axis=1, keepdims=True)).ravel()
 
 
 def to_distribution(pol: NGramPolicy) -> FiniteDistribution:
@@ -264,7 +241,7 @@ class TVDObjective:
         n = theta.shape[0]
         eye = self.h * np.eye(n)
         thetas = np.concatenate([theta + eye, theta - eye], axis=0)
-        q = _batched_probs(struct, thetas)
+        q = _probs(struct, thetas)
         vals = 0.5 * np.abs(q - self._p).sum(axis=1)
         return (vals[:n] - vals[n:]) / (2.0 * self.h)
 
@@ -312,15 +289,12 @@ def conditional_projection(target: FiniteDistribution, space: SequenceSpace,
     struct = _Structure.get(space, tuple(context_lengths))
     if len(target) != space.n_sequences:
         raise ValueError("target does not match the sequence space")
-    logits = np.empty(struct.n_params)
-    for t, (nc, V) in enumerate(struct.block_shapes):
-        joint = np.bincount(struct.flat[t], weights=target.probs,
-                            minlength=nc * V).reshape(nc, V)
-        row = joint.sum(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(row > 0, joint / np.where(row > 0, row, 1.0), 1.0 / V)
-            block = np.log(cond)
-        logits[struct.offsets[t]:struct.offsets[t + 1]] = block.ravel()
+    joint = struct.scatter(target.probs)
+    row = joint.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(row > 0, joint / np.where(row > 0, row, 1.0),
+                        1.0 / space.vocab_size)
+        logits = np.log(cond).ravel()
     return NGramPolicy(space, context_lengths, logits)
 
 

@@ -171,6 +171,14 @@ class TestNaturalParam:
             with pytest.raises(ValueError, match="unattainable"):
                 natural_param(fam, mu)
 
+    @pytest.mark.parametrize("mu", [1 - 1e-15, 1e-15])
+    def test_general_solver_unconverged_raises(self, mu):
+        # lam lies outside the solver's bracket; the bracket edge is not an answer
+        fam = TiltedFamily(FiniteDistribution(range(3), (0.2, 0.3, 0.5)),
+                           RewardFn((0.0, 0.5, 1.0)))
+        with pytest.raises(ValueError, match="did not converge"):
+            natural_param(fam, mu)
+
     def test_general_solver_residual(self):
         fam, _ = general_family()
         for mu in (0.2, 0.5, 0.9):

@@ -338,6 +338,28 @@ class TestCliErrors:
         assert "empty range" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    def test_unsorted_lambdas_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["sweep", "--lambdas", "5,1", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "sorted ascending" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["steps", "tvd_restarts"])
+    def test_zero_optimizer_budget_exit_one(self, tmp_path, capsys, key):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"command=sweep\n{key}=0\n")
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_order_flag_exit_one(self, tmp_path, capsys):
+        rc = main(["sweep", "--order", "trigram", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert "bigram/full" in capsys.readouterr().err
+
     def test_unwritable_out_exit_two(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

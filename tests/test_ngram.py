@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from klgeo import ngram
 from klgeo.dist import FiniteDistribution, condition, kl_divergence_finite, total_variation
 from klgeo.geometry import TiltedFamily
 from klgeo.ngram import (
@@ -256,3 +257,137 @@ class TestConditionalProjection:
             _, _, _, _, pstar = toy_setup(seed)
             big = conditional_projection(pstar, SPACE, bigram_orders(SPACE))
             assert kl_divergence_finite(pstar, to_distribution(big)) > 0.3
+
+
+class _PerBlockReference:
+    """The per-position kernels the flat (R, V) kernel replaced, kept as its
+    oracle: one softmax block, one gather and one bincount per position."""
+
+    def __init__(self, space, context_lengths):
+        V = space.vocab_size
+        seqs = np.array(space.outcomes(), dtype=np.intp)
+        self.block_shapes = [(V ** c, V) for c in context_lengths]
+        self.offsets = np.concatenate(
+            [[0], np.cumsum([nc * V for nc, V in self.block_shapes])])
+        self.n_params = int(self.offsets[-1])
+        self.ctx, self.tok, self.flat = [], [], []
+        for t, c in enumerate(context_lengths):
+            ctx = np.zeros(space.n_sequences, dtype=np.intp)
+            for k in range(c):
+                ctx = ctx * V + seqs[:, t - c + k]
+            self.ctx.append(ctx)
+            self.tok.append(seqs[:, t].copy())
+            self.flat.append(ctx * V + seqs[:, t])
+
+    def log_softmax_blocks(self, theta):
+        out = []
+        for t, (nc, V) in enumerate(self.block_shapes):
+            z = theta[self.offsets[t]:self.offsets[t + 1]].reshape(nc, V)
+            m = z.max(axis=1, keepdims=True)
+            e = np.exp(z - m)
+            out.append((z - m) - np.log(e.sum(axis=1, keepdims=True)))
+        return out
+
+    def probs(self, theta):
+        lsm = self.log_softmax_blocks(theta)
+        logq = lsm[0][self.ctx[0], self.tok[0]].copy()
+        for t in range(1, len(lsm)):
+            logq += lsm[t][self.ctx[t], self.tok[t]]
+        return np.exp(logq)
+
+    def batched_probs(self, thetas):
+        B = thetas.shape[0]
+        logq = np.zeros((B, len(self.tok[0])))
+        for t, (nc, V) in enumerate(self.block_shapes):
+            z = thetas[:, self.offsets[t]:self.offsets[t + 1]].reshape(B, nc, V)
+            m = z.max(axis=2, keepdims=True)
+            e = np.exp(z - m)
+            lsm = (z - m) - np.log(e.sum(axis=2, keepdims=True))
+            logq += lsm[:, self.ctx[t], self.tok[t]]
+        return np.exp(logq)
+
+    def grad_weighted_logprob(self, theta, w):
+        lsm = self.log_softmax_blocks(theta)
+        grad = np.empty(self.n_params)
+        for t, (nc, V) in enumerate(self.block_shapes):
+            sw = np.bincount(self.flat[t], weights=w, minlength=nc * V).reshape(nc, V)
+            g = sw - np.exp(lsm[t]) * sw.sum(axis=1, keepdims=True)
+            grad[self.offsets[t]:self.offsets[t + 1]] = g.ravel()
+        return grad
+
+    def projection_logits(self, p):
+        logits = np.empty(self.n_params)
+        for t, (nc, V) in enumerate(self.block_shapes):
+            joint = np.bincount(self.flat[t], weights=p,
+                                minlength=nc * V).reshape(nc, V)
+            row = joint.sum(axis=1, keepdims=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cond = np.where(row > 0, joint / np.where(row > 0, row, 1.0), 1.0 / V)
+                logits[self.offsets[t]:self.offsets[t + 1]] = np.log(cond).ravel()
+        return logits
+
+    def tvd_grad(self, theta, p, h):
+        n = theta.shape[0]
+        eye = h * np.eye(n)
+        q = self.batched_probs(np.concatenate([theta + eye, theta - eye], axis=0))
+        vals = 0.5 * np.abs(q - p).sum(axis=1)
+        return (vals[:n] - vals[n:]) / (2.0 * h)
+
+
+ORACLE_ORDERS = {
+    "unigram": lambda space: (0,) * space.length,
+    "bigram": bigram_orders,
+    "full": full_orders,
+}
+
+
+@pytest.mark.parametrize("order", sorted(ORACLE_ORDERS))
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+class TestFlatKernelMatchesPerBlockReference:
+    """The flat kernel is bit-identical to the per-position loops it replaced."""
+
+    def _setup(self, shape, order):
+        space = SequenceSpace(*shape)
+        orders = ORACLE_ORDERS[order](space)
+        struct = ngram._Structure.get(space, orders)
+        ref = _PerBlockReference(space, orders)
+        assert struct.n_params == ref.n_params
+        return space, orders, struct, ref, SeededRng(31 + sum(orders))
+
+    def test_probs_single_and_batched(self, shape, order):
+        _, _, struct, ref, rng = self._setup(shape, order)
+        for _ in range(5):
+            theta = rng.normal(struct.n_params, sigma=2.0)
+            assert np.array_equal(ngram._probs(struct, theta), ref.probs(theta))
+        thetas = rng.normal(7 * struct.n_params, sigma=2.0).reshape(7, -1)
+        assert np.array_equal(ngram._probs(struct, thetas), ref.batched_probs(thetas))
+
+    def test_grad_weighted_logprob(self, shape, order):
+        space, _, struct, ref, rng = self._setup(shape, order)
+        for _ in range(5):
+            theta = rng.normal(struct.n_params, sigma=2.0)
+            w = rng.normal(space.n_sequences)
+            assert np.array_equal(ngram._grad_weighted_logprob(struct, theta, w),
+                                  ref.grad_weighted_logprob(theta, w))
+
+    def test_conditional_projection_logits(self, shape, order):
+        space, orders, _, ref, rng = self._setup(shape, order)
+        p = rng.uniform(space.n_sequences)
+        # zero mass on the sequences whose first token is 0, so that some
+        # logits are -inf and some contexts get the uniform conditional
+        p[:space.n_sequences // space.vocab_size] = 0.0
+        target = FiniteDistribution(space.outcomes(), p / p.sum())
+        logits = conditional_projection(target, space, orders).logits
+        assert np.isneginf(logits).any()
+        assert np.array_equal(logits, ref.projection_logits(target.probs))
+
+    def test_tvd_grad_theta(self, shape, order):
+        space, _, struct, ref, rng = self._setup(shape, order)
+        p = rng.uniform(space.n_sequences)
+        target = FiniteDistribution(space.outcomes(), p / p.sum())
+        obj = TVDObjective(target)
+        for _ in range(3):
+            theta = rng.normal(struct.n_params, sigma=2.0)
+            assert np.array_equal(obj.grad_theta(struct, theta),
+                                  ref.tvd_grad(theta, target.probs, obj.h))
