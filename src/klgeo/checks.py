@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import dist, geometry, ngram, optimize
-from .experiments import ordering_instance
+from .experiments import ordering_illustration, ordering_instance
 from .rng import SeededRng
 
 
@@ -166,17 +166,14 @@ def check_ordering_crossing(tol=None):
     """The two mid-validity candidates swap order at the predicted lambda."""
     tol = tol or 1e-8
     fam, _, cands = ordering_instance()
-    kl3 = dist.kl_divergence_finite(cands["pi3"], fam.base)
-    kl4 = dist.kl_divergence_finite(cands["pi4"], fam.base)
-    mu3 = dist.expected_reward(cands["pi3"], fam.reward)
-    mu4 = dist.expected_reward(cands["pi4"], fam.reward)
-    lam_star = (kl4 - kl3) / (mu4 - mu3)
-    gap = (dist.kl_divergence_finite(cands["pi3"], geometry.tilted(fam, lam_star))
-           - dist.kl_divergence_finite(cands["pi4"], geometry.tilted(fam, lam_star)))
-    below = (dist.kl_divergence_finite(cands["pi4"], geometry.tilted(fam, lam_star - 1))
-             < dist.kl_divergence_finite(cands["pi3"], geometry.tilted(fam, lam_star - 1)))
-    above = (dist.kl_divergence_finite(cands["pi4"], geometry.tilted(fam, lam_star + 1))
-             < dist.kl_divergence_finite(cands["pi3"], geometry.tilted(fam, lam_star + 1)))
+    lam_star = ordering_illustration(()).crossing_lambda
+
+    def kl(name, lam):
+        return dist.kl_divergence_finite(cands[name], geometry.tilted(fam, lam))
+
+    gap = kl("pi3", lam_star) - kl("pi4", lam_star)
+    below = kl("pi4", lam_star - 1) < kl("pi3", lam_star - 1)
+    above = kl("pi4", lam_star + 1) < kl("pi3", lam_star + 1)
     ok = abs(gap) <= tol and above and not below
     return ok, f"crossing at {lam_star:.4f}, gap {gap:.3e}"
 

@@ -6,16 +6,16 @@ Exit codes: 0 ok, 1 config error, 2 I/O error, 3 check failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import math
 import os
 import sys
 
 from . import checks, experiments, geometry, optimize
-from .dist import BinaryVerifier, FiniteDistribution
 from .io import (
     SCHEMAS,
     ConfigError,
     RunConfig,
+    _parse_float_list,
     _parse_int_list,
     _parse_order,
     fmt_float,
@@ -57,22 +57,14 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(f"config is for command {cfg.command!r}", 1)
     else:
         cfg = RunConfig(command=args.command)
-    # command-line flags override config values where the key exists
-    schema = SCHEMAS[args.command]
-    overrides = {}
-    if args.seeds is not None and "seeds" in schema:
-        overrides["seeds"] = _parse_int_list(args.seeds)
-    if args.lambdas is not None and "lambdas" in schema:
-        overrides["lambdas"] = [float(x) for x in args.lambdas.split(",")]
-    if args.order is not None and "order" in schema:
-        overrides["order"] = _parse_order(args.order)
-    if args.plots and "plots" in schema:
-        overrides["plots"] = True
-    if args.warm_start and "warm_start" in schema:
-        overrides["warm_start"] = True
-    if args.tolerance is not None and "tolerance" in schema:
-        overrides["tolerance"] = args.tolerance
-    cfg.values.update(overrides)
+    # command-line flags override config values where the key exists; the
+    # boolean flags are None unless given
+    for key, parse in (("seeds", _parse_int_list), ("lambdas", _parse_float_list),
+                       ("order", _parse_order), ("plots", bool),
+                       ("warm_start", bool), ("tolerance", float)):
+        value = getattr(args, key)
+        if value is not None and key in SCHEMAS[args.command]:
+            cfg.values[key] = parse(value)
     return cfg
 
 
@@ -93,26 +85,54 @@ def _echo_config(cfg: RunConfig, out: str):
         fh.write(cfg.serialize())
 
 
-def _seq_str(seq) -> str:
-    return "".join(str(t) for t in seq)
-
-
 SWEEP_COLUMNS = ("seed", "lambda", "beta", "validity", "tvd_to_pstar",
                  "fkl_from_pstar", "rkl_to_tilted", "entropy", "j_beta_value",
                  "top_sequences")
 REFS_COLUMNS = ("seed", "A1_base", "fkl_ref_validity", "fkl_ref_kl",
                 "tvd_ref_tvd", "pstar_entropy")
+GEOMETRY_LAMBDAS = (-10.0, -5.0, -2.0, 0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0,
+                    20.0, 40.0)
 
 
 def _sweep_settings(cfg: RunConfig) -> tuple:
     """The checked grid and the ascent and TVD-fit configs of a sweep."""
     lambdas = experiments.check_lambdas(
         cfg["lambdas"] or experiments.DEFAULT_LAMBDA_GRID)
+    if min(cfg["seeds"]) < 0:
+        raise ValueError("seeds must be non-negative")
+    if not 0 < cfg["sigma"] <= experiments.MAX_SIGMA:
+        raise ValueError(f"sigma must be in (0, {experiments.MAX_SIGMA:g}]")
+    if not 1 <= cfg["top_k"] <= experiments.TOP_K:
+        raise ValueError(f"top_k must be in 1..{experiments.TOP_K}")
     opt_cfg = optimize.OptimizerConfig(learning_rate=cfg["learning_rate"],
                                        steps=cfg["steps"])
-    tvd_cfg = dataclasses.replace(optimize.TVD_FIT_CONFIG, steps=cfg["tvd_steps"],
-                                  restarts=cfg["tvd_restarts"])
+    tvd_cfg = optimize.OptimizerConfig(steps=cfg["tvd_steps"],
+                                       restarts=cfg["tvd_restarts"])
     return lambdas, opt_cfg, tvd_cfg
+
+
+def _geometry_settings(cfg: RunConfig) -> list:
+    """Checks a geometry run's values; returns its lambda grid."""
+    for a1 in (*cfg["a1_values"], cfg["profile_a1"]):
+        experiments.three_outcome_family(a1)  # raises unless a usable A1
+    if not all(0 < mu < 1 for mu in cfg["mu_targets"]):
+        raise ValueError("mu targets must be in (0, 1)")
+    lambdas = [float(l) for l in cfg["lambdas"] or GEOMETRY_LAMBDAS]
+    if not all(map(math.isfinite, lambdas)) or lambdas != sorted(lambdas):
+        raise ValueError("lambdas must be finite and sorted ascending")
+    return lambdas
+
+
+def _gradcheck_settings(cfg: RunConfig) -> None:
+    if cfg["seed"] < 0:
+        raise ValueError("seed must be non-negative")
+    if not 0 < cfg["h"] < math.inf:
+        raise ValueError("h must be finite and positive")
+
+
+# Each command's value checks, run before any output is written.
+SETTINGS = {"sweep": _sweep_settings, "geometry": _geometry_settings,
+            "check": lambda cfg: None, "gradcheck": _gradcheck_settings}
 
 
 def cmd_sweep(cfg: RunConfig, out: str) -> int:
@@ -124,12 +144,13 @@ def cmd_sweep(cfg: RunConfig, out: str) -> int:
         for seed in seeds
     ]
 
+    # aborted ascents have no record to write
+    records = [(s, [r for r in s.records if isinstance(r, experiments.SweepRecord)])
+               for s in summaries]
     rows = []
-    for s in summaries:
-        for rec in s.records:
-            if not isinstance(rec, experiments.SweepRecord):
-                continue
-            top = ";".join(f"{_seq_str(seq)}={fmt_float(p)}"
+    for s, recs in records:
+        for rec in recs:
+            top = ";".join("".join(map(str, seq)) + "=" + fmt_float(p)
                            for seq, p in rec.top_sequences[:cfg["top_k"]])
             rows.append([str(s.seed)] + [fmt_float(v) for v in (
                 rec.lam, rec.beta, rec.validity, rec.tvd_to_pstar,
@@ -151,24 +172,17 @@ def cmd_sweep(cfg: RunConfig, out: str) -> int:
 
     if cfg["plots"]:
         for metric in ("validity", "tvd_to_pstar", "fkl_from_pstar", "entropy"):
-            series = []
-            for s in summaries:
-                recs = [r for r in s.records
-                        if isinstance(r, experiments.SweepRecord)]
-                series.append((f"seed {s.seed}", [r.lam for r in recs],
-                               [getattr(r, metric) for r in recs]))
+            series = [(f"seed {s.seed}", [r.lam for r in recs],
+                       [getattr(r, metric) for r in recs]) for s, recs in records]
             emit_svg(series, os.path.join(out, f"{metric}.svg"),
                      title=metric, xlabel="lambda", ylabel=metric, log_x=True)
     return EXIT_OK
 
 
 def cmd_geometry(cfg: RunConfig, out: str) -> int:
-    lambdas = cfg["lambdas"] or [-10.0, -5.0, -2.0, 0.0, 0.5, 1.0, 2.0, 3.0,
-                                 5.0, 10.0, 20.0, 40.0]
+    lambdas = _geometry_settings(cfg)
 
-    a1 = cfg["profile_a1"]
-    base = FiniteDistribution(("v1", "v2", "i1"), (a1 / 2, a1 / 2, 1 - a1))
-    fam = geometry.TiltedFamily(base, BinaryVerifier((True, True, False)))
+    fam = experiments.three_outcome_family(cfg["profile_a1"])
     rows = []
     for lam in lambdas:
         mu = geometry.moment(fam, lam)
@@ -179,22 +193,19 @@ def cmd_geometry(cfg: RunConfig, out: str) -> int:
     write_csv(os.path.join(out, "geometry.csv"),
               ("lambda", "mu", "kappa", "tvd_pstar", "fkl_pstar"), rows)
 
-    bm_rows = []
-    for row in experiments.beta_mu_table(cfg["a1_values"], cfg["mu_targets"]):
-        bm_rows.append([fmt_float(row.A1), fmt_float(row.mu_target),
-                        fmt_float(row.lambda_required), row.beta_required.token(),
-                        fmt_float(row.kappa_cost)])
+    bm_rows = [[fmt_float(row.A1), fmt_float(row.mu_target),
+                fmt_float(row.lambda_required), row.beta_required.token(),
+                fmt_float(row.kappa_cost)]
+               for row in experiments.beta_mu_table(cfg["a1_values"], cfg["mu_targets"])]
     write_csv(os.path.join(out, "betamu.csv"),
               ("A1", "mu_target", "lambda", "beta", "kappa"), bm_rows)
 
     sweep_lams = [l for l in (lambdas if max(lambdas) > 0 else [1.0]) if l > 0]
     ordering = experiments.ordering_illustration(sweep_lams)
-    ord_rows = []
-    for i, lam in enumerate(ordering.lambdas):
-        ord_rows.append([fmt_float(lam)]
-                        + [fmt_float(ordering.curves[name][i])
-                           for name in ("pi1", "pi2", "pi3", "pi4")]
-                        + [fmt_float(ordering.crossing_lambda)])
+    ord_rows = [[fmt_float(lam)]
+                + [fmt_float(ordering.curves[name][i]) for name in ("pi1", "pi2", "pi3", "pi4")]
+                + [fmt_float(ordering.crossing_lambda)]
+                for i, lam in enumerate(ordering.lambdas)]
     write_csv(os.path.join(out, "ordering.csv"),
               ("lambda", "kl_pi1", "kl_pi2", "kl_pi3", "kl_pi4",
                "crossing_lambda"), ord_rows)
@@ -242,8 +253,7 @@ def main(argv=None) -> int:
         args.seeds = os.environ["KLGEO_SEED"]
     try:
         cfg = _load_config(args)
-        if args.command == "sweep":
-            _sweep_settings(cfg)  # bad values end here, before any output
+        SETTINGS[args.command](cfg)  # bad values end here, before any output
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

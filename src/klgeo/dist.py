@@ -33,10 +33,6 @@ class ExtendedReal:
             raise ValueError("use ExtendedReal.INFINITY for the infinite value")
         return ExtendedReal(x, False)
 
-    @property
-    def is_finite(self) -> bool:
-        return not self.infinite
-
     def __float__(self) -> float:
         return math.inf if self.infinite else self.value
 
@@ -176,10 +172,6 @@ class BinaryVerifier(RewardFn):
     def valid_outcomes(self, dist_or_outcomes):
         outcomes = getattr(dist_or_outcomes, "outcomes", dist_or_outcomes)
         return tuple(outcomes[i] for i in self.valid_indices)
-
-    def invalid_outcomes(self, dist_or_outcomes):
-        outcomes = getattr(dist_or_outcomes, "outcomes", dist_or_outcomes)
-        return tuple(outcomes[i] for i in self.invalid_indices)
 
 
 def _check_aligned(p: FiniteDistribution, q: FiniteDistribution):

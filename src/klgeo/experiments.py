@@ -19,7 +19,6 @@ from .dist import (
     condition,
     entropy,
     expected_reward,
-    kl_divergence,
     kl_divergence_finite,
     total_variation,
 )
@@ -27,6 +26,7 @@ from .geometry import (
     TiltedFamily,
     divergence_cost,
     j_beta,
+    kl_to_tilted,
     natural_param,
     tilted,
 )
@@ -52,6 +52,12 @@ from .rng import SeededRng
 DEFAULT_LAMBDA_GRID = (0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0, 35.0, 50.0, 100.0)
 
 DEFAULT_SIGMA = 0.5  # std dev of base-model logits (variance 0.25)
+
+# Box-Muller normals from 53-bit uniforms have |z| < 8.6, so up to this sigma
+# every toy sequence has log-probability above -520 (full support).
+MAX_SIGMA = 10.0
+
+TOP_K = 5  # most probable sequences each SweepRecord keeps
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,7 @@ def _toy_instance(seed: int, family_order: str, sigma: float = DEFAULT_SIGMA):
 
 def make_sweep_record(fam: TiltedFamily, pstar: FiniteDistribution,
                       policy_dist: FiniteDistribution, lam: float,
-                      top_k: int = 5) -> SweepRecord:
+                      top_k: int = TOP_K) -> SweepRecord:
     beta = 1.0 / lam
     p_lam = tilted(fam, lam)
     return SweepRecord(
@@ -134,10 +140,10 @@ def top_sequences(dist: FiniteDistribution, k: int) -> tuple:
 
 
 def check_lambdas(lambdas) -> list:
-    """The grid as floats; rejects a non-positive or unsorted grid."""
+    """The grid as floats; rejects a non-finite, non-positive or unsorted grid."""
     lambdas = [float(l) for l in lambdas]
-    if any(l <= 0 for l in lambdas) or lambdas != sorted(lambdas):
-        raise ValueError("lambdas must be positive and sorted ascending")
+    if not all(0 < l < math.inf for l in lambdas) or lambdas != sorted(lambdas):
+        raise ValueError("lambdas must be finite, positive and sorted ascending")
     return lambdas
 
 
@@ -278,16 +284,14 @@ def ordering_illustration(lambdas) -> OrderingResult:
     lambdas = [float(l) for l in lambdas]
     curves = {}
     for name, pi in candidates.items():
-        curves[name] = [kl_divergence_finite(pi, tilted(fam, lam)) for lam in lambdas]
+        curves[name] = [kl_to_tilted(fam, pi, lam) for lam in lambdas]
     # KL(pi3,p_lam) - KL(pi4,p_lam) is affine in lambda with slope mu4 - mu3,
     # so the sign flips exactly once, at the ratio below
-    kl3 = kl_divergence_finite(candidates["pi3"], fam.base)
-    kl4 = kl_divergence_finite(candidates["pi4"], fam.base)
-    mu3 = expected_reward(candidates["pi3"], fam.reward)
-    mu4 = expected_reward(candidates["pi4"], fam.reward)
-    crossing = (kl4 - kl3) / (mu4 - mu3)
     validities = {name: expected_reward(pi, fam.reward)
                   for name, pi in candidates.items()}
+    kl3 = kl_divergence_finite(candidates["pi3"], fam.base)
+    kl4 = kl_divergence_finite(candidates["pi4"], fam.base)
+    crossing = (kl4 - kl3) / (validities["pi4"] - validities["pi3"])
     return OrderingResult(lambdas=lambdas, curves=curves,
                           crossing_lambda=float(crossing), validities=validities)
 
@@ -296,15 +300,20 @@ def ordering_illustration(lambdas) -> OrderingResult:
 # Natural parameter vs target validity table
 
 
+def three_outcome_family(a1: float) -> TiltedFamily:
+    """Two valid outcomes of mass a1/2 each and one invalid one of mass 1 - a1."""
+    if not 0 < a1 < 1:
+        raise ValueError("A1 values must be in (0, 1)")
+    base = FiniteDistribution(("v1", "v2", "i1"), (a1 / 2, a1 / 2, 1 - a1))
+    return TiltedFamily(base, BinaryVerifier((True, True, False)))
+
+
 def beta_mu_table(A1_values, mu_targets) -> list:
     """Rows relating base validity and target validity to the natural
     parameter, its inverse temperature, and the KL cost."""
     rows = []
     for a1 in A1_values:
-        if not 0 < a1 < 1:
-            raise ValueError("A1 values must be in (0, 1)")
-        base = FiniteDistribution(("v1", "v2", "i1"), (a1 / 2, a1 / 2, 1 - a1))
-        fam = TiltedFamily(base, BinaryVerifier((True, True, False)))
+        fam = three_outcome_family(a1)
         for mu in mu_targets:
             if not 0 < mu < 1:
                 raise ValueError("mu targets must be in (0, 1)")

@@ -21,9 +21,7 @@ from .dist import (
     RewardFn,
     condition,
     expected_reward,
-    kl_divergence,
     kl_divergence_finite,
-    total_variation,
 )
 
 # Bracket for the general-reward natural-parameter search.
@@ -110,6 +108,16 @@ def tilted(fam: TiltedFamily, lam: float) -> FiniteDistribution:
     z -= z.max()
     w = np.exp(z)
     return FiniteDistribution(fam.base.outcomes, w / w.sum())
+
+
+def kl_to_tilted(fam: TiltedFamily, q: FiniteDistribution, lam: float) -> float:
+    """KL(q, p_lam), from log p_lam: finite at every finite lam, also where
+    p_lam itself underflows to zero on some outcome."""
+    z = fam._log_base + lam * fam.reward.values
+    z -= z.max()
+    log_p = z - np.log(np.exp(z).sum())
+    m = q.probs > 0
+    return float(np.sum(q.probs[m] * (np.log(q.probs[m]) - log_p[m])))
 
 
 def moment(fam: TiltedFamily, lam: float):
@@ -248,16 +256,21 @@ def convergence_profile(fam: TiltedFamily, lambdas) -> list[ProfilePoint]:
     """Per-lambda closed-form TVD / forward-KL / reverse-KL to the filtered model.
 
     tvd = A0 / (A0 + A1 e^lam), fkl = log(1 + (A0/A1) e^-lam), and the
-    reverse KL is infinite at every finite lam (support mismatch).
+    reverse KL is infinite at every finite lam (support mismatch).  Both
+    are evaluated with e^-|lam|, so no lam overflows.
     """
     if not fam.is_binary:
         raise ValueError(
             "convergence_profile requires a binary reward; "
             "use attained_bound_limits for general bounded rewards")
+    a0, a1 = fam.A0, fam.A1
     points = []
     for lam in lambdas:
-        tvd = fam.A0 / (fam.A0 + fam.A1 * math.exp(lam))
-        fkl = math.log1p((fam.A0 / fam.A1) * math.exp(-lam))
+        e = math.exp(-abs(lam))
+        if lam >= 0:
+            tvd, fkl = a0 * e / (a0 * e + a1), math.log1p((a0 / a1) * e)
+        else:
+            tvd, fkl = a0 / (a0 + a1 * e), -lam + math.log(a0 / a1) + math.log1p((a1 / a0) * e)
         points.append(ProfilePoint(lam=float(lam), tvd_to_pstar=tvd,
                                    fkl_from_pstar=fkl,
                                    rkl_to_pstar=ExtendedReal.INFINITY))

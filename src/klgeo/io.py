@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .dist import ExtendedReal
-from .experiments import DEFAULT_SIGMA
+from .experiments import DEFAULT_SIGMA, TOP_K
 from .optimize import TVD_FIT_CONFIG, OptimizerConfig
 from .rng import ALGORITHM
 
@@ -82,7 +82,7 @@ SCHEMAS = {
         "sigma": (float, DEFAULT_SIGMA),
         "warm_start": (_parse_bool, False),
         "plots": (_parse_bool, False),
-        "top_k": (int, 5),
+        "top_k": (int, TOP_K),
     },
     "geometry": {
         "a1_values": (_parse_float_list, [0.1, 0.35, 0.5, 0.9]),

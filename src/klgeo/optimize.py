@@ -30,17 +30,18 @@ MAX_TOTAL_STEPS = 50_000_000
 # A run counts as converged when its final gradient norm is below this.
 CONVERGED_GRAD_NORM = 1e-6
 
+# A trace records the objective every TRACE_STRIDE steps and at the last step.
+TRACE_STRIDE = 100
+
+# fit_tvd halves its step size every TVD_HALVING_STEPS steps.
+TVD_HALVING_STEPS = 1000
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     learning_rate: float = 0.1
     steps: int = 8000
-    # ("constant",) or ("decay", factor, every_k)
-    schedule: tuple = ("constant",)
     restarts: int = 1
-    # ("base_model",) | ("warm_start",) | ("random", seed, sigma)
-    init: tuple = ("base_model",)
-    record_every: int = 100
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -49,24 +50,10 @@ class OptimizerConfig:
             raise ValueError("steps and restarts must be positive")
         if self.steps * self.restarts > MAX_TOTAL_STEPS:
             raise ValueError("steps * restarts exceeds the configured budget")
-        if self.schedule[0] == "decay":
-            factor = self.schedule[1]
-            if not 0 < factor < 1:
-                raise ValueError("decay factor must be in (0, 1)")
-        elif self.schedule[0] != "constant":
-            raise ValueError(f"unknown schedule {self.schedule[0]!r}")
-
-    def lr_at(self, step: int) -> float:
-        if self.schedule[0] == "decay":
-            _, factor, every = self.schedule
-            return self.learning_rate * factor ** (step // every)
-        return self.learning_rate
 
 
 # Default config for the TVD reference fit.
-TVD_FIT_CONFIG = OptimizerConfig(
-    learning_rate=0.1, steps=5000, schedule=("decay", 0.5, 1000),
-    restarts=200, init=("random", 0, 1.0))
+TVD_FIT_CONFIG = OptimizerConfig(steps=5000, restarts=200)
 
 
 @dataclass
@@ -89,42 +76,39 @@ class RunTrace:
 
 
 def _gradient_run(objective, pol: NGramPolicy, cfg: OptimizerConfig,
-                  maximize: bool) -> RunTrace:
+                  maximize: bool, halving: bool = False) -> RunTrace:
+    """Gradient steps from pol, of constant size or (halving) halved every
+    TVD_HALVING_STEPS steps; a non-finite gradient or value aborts the run."""
     struct = pol._struct
     theta = pol.logits.copy()
     sign = 1.0 if maximize else -1.0
     values = [objective.value_theta(struct, theta)]
     start = time.perf_counter()
-    grad = np.zeros_like(theta)
+    decay = 0.5 if halving else 1.0
+    steps_run, diagnostic = cfg.steps, ""
     for step in range(cfg.steps):
         grad = objective.grad_theta(struct, theta)
         if not np.all(np.isfinite(grad)):
-            return RunTrace(
-                objective_values=np.array(values),
-                final_policy=pol.with_logits(theta),
-                final_grad_norm=float("nan"),
-                wall_time=time.perf_counter() - start,
-                steps_run=step, aborted=True,
-                diagnostic=f"non-finite gradient at step {step}")
-        theta += sign * cfg.lr_at(step) * grad
-        if (step + 1) % cfg.record_every == 0 or step + 1 == cfg.steps:
+            steps_run, diagnostic = step, f"non-finite gradient at step {step}"
+            break
+        lr = cfg.learning_rate * decay ** (step // TVD_HALVING_STEPS)
+        theta += sign * lr * grad
+        if (step + 1) % TRACE_STRIDE == 0 or step + 1 == cfg.steps:
             v = objective.value_theta(struct, theta)
             if not np.isfinite(v):
-                return RunTrace(
-                    objective_values=np.array(values),
-                    final_policy=pol.with_logits(theta),
-                    final_grad_norm=float("nan"),
-                    wall_time=time.perf_counter() - start,
-                    steps_run=step + 1, aborted=True,
-                    diagnostic=f"non-finite objective at step {step + 1}")
+                steps_run, diagnostic = step + 1, f"non-finite objective at step {step + 1}"
+                break
             values.append(v)
-    grad_norm = float(np.linalg.norm(objective.grad_theta(struct, theta)))
+    grad_norm = (float("nan") if diagnostic else
+                 float(np.linalg.norm(objective.grad_theta(struct, theta))))
     return RunTrace(
         objective_values=np.array(values),
         final_policy=pol.with_logits(theta),
         final_grad_norm=grad_norm,
         wall_time=time.perf_counter() - start,
-        steps_run=cfg.steps,
+        steps_run=steps_run,
+        aborted=bool(diagnostic),
+        diagnostic=diagnostic,
         converged=grad_norm < CONVERGED_GRAD_NORM)
 
 
@@ -160,29 +144,21 @@ def fit_tvd(target: FiniteDistribution, template: NGramPolicy,
     """Best-effort minimization of TVD(pi, target): multi-restart descent
     with central finite-difference gradients.
 
-    Restart initializations are i.i.d. Gaussian logits with per-restart
-    seeds spawned from the master seed by counter.  Returns the lowest-TVD
-    run; no global-optimality claim is made (the objective is non-convex in
-    the logits).
+    Restart i starts from SeededRng(0).spawn(i).normal(n_params) and halves
+    its step every TVD_HALVING_STEPS steps, so it depends only on i.  Returns
+    the lowest-TVD run; the objective is non-convex in the logits, so no
+    global optimality is claimed.
     """
     objective = TVDObjective(target)
-    if cfg.init[0] == "random":
-        master, sigma = int(cfg.init[1]), float(cfg.init[2])
-    else:
-        master, sigma = 0, 1.0
-    rng = SeededRng(master)
+    rng = SeededRng(0)
     best = None
     for i in range(cfg.restarts):
-        if cfg.init[0] == "random" or i > 0:
-            theta0 = rng.spawn(i).normal(template.n_params, sigma=sigma)
-            start_pol = template.with_logits(theta0)
-        else:
-            start_pol = template
-        trace = _gradient_run(objective, start_pol, cfg, maximize=False)
+        start_pol = template.with_logits(rng.spawn(i).normal(template.n_params))
+        trace = _gradient_run(objective, start_pol, cfg, maximize=False,
+                              halving=True)
         trace.restart_index = i
-        if not trace.aborted and (best is None or trace.final_value < best.final_value):
-            best = trace
-        elif best is None:
+        if best is None or (not trace.aborted
+                            and trace.final_value < best.final_value):
             best = trace
     return best
 

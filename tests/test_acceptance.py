@@ -56,9 +56,7 @@ SEEDS = tuple(range(1, 9))
 
 # Reduced multi-restart budget for the TVD reference fit; reproduces the
 # full-budget best TVD to ~1e-3 at a fraction of the cost.
-ACCEPT_TVD_CFG = OptimizerConfig(
-    learning_rate=0.1, steps=2000, schedule=("decay", 0.5, 1000),
-    restarts=40, init=("random", 0, 1.0))
+ACCEPT_TVD_CFG = OptimizerConfig(learning_rate=0.1, steps=2000, restarts=40)
 
 
 def _report(num: int, name: str, ok: bool, detail: str):

@@ -29,8 +29,7 @@ from klgeo.rng import SeededRng
 
 
 TINY_CFG = OptimizerConfig(learning_rate=0.1, steps=200)
-TINY_TVD = OptimizerConfig(learning_rate=0.1, steps=200, restarts=2,
-                           init=("random", 0, 1.0))
+TINY_TVD = OptimizerConfig(learning_rate=0.1, steps=200, restarts=2)
 
 
 class TestOrderingInstance:
@@ -59,6 +58,29 @@ class TestOrderingInstance:
             for j, lam in enumerate(lambdas):
                 expect = kl_base - lam * mu + log_partition(fam, lam)
                 assert res.curves[name][j] == pytest.approx(expect, abs=1e-12)
+
+    def test_curves_match_direct_kl(self):
+        # the tilt identity against KL to the enumerated p_lam
+        fam, _, cands = ordering_instance()
+        lambdas = (0.5, 2.0, 8.0, 30.0, 100.0)
+        res = ordering_illustration(lambdas)
+        for name, pi in cands.items():
+            for j, lam in enumerate(lambdas):
+                expect = kl_divergence_finite(pi, tilted(fam, lam))
+                assert res.curves[name][j] == pytest.approx(expect, abs=1e-12)
+
+    def test_curves_finite_where_tilted_underflows(self):
+        # at lambda = 1000 p_lam has no invalid mass left in a double, yet
+        # the KL of a candidate with invalid mass is finite: KL(pi, a)
+        # + A(lam) - lam E_pi[r]
+        fam, _, cands = ordering_instance()
+        assert tilted(fam, 1000.0).probs[3:].max() == 0.0
+        res = ordering_illustration((1000.0,))
+        pi3 = cands["pi3"]
+        expect = (kl_divergence_finite(pi3, fam.base) + log_partition(fam, 1000.0)
+                  - 1000.0 * expected_reward(pi3, fam.reward))
+        assert res.curves["pi3"][0] == pytest.approx(expect, rel=1e-12)
+        assert res.curves["pi4"][0] < res.curves["pi3"][0]
 
     def test_crossing_flips_preference(self):
         res = ordering_illustration((1.0,))

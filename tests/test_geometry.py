@@ -24,6 +24,7 @@ from klgeo.geometry import (
     filtered_model,
     j_beta,
     kl_difference,
+    kl_to_tilted,
     log_partition,
     moment,
     natural_param,
@@ -259,6 +260,25 @@ class TestIdentities:
                       - kl_divergence_finite(q, tilted(fam, l1)))
             assert kl_difference(fam, q, l1, l2) == pytest.approx(direct, abs=1e-10)
 
+    def test_kl_to_tilted_matches_direct(self):
+        fam, frng = general_family()
+        for lam in (-3.0, 0.0, 2.0, 12.0):
+            for _ in range(5):
+                q = random_dist(frng, fam.base.outcomes)
+                assert kl_to_tilted(fam, q, lam) == pytest.approx(
+                    kl_divergence_finite(q, tilted(fam, lam)), abs=1e-13)
+
+    @pytest.mark.parametrize("lam", [1000.0, -1000.0])
+    def test_kl_to_tilted_where_tilted_underflows(self, lam):
+        # p_lam has zeros in a double, yet KL(q, p_lam) is finite; the
+        # identity KL(q, a) + A(lam) - lam E_q[r] is the oracle
+        fam = binary_family(0.4)
+        q = FiniteDistribution(fam.base.outcomes, (0.3, 0.3, 0.4))
+        assert tilted(fam, lam).probs.min() == 0.0
+        expect = (kl_divergence_finite(q, fam.base) + log_partition(fam, lam)
+                  - lam * expected_reward(q, fam.reward))
+        assert kl_to_tilted(fam, q, lam) == pytest.approx(expect, rel=1e-13)
+
     def test_objective_decomposition(self, rng):
         # E_q r - beta KL(q, a) = beta * (A(1/beta) - KL(q, p_{1/beta}))
         fam = binary_family(0.3)
@@ -425,6 +445,17 @@ class TestConvergenceProfile:
         fam, _ = general_family()
         with pytest.raises(ValueError, match="binary"):
             convergence_profile(fam, [1.0])
+
+    @pytest.mark.parametrize("a1", [0.2, 0.5, 0.9])
+    def test_limits_at_extreme_lambda(self, a1):
+        # e^{+-1000} overflows a double; the profile takes the limits of
+        # tvd = A0 / (A0 + A1 e^lam) and fkl = log(1 + (A0/A1) e^-lam)
+        fam = binary_family(a1)
+        hi, lo = convergence_profile(fam, [1000.0, -1000.0])
+        assert hi.tvd_to_pstar == 0.0 and hi.fkl_from_pstar == 0.0
+        assert lo.tvd_to_pstar == 1.0
+        assert lo.fkl_from_pstar == pytest.approx(
+            1000.0 + math.log(fam.A0 / fam.A1), rel=1e-15)
 
 
 class TestBoundLimits:

@@ -2,9 +2,13 @@
 import json
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from klgeo import checks
 from klgeo.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
@@ -258,6 +262,22 @@ class TestCliGeometry:
         assert rc == EXIT_OK
         assert (out / "ordering.svg").exists()
 
+    def test_extreme_lambdas(self, tmp_path):
+        # e^{+-1000} overflows a double; the profile takes its limits there
+        out = tmp_path / "out"
+        rc = main(["geometry", "--lambdas=-1000,1,1000", "--out", str(out),
+                   "--plots"])
+        assert rc == EXIT_OK
+        _, rows = read_csv(out / "geometry.csv")
+        lo, hi = rows[0], rows[2]
+        assert parse_float_token(lo[3]) == 1.0
+        assert parse_float_token(lo[4]) == pytest.approx(1000.0, rel=1e-15)
+        assert parse_float_token(hi[3]) == 0.0
+        assert parse_float_token(hi[4]) == 0.0
+        _, ord_rows = read_csv(out / "ordering.csv")
+        assert [parse_float_token(r[0]) for r in ord_rows] == [1.0, 1000.0]
+        assert all(math.isfinite(parse_float_token(c)) for r in ord_rows for c in r)
+
 
 class TestCliCheck:
     def test_all_pass_exit_zero(self, tmp_path, capsys):
@@ -338,9 +358,10 @@ class TestCliErrors:
         assert "empty range" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
-    def test_unsorted_lambdas_exit_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("lambdas", ["5,1", "nan", "inf"])
+    def test_unsorted_lambdas_exit_one(self, tmp_path, capsys, lambdas):
         out = tmp_path / "out"
-        rc = main(["sweep", "--lambdas", "5,1", "--out", str(out)])
+        rc = main(["sweep", "--lambdas", lambdas, "--out", str(out)])
         assert rc == EXIT_CONFIG
         assert "sorted ascending" in capsys.readouterr().err
         assert not out.exists()
@@ -355,6 +376,35 @@ class TestCliErrors:
         assert "must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, line, message", [
+        ("sweep", "sigma=0", "sigma"),
+        ("sweep", "sigma=-0.5", "sigma"),
+        ("sweep", "sigma=nan", "sigma"),
+        ("sweep", "sigma=1000", "sigma"),
+        ("sweep", "top_k=0", "top_k"),
+        ("sweep", "top_k=6", "top_k"),
+        ("sweep", "seeds=-1", "seeds"),
+        ("geometry", "mu_targets=0.9,1", "mu targets"),
+        ("geometry", "a1_values=0", "A1"),
+        ("geometry", "profile_a1=1.5", "A1"),
+        ("geometry", "profile_a1=5e-324", "full support"),
+        ("geometry", "lambdas=nan", "lambdas"),
+        ("geometry", "lambdas=5,1", "sorted ascending"),
+        ("gradcheck", "h=0", "h must be"),
+        ("gradcheck", "h=-1e-5", "h must be"),
+        ("gradcheck", "seed=-1", "seed"),
+    ])
+    def test_bad_value_exit_one_before_output(self, tmp_path, capsys, command,
+                                              line, message):
+        cfgfile = tmp_path / "cfg"
+        budget = "steps=3\ntvd_restarts=1\ntvd_steps=3\n" if command == "sweep" else ""
+        cfgfile.write_text(f"command={command}\n{budget}{line}\n")
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(cfgfile), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_order_flag_exit_one(self, tmp_path, capsys):
         rc = main(["sweep", "--order", "trigram", "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
@@ -366,3 +416,71 @@ class TestCliErrors:
         rc = main(["check", "--out", str(blocker / "out")])
         capsys.readouterr()
         assert rc == EXIT_IO
+
+
+# Any double, or one from the range a key accepts, so that the fuzz reaches
+# both the exit-1 checks and the computations behind them.
+ANY_FLOAT = st.floats()
+UNIT_OR_ANY = st.one_of(st.floats(0.0, 1.0), ANY_FLOAT)
+FUZZ = settings(max_examples=34, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _float_list(elements):
+    """Comma-joined floats, sorted ascending or in drawn order."""
+    return st.tuples(st.lists(elements, min_size=1, max_size=4),
+                     st.booleans()).map(
+        lambda t: ",".join(format(v, ".17g") for v in (sorted(t[0]) if t[1] else t[0])))
+
+
+def _run_fuzzed(tmp_path, capsys, command, values):
+    run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+    cfgfile = run_dir / "cfg"
+    cfgfile.write_text(f"command={command}\n"
+                       + "".join(f"{k}={v}\n" for k, v in values.items()))
+    rc = main([command, "--config", str(cfgfile), "--out", str(run_dir / "out")])
+    capsys.readouterr()
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_CHECK)
+
+
+class TestCliFuzz:
+    """cli.main ends every fuzzed run with an exit code and never raises."""
+
+    @FUZZ
+    @given(a1_values=_float_list(UNIT_OR_ANY),
+           mu_targets=_float_list(UNIT_OR_ANY),
+           profile_a1=UNIT_OR_ANY.map(lambda v: format(v, ".17g")),
+           lambdas=st.one_of(st.none(), _float_list(
+               st.one_of(st.floats(-50.0, 50.0), ANY_FLOAT))),
+           plots=st.sampled_from(["true", "false"]))
+    def test_geometry(self, tmp_path, capsys, a1_values, mu_targets,
+                      profile_a1, lambdas, plots):
+        values = {"a1_values": a1_values, "mu_targets": mu_targets,
+                  "profile_a1": profile_a1, "plots": plots}
+        if lambdas is not None:
+            values["lambdas"] = lambdas
+        _run_fuzzed(tmp_path, capsys, "geometry", values)
+
+    @FUZZ
+    @given(seed=st.integers(-5, 2 ** 64),
+           order=st.sampled_from(["bigram", "full"]),
+           h=st.one_of(st.floats(1e-8, 1e-2), ANY_FLOAT),
+           tolerance=ANY_FLOAT)
+    def test_gradcheck(self, tmp_path, capsys, seed, order, h, tolerance):
+        _run_fuzzed(tmp_path, capsys, "gradcheck", {
+            "seed": seed, "order": order, "h": format(h, ".17g"),
+            "tolerance": format(tolerance, ".17g")})
+
+    # A finite positive grid point is drawn from [1e-3, 500]: far below it the
+    # three-step ascent overshoots, far above it p_lam underflows, and either
+    # way a KL-infinite ValueError still escapes make_sweep_record.
+    @FUZZ
+    @given(sigma=st.one_of(st.floats(0.0, 12.0), ANY_FLOAT),
+           top_k=st.integers(-2, 8),
+           lambdas=_float_list(st.one_of(
+               st.floats(1e-3, 500.0), st.floats(max_value=0.0),
+               st.sampled_from([math.nan, math.inf]))))
+    def test_sweep(self, tmp_path, capsys, sigma, top_k, lambdas):
+        _run_fuzzed(tmp_path, capsys, "sweep", {
+            "steps": 3, "tvd_restarts": 1, "tvd_steps": 3,
+            "sigma": format(sigma, ".17g"), "top_k": top_k, "lambdas": lambdas})

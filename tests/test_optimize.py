@@ -8,6 +8,7 @@ from klgeo.ngram import (
     ForwardKLObjective,
     NGramPolicy,
     SequenceSpace,
+    TVDObjective,
     bigram_orders,
     full_orders,
     make_verifier_first_equals_last,
@@ -15,6 +16,7 @@ from klgeo.ngram import (
     to_distribution,
 )
 from klgeo.optimize import (
+    TRACE_STRIDE,
     OptimizerConfig,
     _gradient_run,
     ascend_j_beta,
@@ -46,25 +48,10 @@ class TestOptimizerConfig:
             OptimizerConfig(steps=0)
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(schedule=("decay", 1.5, 100))
-        with pytest.raises(ValueError):
-            OptimizerConfig(schedule=("warmup",))
 
     def test_rejects_budget_blowup(self):
         with pytest.raises(ValueError):
             OptimizerConfig(steps=1_000_000, restarts=1_000)
-
-    def test_constant_lr(self):
-        cfg = OptimizerConfig(learning_rate=0.3)
-        assert cfg.lr_at(0) == cfg.lr_at(7999) == 0.3
-
-    def test_decay_lr(self):
-        cfg = OptimizerConfig(learning_rate=0.1, schedule=("decay", 0.5, 1000))
-        assert cfg.lr_at(0) == 0.1
-        assert cfg.lr_at(999) == 0.1
-        assert cfg.lr_at(1000) == pytest.approx(0.05)
-        assert cfg.lr_at(3500) == pytest.approx(0.1 * 0.5 ** 3)
 
     def test_frozen(self):
         cfg = OptimizerConfig()
@@ -94,10 +81,11 @@ class TestForwardKLFit:
 
     def test_trace_stride(self):
         _, _, _, pstar, template = setup()
-        cfg = OptimizerConfig(learning_rate=0.05, steps=1000, record_every=250)
+        cfg = OptimizerConfig(learning_rate=0.05, steps=1000)
         trace = _gradient_run(ForwardKLObjective(pstar), template, cfg, maximize=False)
-        # initial value plus one record every 250 steps
-        assert trace.objective_values.shape == (5,)
+        # initial value plus one record every TRACE_STRIDE steps
+        assert TRACE_STRIDE == 100
+        assert trace.objective_values.shape == (11,)
         assert trace.steps_run == 1000
 
     def test_well_specified_converges(self):
@@ -160,9 +148,7 @@ class TestTVDFit:
         target = to_distribution(
             NGramPolicy(SPACE, bigram_orders(SPACE), SeededRng(5).normal(21)))
         template = NGramPolicy(SPACE, bigram_orders(SPACE), np.zeros(21))
-        cfg = OptimizerConfig(learning_rate=0.1, steps=5000,
-                              schedule=("decay", 0.5, 1000), restarts=20,
-                              init=("random", 0, 1.0))
+        cfg = OptimizerConfig(learning_rate=0.1, steps=5000, restarts=20)
         trace = fit_tvd(target, template, cfg)
         assert trace.final_value < 1e-3
 
@@ -171,8 +157,7 @@ class TestTVDFit:
         results = []
         for restarts in (1, 4, 12):
             cfg = OptimizerConfig(learning_rate=0.1, steps=600,
-                                  schedule=("decay", 0.5, 300),
-                                  restarts=restarts, init=("random", 0, 1.0))
+                                  restarts=restarts)
             results.append(fit_tvd(pstar, template, cfg).final_value)
         # restarts share the same spawned streams, so best-of-N can only improve
         assert results[1] <= results[0] + 1e-15
@@ -180,12 +165,30 @@ class TestTVDFit:
 
     def test_deterministic(self):
         _, _, _, pstar, template = setup()
-        cfg = OptimizerConfig(learning_rate=0.1, steps=300, restarts=3,
-                              init=("random", 0, 1.0))
+        cfg = OptimizerConfig(learning_rate=0.1, steps=300, restarts=3)
         a = fit_tvd(pstar, template, cfg)
         b = fit_tvd(pstar, template, cfg)
         assert np.array_equal(a.final_policy.logits, b.final_policy.logits)
         assert a.restart_index == b.restart_index
+
+    def test_matches_hand_written_halving_descent(self):
+        # oracle: each restart as a plain loop from its SeededRng(0).spawn(i)
+        # start, with the step halved every 1000 steps; the fit is the better
+        _, _, _, pstar, template = setup()
+        objective = TVDObjective(pstar)
+        struct = template._struct
+        finals = []
+        for i in range(2):
+            theta = SeededRng(0).spawn(i).normal(template.n_params, sigma=1.0)
+            for k in range(1200):
+                theta = theta - 0.1 * 0.5 ** (k // 1000) * objective.grad_theta(struct, theta)
+            finals.append((objective.value_theta(struct, theta), i, theta))
+        value, index, theta = min(finals, key=lambda f: f[0])
+        trace = fit_tvd(pstar, template, OptimizerConfig(steps=1200, restarts=2))
+        assert trace.restart_index == index
+        assert trace.final_value == value
+        assert np.array_equal(trace.final_policy.logits, theta)
+        assert trace.steps_run == 1200 and not trace.aborted
 
 
 class _ExplodingObjective:
