@@ -15,9 +15,6 @@ from .io import (
     SCHEMAS,
     ConfigError,
     RunConfig,
-    _parse_float_list,
-    _parse_int_list,
-    _parse_order,
     fmt_float,
     parse_config,
     write_csv,
@@ -31,20 +28,36 @@ EXIT_IO = 2
 EXIT_CHECK = 3
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are config errors (argparse's own exit code is 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
+# Flags that override a config key of the same name (--warm-start sets
+# warm_start); a command takes only the flags whose key is in its schema.
+FLAG_HELP = {"seeds": "e.g. 1,2,3 or 1..8", "lambdas": "comma-separated grid",
+             "order": "bigram or full", "plots": None, "warm_start": None,
+             "tolerance": None}
+SWITCHES = ("plots", "warm_start")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="klgeo")
+    parser = _ArgumentParser(prog="klgeo")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("sweep", "geometry", "check", "gradcheck"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seeds", default=None, help="e.g. 1,2,3 or 1..8")
-        p.add_argument("--lambdas", default=None, help="comma-separated grid")
-        p.add_argument("--order", default=None, help="bigram or full")
-        p.add_argument("--plots", action="store_true", default=None)
-        p.add_argument("--warm-start", action="store_true", default=None,
-                       dest="warm_start")
-        p.add_argument("--tolerance", type=float, default=None)
+        for key in (k for k in FLAG_HELP if k in SCHEMAS[name]):
+            flag = "--" + key.replace("_", "-")
+            if key in SWITCHES:  # the value goes through the schema's bool parser
+                p.add_argument(flag, action="store_const", const="true",
+                               help=FLAG_HELP[key])
+            else:
+                p.add_argument(flag, help=FLAG_HELP[key])
     return parser
 
 
@@ -57,26 +70,11 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(f"config is for command {cfg.command!r}", 1)
     else:
         cfg = RunConfig(command=args.command)
-    # command-line flags override config values where the key exists; the
-    # boolean flags are None unless given
-    for key, parse in (("seeds", _parse_int_list), ("lambdas", _parse_float_list),
-                       ("order", _parse_order), ("plots", bool),
-                       ("warm_start", bool), ("tolerance", float)):
-        value = getattr(args, key)
-        if value is not None and key in SCHEMAS[args.command]:
-            cfg.values[key] = parse(value)
+    # a given flag overrides the config value, through the key's own parser
+    for key, (parse, _) in SCHEMAS[args.command].items():
+        if getattr(args, key, None) is not None:
+            cfg.values[key] = parse(getattr(args, key))
     return cfg
-
-
-def _prepare_out(path: str):
-    try:
-        os.makedirs(path, exist_ok=True)
-        probe = os.path.join(path, ".write-probe")
-        with open(probe, "w") as fh:
-            fh.write("")
-        os.remove(probe)
-    except OSError as exc:
-        raise IOError(f"output directory not writable: {exc}")
 
 
 def _echo_config(cfg: RunConfig, out: str):
@@ -85,11 +83,9 @@ def _echo_config(cfg: RunConfig, out: str):
         fh.write(cfg.serialize())
 
 
-SWEEP_COLUMNS = ("seed", "lambda", "beta", "validity", "tvd_to_pstar",
-                 "fkl_from_pstar", "rkl_to_tilted", "entropy", "j_beta_value",
+SWEEP_COLUMNS = ("seed", "lambda", "beta", *experiments.SWEEP_METRICS,
                  "top_sequences")
-REFS_COLUMNS = ("seed", "A1_base", "fkl_ref_validity", "fkl_ref_kl",
-                "tvd_ref_tvd", "pstar_entropy")
+REFS_COLUMNS = ("seed", *experiments.REF_METRICS)
 GEOMETRY_LAMBDAS = (-10.0, -5.0, -2.0, 0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0,
                     20.0, 40.0)
 
@@ -130,66 +126,49 @@ def _gradcheck_settings(cfg: RunConfig) -> None:
         raise ValueError("h must be finite and positive")
 
 
-# Each command's value checks, run before any output is written.
-SETTINGS = {"sweep": _sweep_settings, "geometry": _geometry_settings,
-            "check": lambda cfg: None, "gradcheck": _gradcheck_settings}
+def cmd_sweep(cfg: RunConfig, out: str, settings: tuple) -> int:
+    lambdas, opt_cfg, tvd_cfg = settings
+    result = experiments.multi_seed(cfg["seeds"], cfg["order"], lambdas, opt_cfg,
+                                    tvd_cfg, cfg["sigma"], cfg["warm_start"])
 
-
-def cmd_sweep(cfg: RunConfig, out: str) -> int:
-    seeds = cfg["seeds"]
-    lambdas, opt_cfg, tvd_cfg = _sweep_settings(cfg)
-    summaries = [
-        experiments.run_sweep(seed, cfg["order"], lambdas, opt_cfg, tvd_cfg,
-                              cfg["sigma"], warm_start=cfg["warm_start"])
-        for seed in seeds
-    ]
-
-    # aborted ascents have no record to write
-    records = [(s, [r for r in s.records if isinstance(r, experiments.SweepRecord)])
-               for s in summaries]
     rows = []
-    for s, recs in records:
-        for rec in recs:
+    for s in result.summaries:
+        for rec in s.records:
             top = ";".join("".join(map(str, seq)) + "=" + fmt_float(p)
                            for seq, p in rec.top_sequences[:cfg["top_k"]])
-            rows.append([str(s.seed)] + [fmt_float(v) for v in (
-                rec.lam, rec.beta, rec.validity, rec.tvd_to_pstar,
-                rec.fkl_from_pstar, rec.rkl_to_tilted, rec.entropy,
-                rec.j_beta_value)] + [top])
+            rows.append([str(s.seed), fmt_float(rec.lam), fmt_float(rec.beta)]
+                        + [fmt_float(getattr(rec, m)) for m in experiments.SWEEP_METRICS]
+                        + [top])
     write_csv(os.path.join(out, "sweep.csv"), SWEEP_COLUMNS, rows)
 
-    ref_rows = [[str(s.seed)] + [fmt_float(v) for v in (
-        s.A1_base, s.fkl_ref_validity, s.fkl_ref_kl, s.tvd_ref_tvd,
-        s.pstar_entropy)] for s in summaries]
+    ref_rows = [[str(s.seed)]
+                + [fmt_float(getattr(s, m)) for m in experiments.REF_METRICS]
+                for s in result.summaries]
     write_csv(os.path.join(out, "refs.csv"), REFS_COLUMNS, ref_rows)
 
-    summary = {"seeds": list(seeds), "lambdas": lambdas,
+    summary = {"seeds": list(cfg["seeds"]), "lambdas": result.lambdas,
                "order": cfg["order"]}
-    if len(summaries) >= 2:
-        summary["per_lambda"], summary["references"] = experiments.aggregate(
-            summaries, len(lambdas))
+    if result.per_lambda is not None:
+        summary["per_lambda"] = result.per_lambda
+        summary["references"] = result.references
     write_json(os.path.join(out, "summary.json"), summary)
 
     if cfg["plots"]:
-        for metric in ("validity", "tvd_to_pstar", "fkl_from_pstar", "entropy"):
-            series = [(f"seed {s.seed}", [r.lam for r in recs],
-                       [getattr(r, metric) for r in recs]) for s, recs in records]
+        for metric in experiments.PLOT_METRICS:
+            series = [(f"seed {s.seed}", [r.lam for r in s.records],
+                       [getattr(r, metric) for r in s.records])
+                      for s in result.summaries]
             emit_svg(series, os.path.join(out, f"{metric}.svg"),
                      title=metric, xlabel="lambda", ylabel=metric, log_x=True)
     return EXIT_OK
 
 
-def cmd_geometry(cfg: RunConfig, out: str) -> int:
-    lambdas = _geometry_settings(cfg)
-
+def cmd_geometry(cfg: RunConfig, out: str, lambdas: list) -> int:
     fam = experiments.three_outcome_family(cfg["profile_a1"])
-    rows = []
-    for lam in lambdas:
-        mu = geometry.moment(fam, lam)
-        kappa = lam * mu - geometry.log_partition(fam, lam)
-        prof = geometry.convergence_profile(fam, [lam])[0]
-        rows.append([fmt_float(v) for v in (
-            lam, mu, kappa, prof.tvd_to_pstar, prof.fkl_from_pstar)])
+    points = [geometry.GeometryPoint.at_lambda(fam, lam) for lam in lambdas]
+    rows = [[fmt_float(v) for v in (pt.lam, pt.mu, pt.kappa, prof.tvd_to_pstar,
+                                    prof.fkl_from_pstar)]
+            for pt, prof in zip(points, geometry.convergence_profile(fam, lambdas))]
     write_csv(os.path.join(out, "geometry.csv"),
               ("lambda", "mu", "kappa", "tvd_pstar", "fkl_pstar"), rows)
 
@@ -219,7 +198,7 @@ def cmd_geometry(cfg: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_check(cfg: RunConfig, out: str) -> int:
+def cmd_check(cfg: RunConfig, out: str, settings: None) -> int:
     tolerance = cfg["tolerance"] or None
     results = checks.run_all(tolerance)
     width = max(len(name) for name in results)
@@ -235,7 +214,7 @@ def cmd_check(cfg: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(cfg: RunConfig, out: str) -> int:
+def cmd_gradcheck(cfg: RunConfig, out: str, settings: None) -> int:
     failed = False
     for name in ("j_beta", "forward_kl"):
         err = checks.gradient_error(name, cfg["seed"], cfg["order"],
@@ -247,29 +226,35 @@ def cmd_gradcheck(cfg: RunConfig, out: str) -> int:
     return EXIT_CHECK if failed else EXIT_OK
 
 
+# command -> (value checks, run before any output and returning the
+# handler's settings; handler)
+COMMANDS = {"sweep": (_sweep_settings, cmd_sweep),
+            "geometry": (_geometry_settings, cmd_geometry),
+            "check": (lambda cfg: None, cmd_check),
+            "gradcheck": (_gradcheck_settings, cmd_gradcheck)}
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if "KLGEO_SEED" in os.environ and args.seeds is None:
-        args.seeds = os.environ["KLGEO_SEED"]
     try:
+        args = _build_parser().parse_args(argv)
+        if args.command == "sweep" and args.seeds is None:
+            args.seeds = os.environ.get("KLGEO_SEED")
         cfg = _load_config(args)
-        SETTINGS[args.command](cfg)  # bad values end here, before any output
-    except (ConfigError, OSError, ValueError) as exc:
+        check, handler = COMMANDS[args.command]
+        settings = check(cfg)  # bad values end here, before any output
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        _prepare_out(args.out)
-    except IOError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_IO
-    try:
+        os.makedirs(args.out, exist_ok=True)
         _echo_config(cfg, args.out)
-        handler = {"sweep": cmd_sweep, "geometry": cmd_geometry,
-                   "check": cmd_check, "gradcheck": cmd_gradcheck}[args.command]
-        return handler(cfg, args.out)
+        return handler(cfg, args.out, settings)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:  # an aborted ascent or an uncomputable value
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -79,7 +79,7 @@ class SweepRecord:
 class SeedSummary:
     seed: int
     A1_base: float
-    records: list
+    records: list  # one SweepRecord per grid point
     fkl_ref_validity: float
     fkl_ref_kl: float
     tvd_ref_tvd: float
@@ -157,7 +157,8 @@ def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
 
     Each grid point starts cold from the base model unless warm_start is
     set, in which case each ascent is initialized at the previous grid
-    point's result (grid points must then be sorted ascending).
+    point's result (grid points must then be sorted ascending).  An ascent
+    that aborts raises ValueError naming the seed, lambda and diagnostic.
     """
     lambdas = check_lambdas(lambdas)
     _, base_pol, base, verifier, fam, pstar, template = _toy_instance(
@@ -169,9 +170,8 @@ def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
         start = current if warm_start else template
         trace = ascend_j_beta(fam, start, cfg, beta=1.0 / lam)
         if trace.aborted:
-            # keep the sweep alive; record the partial state with a marker
-            records.append((lam, None, trace.diagnostic))
-            continue
+            raise ValueError(f"seed {seed}: the ascent at lambda {lam!r} "
+                             f"aborted: {trace.diagnostic}")
         current = trace.final_policy
         records.append(make_sweep_record(fam, pstar, to_distribution(current), lam))
 
@@ -193,8 +193,11 @@ def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
     )
 
 
+# SweepRecord fields written per grid point (sweep.csv, summary.json), the
+# subset plotted one SVG each, and the SeedSummary fields written per seed
 SWEEP_METRICS = ("validity", "tvd_to_pstar", "fkl_from_pstar", "rkl_to_tilted",
                  "entropy", "j_beta_value")
+PLOT_METRICS = ("validity", "tvd_to_pstar", "fkl_from_pstar", "entropy")
 REF_METRICS = ("A1_base", "fkl_ref_validity", "fkl_ref_kl", "tvd_ref_tvd",
                "pstar_entropy")
 
@@ -203,43 +206,39 @@ REF_METRICS = ("A1_base", "fkl_ref_validity", "fkl_ref_kl", "tvd_ref_tvd",
 class MultiSeedResult:
     summaries: list
     lambdas: list
-    # metric -> {"mean": [...], "std": [...]} aligned with lambdas
+    # metric -> {"mean": [...], "std": [...]} aligned with lambdas;
+    # None for a single seed
     per_lambda: dict
-    # metric -> {"mean": float, "std": float}
+    # metric -> {"mean": float, "std": float}; None for a single seed
     references: dict
+
+
+def _mean_std(values) -> dict:
+    vals = np.array(values)
+    return {"mean": float(vals.mean()), "std": float(vals.std())}
 
 
 def multi_seed(seeds, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
                cfg: OptimizerConfig = OptimizerConfig(),
                tvd_cfg: OptimizerConfig = TVD_FIT_CONFIG,
-               sigma: float = DEFAULT_SIGMA) -> MultiSeedResult:
-    """Aggregate sweeps over several seeds; raw summaries are retained."""
-    seeds = list(seeds)
-    if len(seeds) < 2:
-        raise ValueError("multi_seed needs at least 2 seeds")
-    summaries = [run_sweep(s, family_order, lambdas, cfg, tvd_cfg, sigma)
-                 for s in seeds]
-    lambdas = [float(l) for l in lambdas]
-    per_lambda, references = aggregate(summaries, len(lambdas))
+               sigma: float = DEFAULT_SIGMA,
+               warm_start: bool = False) -> MultiSeedResult:
+    """One sweep per seed, kept raw, plus the across-seed mean/std of every
+    metric when there are two or more seeds."""
+    lambdas = check_lambdas(lambdas)
+    summaries = [run_sweep(s, family_order, lambdas, cfg, tvd_cfg, sigma,
+                           warm_start) for s in seeds]
+    per_lambda = references = None
+    if len(summaries) >= 2:
+        per_lambda = {}
+        for metric in SWEEP_METRICS:
+            stats = [_mean_std(col) for col in zip(
+                *([getattr(r, metric) for r in s.records] for s in summaries))]
+            per_lambda[metric] = {k: [st[k] for st in stats] for k in ("mean", "std")}
+        references = {metric: _mean_std([getattr(s, metric) for s in summaries])
+                      for metric in REF_METRICS}
     return MultiSeedResult(summaries=summaries, lambdas=lambdas,
                            per_lambda=per_lambda, references=references)
-
-
-def aggregate(summaries, n_lambdas: int) -> tuple:
-    """Across-seed mean/std: (per_lambda, references) as in MultiSeedResult."""
-    per_lambda = {}
-    for metric in SWEEP_METRICS:
-        means, stds = [], []
-        for i in range(n_lambdas):
-            vals = np.array([getattr(s.records[i], metric) for s in summaries])
-            means.append(float(vals.mean()))
-            stds.append(float(vals.std()))
-        per_lambda[metric] = {"mean": means, "std": stds}
-    references = {}
-    for metric in REF_METRICS:
-        vals = np.array([getattr(s, metric) for s in summaries])
-        references[metric] = {"mean": float(vals.mean()), "std": float(vals.std())}
-    return per_lambda, references
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +368,11 @@ class DipDiagnostic:
 def tvd_dip_diagnostic(summary: SeedSummary, tol: float = 1e-6) -> DipDiagnostic:
     """Detect an interior minimum of TVD-to-filtered-model along the grid and
     check that the forward KL is non-decreasing across it."""
-    records = [r for r in summary.records if isinstance(r, SweepRecord)]
-    lams = [r.lam for r in records]
+    lams = [r.lam for r in summary.records]
     if len(lams) < 8 or min(lams) > 1.0 or max(lams) < 20.0:
         raise ValueError("lambda grid must span [1, 20] with at least 8 points")
-    tvds = [r.tvd_to_pstar for r in records]
-    fkls = [r.fkl_from_pstar for r in records]
+    tvds = [r.tvd_to_pstar for r in summary.records]
+    fkls = [r.fkl_from_pstar for r in summary.records]
     fkl_monotone = all(fkls[i + 1] >= fkls[i] - tol for i in range(len(fkls) - 1))
     k = int(np.argmin(tvds))
     dip_present = 0 < k < len(tvds) - 1

@@ -126,12 +126,13 @@ def moment(fam: TiltedFamily, lam: float):
     Binary rewards use the closed form A1 e^lam / (A0 + A1 e^lam), computed
     in extended precision: near the bounds mu saturates exponentially fast,
     and a double cannot hold enough of the gap 1 - mu for the logit map to
-    recover lam afterwards.
+    recover lam afterwards.  It is evaluated with e^-|lam|, so no lam
+    overflows.
     """
     if fam.is_binary:
-        a1 = np.longdouble(fam.A1)
-        el = np.exp(np.longdouble(lam))
-        return a1 * el / (np.longdouble(fam.A0) + a1 * el)
+        a0, a1 = np.longdouble(fam.A0), np.longdouble(fam.A1)
+        e = np.exp(-np.longdouble(abs(lam)))
+        return a1 / (a1 + a0 * e) if lam >= 0 else a1 * e / (a0 + a1 * e)
     return expected_reward(tilted(fam, lam), fam.reward)
 
 

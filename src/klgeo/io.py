@@ -9,6 +9,7 @@ never a bare non-finite numeric).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .dist import ExtendedReal
@@ -171,12 +172,15 @@ def parse_config(text: str) -> RunConfig:
 
 
 def fmt_float(x) -> str:
-    """Locale-independent decimal with 17 significant digits; 'inf' token."""
+    """Locale-independent decimal with 17 significant digits; 'inf' token.
+    nan and -inf have none, so they raise ValueError."""
     if isinstance(x, ExtendedReal):
         return x.token()
     x = float(x)
-    if x != x or x in (float("inf"), float("-inf")):
-        return "inf" if x > 0 else str(x)
+    if x == math.inf:
+        return "inf"
+    if not math.isfinite(x):
+        raise ValueError(f"{x!r} has no token in the output formats")
     return format(x, ".17g")
 
 
@@ -227,6 +231,7 @@ def write_json(path, payload: dict) -> None:
         "library_version": LIBRARY_VERSION,
         "rng_algorithm": ALGORITHM,
     })
+    # nan and -inf raise ValueError before the file is opened
+    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -246,6 +246,13 @@ class TestRunSweep:
                     * np.log(summary.pstar.probs[summary.pstar.probs > 0])).sum()),
             abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_aborted_ascent_raises(self):
+        # beta = 1/lambda = 1e300 makes the first gradient non-finite
+        with pytest.raises(ValueError, match=r"seed 2: the ascent at lambda "
+                           r"1e-300 aborted: non-finite gradient"):
+            run_sweep(2, "bigram", (1e-300, 1.0), TINY_CFG, TINY_TVD)
+
     def test_deterministic(self):
         a = run_sweep(4, "bigram", (2.0,), TINY_CFG, TINY_TVD)
         b = run_sweep(4, "bigram", (2.0,), TINY_CFG, TINY_TVD)
@@ -267,9 +274,18 @@ class TestMultiSeed:
                                        "fkl_ref_kl", "tvd_ref_tvd",
                                        "pstar_entropy"}
 
-    def test_needs_two_seeds(self):
-        with pytest.raises(ValueError):
-            multi_seed((1,), "bigram", (1.0,), TINY_CFG, TINY_TVD)
+    def test_single_seed_has_no_aggregate(self):
+        res = multi_seed((1,), "bigram", (1.0,), TINY_CFG, TINY_TVD)
+        assert [s.seed for s in res.summaries] == [1]
+        assert res.per_lambda is None and res.references is None
+
+    def test_passes_warm_start(self):
+        res = multi_seed((1,), "full", (1.0, 5.0), TINY_CFG, TINY_TVD,
+                         warm_start=True)
+        warm = run_sweep(1, "full", (1.0, 5.0), TINY_CFG, TINY_TVD, warm_start=True)
+        cold = run_sweep(1, "full", (1.0, 5.0), TINY_CFG, TINY_TVD)
+        assert res.summaries[0].records == warm.records
+        assert res.summaries[0].records[1] != cold.records[1]
 
 
 class TestDipDiagnostic:

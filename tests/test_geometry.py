@@ -146,6 +146,18 @@ class TestMomentMap:
             mus = [moment(fam, l) for l in np.linspace(-15, 15, 61)]
             assert all(b > a for a, b in zip(mus, mus[1:]))
 
+    @pytest.mark.parametrize("a1", [0.2, 0.5, 0.9])
+    def test_limits_past_long_double_overflow(self, a1):
+        # e^20000 overflows even a long double; mu takes its limits 1 and 0
+        # and kappa = lam mu - A(lam) those of -log A1 and -log A0
+        fam = binary_family(a1)
+        with np.errstate(over="raise", invalid="raise"):
+            hi = GeometryPoint.at_lambda(fam, 20000.0)
+            lo = GeometryPoint.at_lambda(fam, -20000.0)
+        assert hi.mu == 1.0 and lo.mu == 0.0
+        assert float(hi.kappa) == pytest.approx(-math.log(fam.A1), rel=1e-10)
+        assert float(lo.kappa) == pytest.approx(-math.log(fam.A0), rel=1e-12)
+
 
 class TestNaturalParam:
     def test_base_rate_maps_to_zero(self):

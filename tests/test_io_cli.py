@@ -93,6 +93,11 @@ class TestFloatFormat:
     def test_finite_extended_real(self):
         assert parse_float_token(fmt_float(ExtendedReal.of(0.25))) == 0.25
 
+    @pytest.mark.parametrize("x", [math.nan, -math.inf])
+    def test_no_token_raises(self, x):
+        with pytest.raises(ValueError, match="no token"):
+            fmt_float(x)
+
 
 class TestCsv:
     def test_roundtrip_with_provenance(self, tmp_path):
@@ -118,6 +123,13 @@ class TestCsv:
         assert payload["y"] == "inf"
         assert payload["z"] == [1.5, 2.0]
         assert "provenance" in payload
+
+    @pytest.mark.parametrize("x", [math.nan, -math.inf])
+    def test_json_non_finite_raises_before_writing(self, tmp_path, x):
+        path = tmp_path / "t.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"x": x})
+        assert not path.exists()
 
 
 class TestSvg:
@@ -218,6 +230,10 @@ class TestCliSweep:
         _, rows = read_csv(out / "sweep.csv")
         assert all(r[0] == "3" for r in rows)
 
+    def test_env_seed_ignored_by_other_commands(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("KLGEO_SEED", "3")
+        assert main(["geometry", "--out", str(tmp_path / "out")]) == EXIT_OK
+
     def test_plots_emitted(self, tmp_path):
         cfgfile = tmp_path / "cfg"
         write_tiny_sweep_config(cfgfile)
@@ -261,6 +277,16 @@ class TestCliGeometry:
         rc = main(["geometry", "--out", str(out), "--plots"])
         assert rc == EXIT_OK
         assert (out / "ordering.svg").exists()
+
+    def test_lambdas_past_long_double_overflow(self, tmp_path):
+        out = tmp_path / "out"
+        with np.errstate(over="raise", invalid="raise"):
+            rc = main(["geometry", "--lambdas=-20000,20000", "--out", str(out)])
+        assert rc == EXIT_OK
+        _, rows = read_csv(out / "geometry.csv")
+        assert [r[1] for r in rows] == ["0", "1"]
+        assert parse_float_token(rows[0][2]) == pytest.approx(math.log(2), rel=1e-12)
+        assert parse_float_token(rows[1][2]) == pytest.approx(math.log(2), rel=1e-10)
 
     def test_extreme_lambdas(self, tmp_path):
         # e^{+-1000} overflows a double; the profile takes its limits there
@@ -410,6 +436,62 @@ class TestCliErrors:
         assert rc == EXIT_CONFIG
         assert "bigram/full" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("sweep", ["--tolerance", "5"]),
+        ("geometry", ["--seeds", "3", "--warm-start", "--tolerance", "5"]),
+        ("check", ["--plots"]),
+        ("gradcheck", ["--seeds", "3", "--lambdas", "1,2"]),
+    ])
+    def test_flag_without_key_exit_one(self, tmp_path, capsys, command, flags):
+        # a tiny budget, so that a run which ignored the flag ends quickly
+        cfgfile = tmp_path / "cfg"
+        budget = "steps=3\ntvd_restarts=1\ntvd_steps=3\n" if command == "sweep" else ""
+        cfgfile.write_text(f"command={command}\n{budget}")
+        out = tmp_path / "out"
+        rc = main([command, *flags, "--config", str(cfgfile), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "unrecognized arguments: " + " ".join(flags) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_usage_error_exit_one(self, tmp_path, capsys):
+        assert main(["frobnicate", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["check", "--tolerance", "tight",
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "tight" in capsys.readouterr().err
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--help"])
+        assert exc.value.code == 0
+        assert "--tolerance" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("seeds", ["1", "1,2"])
+    def test_aborted_ascent_exit_one(self, tmp_path, capsys, seeds):
+        # beta = 1e300 aborts the first ascent; no row is written for any seed
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("command=sweep\nsteps=3\ntvd_restarts=1\ntvd_steps=3\n")
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", str(cfgfile), "--seeds", seeds,
+                   "--lambdas", "1e-300,1", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "ascent at lambda 1e-300 aborted" in capsys.readouterr().err
+        assert (out / "config.echo").exists()
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("line", ["learning_rate=1e10", "lambdas=1e-20",
+                                      "lambdas=750"])
+    def test_uncomputable_value_exit_one(self, tmp_path, capsys, line):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"command=sweep\nsteps=3\ntvd_restarts=1\n"
+                           f"tvd_steps=3\n{line}\n")
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "KL divergence is infinite" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
     def test_unwritable_out_exit_two(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -471,14 +553,11 @@ class TestCliFuzz:
             "seed": seed, "order": order, "h": format(h, ".17g"),
             "tolerance": format(tolerance, ".17g")})
 
-    # A finite positive grid point is drawn from [1e-3, 500]: far below it the
-    # three-step ascent overshoots, far above it p_lam underflows, and either
-    # way a KL-infinite ValueError still escapes make_sweep_record.
     @FUZZ
     @given(sigma=st.one_of(st.floats(0.0, 12.0), ANY_FLOAT),
            top_k=st.integers(-2, 8),
            lambdas=_float_list(st.one_of(
-               st.floats(1e-3, 500.0), st.floats(max_value=0.0),
+               st.floats(min_value=0.0, exclude_min=True), st.floats(max_value=0.0),
                st.sampled_from([math.nan, math.inf]))))
     def test_sweep(self, tmp_path, capsys, sigma, top_k, lambdas):
         _run_fuzzed(tmp_path, capsys, "sweep", {
