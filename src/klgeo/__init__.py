@@ -5,6 +5,8 @@ its moment-map geometry, exact autoregressive toy policies, and the
 mode-collapse sweep experiments built on them.
 """
 
+__version__ = "0.1.0"
+
 from .dist import (
     BinaryVerifier,
     ExtendedReal,
@@ -26,7 +28,6 @@ from .geometry import (
     compare,
     convergence_profile,
     divergence_cost,
-    filtered_model,
     j_beta,
     kl_difference,
     log_partition,
@@ -55,5 +56,3 @@ from .optimize import (
     warm_start_run,
 )
 from .rng import SeededRng
-
-__version__ = "0.1.0"

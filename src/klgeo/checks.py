@@ -7,8 +7,6 @@ replaces the check's default tolerance.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import dist, geometry, ngram, optimize

@@ -173,7 +173,7 @@ def cmd_geometry(cfg: RunConfig, out: str, lambdas: list) -> int:
               ("lambda", "mu", "kappa", "tvd_pstar", "fkl_pstar"), rows)
 
     bm_rows = [[fmt_float(row.A1), fmt_float(row.mu_target),
-                fmt_float(row.lambda_required), row.beta_required.token(),
+                fmt_float(row.lambda_required), fmt_float(row.beta_required),
                 fmt_float(row.kappa_cost)]
                for row in experiments.beta_mu_table(cfg["a1_values"], cfg["mu_targets"])]
     write_csv(os.path.join(out, "betamu.csv"),

@@ -19,8 +19,9 @@ _RENORM_ATOL = 1e-9
 class ExtendedReal:
     """A finite float or +infinity.
 
-    Kept as an explicit sum type (rather than IEEE inf) so serialization is
-    unambiguous: the infinite value renders as the literal token "inf".
+    Kept as an explicit sum type (rather than IEEE inf) so that an infinite
+    divergence is a value callers must handle; io writes it as the token
+    "inf".
     """
 
     value: float
@@ -35,16 +36,6 @@ class ExtendedReal:
 
     def __float__(self) -> float:
         return math.inf if self.infinite else self.value
-
-    def token(self) -> str:
-        """Serialization token: "inf" or a 17-significant-digit decimal."""
-        return "inf" if self.infinite else format(self.value, ".17g")
-
-    @staticmethod
-    def from_token(tok: str) -> "ExtendedReal":
-        if tok == "inf":
-            return ExtendedReal.INFINITY
-        return ExtendedReal.of(float(tok))
 
 
 ExtendedReal.INFINITY = ExtendedReal(math.inf, True)
@@ -151,27 +142,18 @@ class BinaryVerifier(RewardFn):
     both the valid set and its complement are meaningful.
     """
 
-    __slots__ = ("mask", "valid_indices", "invalid_indices")
+    __slots__ = ("mask",)
 
     def __init__(self, mask):
         mask = np.array(mask, dtype=bool)
-        valid = np.flatnonzero(mask)
-        invalid = np.flatnonzero(~mask)
-        if valid.shape[0] < 2:
+        n_valid = int(mask.sum())
+        if n_valid < 2:
             raise ValueError("verifier must accept at least two outcomes")
-        if invalid.shape[0] < 1:
+        if n_valid == mask.size:
             raise ValueError("verifier must reject at least one outcome")
         super().__init__(mask.astype(float))
         mask.setflags(write=False)
-        valid.setflags(write=False)
-        invalid.setflags(write=False)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "valid_indices", valid)
-        object.__setattr__(self, "invalid_indices", invalid)
-
-    def valid_outcomes(self, dist_or_outcomes):
-        outcomes = getattr(dist_or_outcomes, "outcomes", dist_or_outcomes)
-        return tuple(outcomes[i] for i in self.valid_indices)
 
 
 def _check_aligned(p: FiniteDistribution, q: FiniteDistribution):

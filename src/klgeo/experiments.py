@@ -45,7 +45,6 @@ from .optimize import (
     fit_forward_kl,
     fit_tvd,
 )
-from .rng import SeededRng
 
 # Default natural-parameter grid: covers the transient-dip window, the
 # checkpoint values used in the tables, and the large-lambda statistic point.
@@ -158,7 +157,8 @@ def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
     Each grid point starts cold from the base model unless warm_start is
     set, in which case each ascent is initialized at the previous grid
     point's result (grid points must then be sorted ascending).  An ascent
-    that aborts raises ValueError naming the seed, lambda and diagnostic.
+    that aborts, or a metric with no finite value, raises ValueError naming
+    the seed and lambda.
     """
     lambdas = check_lambdas(lambdas)
     _, base_pol, base, verifier, fam, pstar, template = _toy_instance(
@@ -173,7 +173,10 @@ def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
             raise ValueError(f"seed {seed}: the ascent at lambda {lam!r} "
                              f"aborted: {trace.diagnostic}")
         current = trace.final_policy
-        records.append(make_sweep_record(fam, pstar, to_distribution(current), lam))
+        try:
+            records.append(make_sweep_record(fam, pstar, to_distribution(current), lam))
+        except ValueError as exc:  # a metric with no finite value
+            raise ValueError(f"seed {seed}, lambda {lam!r}: {exc}") from exc
 
     fkl_trace = fit_forward_kl(pstar, template)
     fkl_dist = to_distribution(fkl_trace.final_policy)
@@ -326,32 +329,6 @@ def beta_mu_table(A1_values, mu_targets) -> list:
                                   lambda_required=lam, beta_required=beta,
                                   kappa_cost=divergence_cost(fam, mu)))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo estimate of the base validity rate
-
-
-@dataclass(frozen=True)
-class A1Estimate:
-    estimate: float
-    stderr: float
-    exact: float
-    batch: int
-
-
-def estimate_A1(verifier: BinaryVerifier, base: FiniteDistribution,
-                batch: int, rng: SeededRng) -> A1Estimate:
-    """Verifier pass rate on a batch of base-model samples, with binomial
-    standard error; the exact rate is reported alongside (finite space)."""
-    if batch < 1:
-        raise ValueError("batch must be at least 1")
-    idx = rng.sample_indices(base.probs, batch)
-    hits = verifier.values[idx]
-    est = float(hits.mean())
-    stderr = math.sqrt(est * (1.0 - est) / batch)
-    exact = expected_reward(base, verifier)
-    return A1Estimate(estimate=est, stderr=stderr, exact=exact, batch=batch)
 
 
 # ---------------------------------------------------------------------------

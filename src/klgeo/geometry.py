@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import (
-    BinaryVerifier,
     ExtendedReal,
     FiniteDistribution,
     RewardFn,
@@ -65,18 +64,19 @@ class TiltedFamily:
 
 @dataclass(frozen=True)
 class GeometryPoint:
-    """One point on the tilted curve: natural parameter, moment, KL cost, log Z."""
+    """One point on the tilted curve: natural parameter, moment, KL cost."""
 
     lam: float
     mu: float
     kappa: float
-    log_z: float
 
     @staticmethod
     def at_lambda(fam: TiltedFamily, lam: float) -> "GeometryPoint":
         mu = moment(fam, lam)
-        a = log_partition(fam, lam)
-        return GeometryPoint(lam=lam, mu=mu, kappa=lam * mu - a, log_z=a)
+        # for a general reward divergence_cost would recover lam by root-finding,
+        # which its bracket limits to |lam| <= 60; lam is known here
+        kappa = divergence_cost(fam, mu) if fam.is_binary else _legendre_cost(fam, lam, mu)
+        return GeometryPoint(lam=lam, mu=mu, kappa=kappa)
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,6 @@ def moment(fam: TiltedFamily, lam: float):
     return expected_reward(tilted(fam, lam), fam.reward)
 
 
-def _moment_variance(fam: TiltedFamily, lam: float) -> float:
-    p = tilted(fam, lam)
-    r = fam.reward.values
-    mu = float(p.probs @ r)
-    return float(p.probs @ (r - mu) ** 2)
-
-
 def natural_param(fam: TiltedFamily, mu: float) -> float:
     """The unique lam with moment(lam) = mu, for mu strictly inside (m, M).
 
@@ -161,11 +154,14 @@ def natural_param(fam: TiltedFamily, mu: float) -> float:
         lam += np.log(np.longdouble(fam.A0) / np.longdouble(fam.A1))
         return float(lam)
     mu = float(mu)
+    r = fam.reward.values
     lo, hi = -_LAMBDA_BRACKET, _LAMBDA_BRACKET
     lam = 0.0
     for _ in range(_MAX_NEWTON_ITERS):
-        resid = moment(fam, lam) - mu
-        var = _moment_variance(fam, lam)
+        p = tilted(fam, lam).probs
+        mu_lam = float(p @ r)
+        resid = mu_lam - mu
+        var = float(p @ (r - mu_lam) ** 2)
         # residual alone is not enough near the reward bounds, where the
         # moment map is nearly flat; require the Newton step to be tiny too
         if abs(resid) <= _MOMENT_TOL and (var == 0.0 or abs(resid / var) <= 1e-11):
@@ -186,22 +182,29 @@ def natural_param(fam: TiltedFamily, mu: float) -> float:
 def divergence_cost(fam: TiltedFamily, mu: float) -> float:
     """kappa(mu) = KL(p_{lam(mu)} || base) = lam(mu)*mu - A(lam(mu)).
 
-    An attained bound (mu equal to the reward's min or max, with that value
-    actually taken by some outcome) extends continuously to -log base(bound
-    set); other endpoint values are rejected.
+    Binary rewards use the closed form KL(Bernoulli(mu) || Bernoulli(A1)).
+    A reward bound (mu equal to the reward's min or max) extends
+    continuously to the kl_ceiling -log base(bound set) of
+    attained_bound_limits; other endpoint values are rejected.
     """
     mu = float(mu)
     r = fam.reward
     if mu == r.M:
-        return -math.log(float(fam.base.probs[r.values == r.M].sum()))
+        return attained_bound_limits(fam, "upper").kl_ceiling
     if mu == r.m:
-        return -math.log(float(fam.base.probs[r.values == r.m].sum()))
+        return attained_bound_limits(fam, "lower").kl_ceiling
     if not (r.m < mu < r.M):
         raise ValueError("moment outside the attainable range")
     if fam.is_binary:
         # KL(Bernoulli(mu) || Bernoulli(A1))
         return mu * math.log(mu / fam.A1) + (1.0 - mu) * math.log((1.0 - mu) / fam.A0)
-    lam = natural_param(fam, mu)
+    return _legendre_cost(fam, natural_param(fam, mu), mu)
+
+
+def _legendre_cost(fam: TiltedFamily, lam: float, mu: float) -> float:
+    """kappa = lam*mu - A(lam) at a point of the curve.  At large |lam| the
+    difference cancels (relative error 2.9e-12 at lam = 20000), which is
+    why binary rewards take the closed form instead."""
     return lam * mu - log_partition(fam, lam)
 
 
@@ -300,8 +303,3 @@ def attained_bound_limits(fam: TiltedFamily, direction: str) -> BoundLimit:
     limit = condition(fam.base, mask)
     ceiling = -math.log(float(fam.base.probs[mask].sum()))
     return BoundLimit(limit_dist=limit, kl_ceiling=ceiling)
-
-
-def filtered_model(base: FiniteDistribution, verifier: BinaryVerifier) -> FiniteDistribution:
-    """The base model conditioned on verifier success."""
-    return condition(base, verifier.mask)

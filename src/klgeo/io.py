@@ -12,12 +12,12 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from . import __version__ as LIBRARY_VERSION
 from .dist import ExtendedReal
 from .experiments import DEFAULT_SIGMA, TOP_K
+from .ngram import FD_STEP
 from .optimize import TVD_FIT_CONFIG, OptimizerConfig
 from .rng import ALGORITHM
-
-LIBRARY_VERSION = "0.1.0"
 
 
 class ConfigError(ValueError):
@@ -98,7 +98,7 @@ SCHEMAS = {
     "gradcheck": {
         "seed": (int, 1),
         "order": (_parse_order, "bigram"),
-        "h": (float, 1e-5),
+        "h": (float, FD_STEP),
         "tolerance": (float, 1e-7),
     },
 }
@@ -172,10 +172,9 @@ def parse_config(text: str) -> RunConfig:
 
 
 def fmt_float(x) -> str:
-    """Locale-independent decimal with 17 significant digits; 'inf' token.
-    nan and -inf have none, so they raise ValueError."""
-    if isinstance(x, ExtendedReal):
-        return x.token()
+    """Locale-independent decimal with 17 significant digits; 'inf' token
+    (for a float or an ExtendedReal).  nan and -inf have none, so they
+    raise ValueError."""
     x = float(x)
     if x == math.inf:
         return "inf"
@@ -188,17 +187,10 @@ def parse_float_token(tok: str) -> float:
     return float("inf") if tok == "inf" else float(tok)
 
 
-def provenance_lines(seed=None) -> list:
-    out = [f"# library_version={LIBRARY_VERSION}", f"# rng_algorithm={ALGORITHM}"]
-    if seed is not None:
-        out.append(f"# seed={seed}")
-    return out
-
-
-def write_csv(path, header, rows, seed=None) -> None:
+def write_csv(path, header, rows) -> None:
     """Write rows of already-stringified cells with a provenance header."""
-    lines = provenance_lines(seed)
-    lines.append(",".join(header))
+    lines = [f"# library_version={LIBRARY_VERSION}", f"# rng_algorithm={ALGORITHM}",
+             ",".join(header)]
     for row in rows:
         lines.append(",".join(row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -215,7 +207,7 @@ def read_csv(path):
 
 def _jsonable(obj):
     if isinstance(obj, ExtendedReal):
-        return obj.token() if obj.infinite else obj.value
+        obj = float(obj)
     if isinstance(obj, float):
         return "inf" if obj == float("inf") else obj
     if isinstance(obj, dict):

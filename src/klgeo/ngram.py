@@ -227,10 +227,9 @@ class TVDObjective:
 
     name = "tvd"
 
-    def __init__(self, target: FiniteDistribution, h: float = FD_STEP):
+    def __init__(self, target: FiniteDistribution):
         self.target = target
         self._p = target.probs
-        self.h = float(h)
 
     def value_theta(self, struct: _Structure, theta: np.ndarray) -> float:
         _check_space(struct, self._p)
@@ -239,11 +238,11 @@ class TVDObjective:
     def grad_theta(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
         _check_space(struct, self._p)
         n = theta.shape[0]
-        eye = self.h * np.eye(n)
+        eye = FD_STEP * np.eye(n)
         thetas = np.concatenate([theta + eye, theta - eye], axis=0)
         q = _probs(struct, thetas)
         vals = 0.5 * np.abs(q - self._p).sum(axis=1)
-        return (vals[:n] - vals[n:]) / (2.0 * self.h)
+        return (vals[:n] - vals[n:]) / (2.0 * FD_STEP)
 
 
 def grad_objective(pol: NGramPolicy, objective) -> np.ndarray:

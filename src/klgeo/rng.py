@@ -16,7 +16,6 @@ class SeededRng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self.algorithm = ALGORITHM
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, size: int) -> np.ndarray:
@@ -32,12 +31,6 @@ class SeededRng:
         angle = 2.0 * np.pi * u2
         z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:size]
         return sigma * z
-
-    def sample_indices(self, probs: np.ndarray, n: int) -> np.ndarray:
-        """Draw n outcome indices from an explicit probability vector."""
-        cdf = np.cumsum(probs)
-        cdf[-1] = 1.0
-        return np.searchsorted(cdf, self._gen.random(n), side="right")
 
     def spawn(self, key: int) -> "SeededRng":
         """A child stream keyed by an integer counter, independent per key."""

@@ -236,20 +236,8 @@ class TestRewardTypes:
         with pytest.raises(ValueError):
             BinaryVerifier((True, True, True))
 
-    def test_verifier_index_sets(self):
-        v = BinaryVerifier(MASK5)
-        assert list(v.valid_indices) == [0, 1, 2]
-        assert list(v.invalid_indices) == [3, 4]
-        assert v.valid_outcomes(OUTCOMES5) == ("y1", "y2", "y3")
-
 
 class TestExtendedReal:
-    def test_tokens(self):
-        assert ExtendedReal.INFINITY.token() == "inf"
-        x = ExtendedReal.of(0.1)
-        assert ExtendedReal.from_token(x.token()).value == x.value
-        assert ExtendedReal.from_token("inf").infinite
-
     def test_rejects_ieee_inf(self):
         with pytest.raises(ValueError):
             ExtendedReal.of(float("inf"))

@@ -15,7 +15,6 @@ from klgeo.experiments import (
     DEFAULT_LAMBDA_GRID,
     SweepRecord,
     beta_mu_table,
-    estimate_A1,
     multi_seed,
     ordering_illustration,
     ordering_instance,
@@ -142,33 +141,6 @@ class TestBetaMuTable:
             beta_mu_table((1.0,), (0.5,))
         with pytest.raises(ValueError):
             beta_mu_table((0.5,), (1.0,))
-
-
-class TestEstimateA1:
-    def test_batch_one_is_zero_or_one(self):
-        _, _, cands = ordering_instance()
-        fam, _, _ = ordering_instance()
-        verifier = fam.reward
-        est = estimate_A1(verifier, fam.base, 1, SeededRng(0))
-        assert est.estimate in (0.0, 1.0)
-        assert est.stderr == 0.0
-        assert est.exact == pytest.approx(0.5, abs=1e-12)
-
-    def test_deterministic(self):
-        fam, _, _ = ordering_instance()
-        a = estimate_A1(fam.reward, fam.base, 500, SeededRng(42))
-        b = estimate_A1(fam.reward, fam.base, 500, SeededRng(42))
-        assert a.estimate == b.estimate
-
-    def test_within_three_stderr(self):
-        fam, _, _ = ordering_instance()
-        est = estimate_A1(fam.reward, fam.base, 4000, SeededRng(7))
-        assert abs(est.estimate - est.exact) <= 3.0 * max(est.stderr, 1e-3)
-
-    def test_rejects_empty_batch(self):
-        fam, _, _ = ordering_instance()
-        with pytest.raises(ValueError):
-            estimate_A1(fam.reward, fam.base, 0, SeededRng(0))
 
 
 class TestTopSequences:
@@ -323,9 +295,3 @@ class TestSeededRng:
     def test_uniform_range(self):
         u = SeededRng(1).uniform(1000)
         assert u.min() >= 0.0 and u.max() < 1.0
-
-    def test_sample_indices_distribution(self):
-        probs = np.array([0.2, 0.8])
-        idx = SeededRng(5).sample_indices(probs, 5000)
-        frac = float((idx == 1).mean())
-        assert abs(frac - 0.8) < 0.03

@@ -21,7 +21,6 @@ from klgeo.geometry import (
     compare,
     convergence_profile,
     divergence_cost,
-    filtered_model,
     j_beta,
     kl_difference,
     kl_to_tilted,
@@ -149,14 +148,17 @@ class TestMomentMap:
     @pytest.mark.parametrize("a1", [0.2, 0.5, 0.9])
     def test_limits_past_long_double_overflow(self, a1):
         # e^20000 overflows even a long double; mu takes its limits 1 and 0
-        # and kappa = lam mu - A(lam) those of -log A1 and -log A0
+        # and kappa those of -log A1 and -log A0, to round-off (lam mu - A(lam)
+        # is off by 2.9e-12 relative here at A1 = 0.5, and 8.5e-14 at lam = 700)
         fam = binary_family(a1)
         with np.errstate(over="raise", invalid="raise"):
-            hi = GeometryPoint.at_lambda(fam, 20000.0)
-            lo = GeometryPoint.at_lambda(fam, -20000.0)
+            hi, hi700, lo700, lo = (GeometryPoint.at_lambda(fam, lam) for lam in
+                                    (20000.0, 700.0, -700.0, -20000.0))
         assert hi.mu == 1.0 and lo.mu == 0.0
-        assert float(hi.kappa) == pytest.approx(-math.log(fam.A1), rel=1e-10)
-        assert float(lo.kappa) == pytest.approx(-math.log(fam.A0), rel=1e-12)
+        for pt in (hi, hi700):
+            assert pt.kappa == pytest.approx(-math.log(fam.A1), rel=1e-15)
+        for pt in (lo, lo700):
+            assert pt.kappa == pytest.approx(-math.log(fam.A0), rel=1e-15)
 
 
 class TestNaturalParam:
@@ -252,9 +254,17 @@ class TestGeometryPoint:
         for lam in (-4.0, 0.5, 3.0, 9.0):
             pt = GeometryPoint.at_lambda(fam, lam)
             assert natural_param(fam, pt.mu) == pytest.approx(pt.lam, abs=1e-10)
-            assert divergence_cost(fam, pt.mu) == pytest.approx(pt.kappa, abs=1e-10)
+            assert divergence_cost(fam, pt.mu) == pt.kappa
             assert pt.kappa >= -1e-15
             assert fam.reward.m < pt.mu < fam.reward.M
+
+    def test_general_reward_outside_newton_bracket(self):
+        # at_lambda knows lam, so it needs no natural_param (bracket [-60, 60])
+        fam, _ = general_family()
+        for lam in (-100.0, 100.0):
+            pt = GeometryPoint.at_lambda(fam, lam)
+            assert pt.kappa == pytest.approx(
+                kl_divergence_finite(tilted(fam, lam), fam.base), rel=1e-9)
 
 
 class TestIdentities:
@@ -426,7 +436,7 @@ class TestConvergenceProfile:
         # direct evaluation gives TVD(p*, a) = A0 and KL(p*, a) = -log A1
         fam = binary_family(0.5)
         pt = convergence_profile(fam, [0.0])[0]
-        pstar = filtered_model(fam.base, fam.reward)
+        pstar = condition(fam.base, fam.reward.mask)
         assert pt.tvd_to_pstar == pytest.approx(
             total_variation(pstar, fam.base), abs=1e-14)
         assert pt.tvd_to_pstar == pytest.approx(0.5, abs=1e-14)
@@ -435,7 +445,7 @@ class TestConvergenceProfile:
 
     def test_matches_direct_computation(self):
         fam = binary_family(0.35)
-        pstar = filtered_model(fam.base, fam.reward)
+        pstar = condition(fam.base, fam.reward.mask)
         for pt in convergence_profile(fam, np.linspace(-10, 40, 26)):
             p_lam = tilted(fam, pt.lam)
             assert total_variation(pstar, p_lam) == pytest.approx(

@@ -104,10 +104,9 @@ class TestCsv:
         path = tmp_path / "t.csv"
         header = ("a", "b")
         rows = [[fmt_float(math.pi), "inf"], [fmt_float(0.1), fmt_float(2.0)]]
-        write_csv(path, header, rows, seed=7)
+        write_csv(path, header, rows)
         text = path.read_text()
         assert text.startswith("# library_version=")
-        assert "# seed=7" in text
         assert "\r" not in text
         h, back = read_csv(path)
         assert tuple(h) == header
@@ -480,8 +479,11 @@ class TestCliErrors:
         assert (out / "config.echo").exists()
         assert not (out / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("line", ["learning_rate=1e10", "lambdas=1e-20",
-                                      "lambdas=750"])
+    # config line -> the grid point whose metrics have no finite value
+    UNCOMPUTABLE = {"learning_rate=1e10": 0.5, "lambdas=1e-20": 1e-20,
+                    "lambdas=750": 750.0}
+
+    @pytest.mark.parametrize("line", list(UNCOMPUTABLE))
     def test_uncomputable_value_exit_one(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text(f"command=sweep\nsteps=3\ntvd_restarts=1\n"
@@ -489,7 +491,8 @@ class TestCliErrors:
         out = tmp_path / "out"
         rc = main(["sweep", "--config", str(cfgfile), "--out", str(out)])
         assert rc == EXIT_CONFIG
-        assert "KL divergence is infinite" in capsys.readouterr().err
+        assert (f"config error: seed 1, lambda {self.UNCOMPUTABLE[line]!r}: "
+                "KL divergence is infinite") in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
     def test_unwritable_out_exit_two(self, tmp_path, capsys):
@@ -563,3 +566,43 @@ class TestCliFuzz:
         _run_fuzzed(tmp_path, capsys, "sweep", {
             "steps": 3, "tvd_restarts": 1, "tvd_steps": 3,
             "sigma": format(sigma, ".17g"), "top_k": top_k, "lambdas": lambdas})
+
+
+# Every value the output formats have a token for: any finite double, inf,
+# and the ExtendedReal of each.  (nan and -inf raise; see TestFloatFormat
+# and TestCsv.)
+TOKEN_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.just(math.inf),
+    st.builds(ExtendedReal.of, st.floats(allow_nan=False, allow_infinity=False)),
+    st.just(ExtendedReal.INFINITY))
+
+
+def _assert_same_double(got, x):
+    want = float(x)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+class TestTokenRoundTrip:
+    """Each written token reads back as the double it was written from."""
+
+    @FUZZ
+    @given(x=TOKEN_VALUES)
+    def test_fmt_float(self, x):
+        _assert_same_double(parse_float_token(fmt_float(x)), x)
+
+    @FUZZ
+    @given(x=TOKEN_VALUES)
+    def test_csv(self, tmp_path, x):
+        path = tmp_path / "t.csv"
+        write_csv(path, ("x",), [[fmt_float(x)]])
+        _, rows = read_csv(path)
+        _assert_same_double(parse_float_token(rows[0][0]), x)
+
+    @FUZZ
+    @given(x=TOKEN_VALUES)
+    def test_json(self, tmp_path, x):
+        path = tmp_path / "t.json"
+        write_json(path, {"x": x})
+        with open(path, encoding="utf-8") as fh:
+            back = json.load(fh)["x"]
+        _assert_same_double(parse_float_token(back) if back == "inf" else back, x)
