@@ -53,6 +53,5 @@ from .optimize import (
     fit_forward_kl,
     fit_tvd,
     verify_gradients,
-    warm_start_run,
 )
 from .rng import SeededRng

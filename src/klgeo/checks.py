@@ -2,7 +2,7 @@
 
 Every named identity or structural property the library promises is
 represented here once, so the `check` command cannot silently drop one.
-Each check returns (passed, detail); a tolerance override, when given,
+Each check returns (passed, detail); a nonzero tolerance override
 replaces the check's default tolerance.
 """
 from __future__ import annotations
@@ -44,7 +44,7 @@ def check_prop_identity(tol=None):
             q = dist.FiniteDistribution(fam.base.outcomes,
                                         _random_simplex(rng, len(fam.base)))
             lam = 1.0 / beta
-            lhs = float(geometry.j_beta(fam, q, beta))
+            lhs = geometry.j_beta(fam, q, beta)
             rhs = beta * (geometry.log_partition(fam, lam)
                           - dist.kl_divergence_finite(q, geometry.tilted(fam, lam)))
             worst = max(worst, abs(lhs - rhs))
@@ -263,5 +263,4 @@ REGISTRY = {
 
 def run_all(tolerance=None):
     """Run every registered check; returns {name: (passed, detail)}."""
-    tol = tolerance if tolerance else None
-    return {name: fn(tol) for name, fn in REGISTRY.items()}
+    return {name: fn(tolerance) for name, fn in REGISTRY.items()}

@@ -86,14 +86,11 @@ def _echo_config(cfg: RunConfig, out: str):
 SWEEP_COLUMNS = ("seed", "lambda", "beta", *experiments.SWEEP_METRICS,
                  "top_sequences")
 REFS_COLUMNS = ("seed", *experiments.REF_METRICS)
-GEOMETRY_LAMBDAS = (-10.0, -5.0, -2.0, 0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0,
-                    20.0, 40.0)
 
 
 def _sweep_settings(cfg: RunConfig) -> tuple:
     """The checked grid and the ascent and TVD-fit configs of a sweep."""
-    lambdas = experiments.check_lambdas(
-        cfg["lambdas"] or experiments.DEFAULT_LAMBDA_GRID)
+    lambdas = experiments.check_lambdas(cfg["lambdas"])
     if min(cfg["seeds"]) < 0:
         raise ValueError("seeds must be non-negative")
     if not 0 < cfg["sigma"] <= experiments.MAX_SIGMA:
@@ -113,7 +110,7 @@ def _geometry_settings(cfg: RunConfig) -> list:
         experiments.three_outcome_family(a1)  # raises unless a usable A1
     if not all(0 < mu < 1 for mu in cfg["mu_targets"]):
         raise ValueError("mu targets must be in (0, 1)")
-    lambdas = [float(l) for l in cfg["lambdas"] or GEOMETRY_LAMBDAS]
+    lambdas = cfg["lambdas"]
     if not all(map(math.isfinite, lambdas)) or lambdas != sorted(lambdas):
         raise ValueError("lambdas must be finite and sorted ascending")
     return lambdas
@@ -199,8 +196,7 @@ def cmd_geometry(cfg: RunConfig, out: str, lambdas: list) -> int:
 
 
 def cmd_check(cfg: RunConfig, out: str, settings: None) -> int:
-    tolerance = cfg["tolerance"] or None
-    results = checks.run_all(tolerance)
+    results = checks.run_all(cfg["tolerance"])
     width = max(len(name) for name in results)
     failed = []
     for name, (ok, detail) in results.items():

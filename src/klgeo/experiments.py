@@ -125,7 +125,7 @@ def make_sweep_record(fam: TiltedFamily, pstar: FiniteDistribution,
         fkl_from_pstar=kl_divergence_finite(pstar, policy_dist),
         rkl_to_tilted=kl_divergence_finite(policy_dist, p_lam),
         entropy=entropy(policy_dist),
-        j_beta_value=float(j_beta(fam, policy_dist, beta)),
+        j_beta_value=j_beta(fam, policy_dist, beta),
         top_sequences=top_sequences(policy_dist, top_k),
     )
 

@@ -23,8 +23,10 @@ from .dist import (
     kl_divergence_finite,
 )
 
-# Bracket for the general-reward natural-parameter search.
+# Starting bracket for the general-reward natural-parameter search; each end
+# doubles until it brackets the moment, up to _MAX_LAMBDA.
 _LAMBDA_BRACKET = 60.0
+_MAX_LAMBDA = 1e300
 _MOMENT_TOL = 1e-12
 _MAX_NEWTON_ITERS = 200
 
@@ -73,10 +75,7 @@ class GeometryPoint:
     @staticmethod
     def at_lambda(fam: TiltedFamily, lam: float) -> "GeometryPoint":
         mu = moment(fam, lam)
-        # for a general reward divergence_cost would recover lam by root-finding,
-        # which its bracket limits to |lam| <= 60; lam is known here
-        kappa = divergence_cost(fam, mu) if fam.is_binary else _legendre_cost(fam, lam, mu)
-        return GeometryPoint(lam=lam, mu=mu, kappa=kappa)
+        return GeometryPoint(lam=lam, mu=mu, kappa=divergence_cost(fam, mu))
 
 
 @dataclass(frozen=True)
@@ -140,10 +139,11 @@ def natural_param(fam: TiltedFamily, mu: float) -> float:
     """The unique lam with moment(lam) = mu, for mu strictly inside (m, M).
 
     Binary rewards use the closed form log(mu/(1-mu)) + log(A0/A1).  The
-    general case runs bisection on [-60, 60] refined by Newton steps with
-    derivative Var_{p_lam}(r), stopping on a 1e-12 moment residual; it
-    raises ValueError when that residual is not reached (for instance when
-    lam lies outside the bracket).
+    general case runs bisection refined by Newton steps with derivative
+    Var_{p_lam}(r), stopping on a 1e-12 moment residual.  The bracket starts
+    at [-60, 60] and each end doubles until the moment there brackets mu.
+    It raises ValueError when the residual is not reached (for instance
+    when mu is so near a reward bound that no |lam| <= 1e300 brackets it).
     """
     if not (fam.reward.m < mu < fam.reward.M):
         raise ValueError("unattainable moment")
@@ -156,6 +156,10 @@ def natural_param(fam: TiltedFamily, mu: float) -> float:
     mu = float(mu)
     r = fam.reward.values
     lo, hi = -_LAMBDA_BRACKET, _LAMBDA_BRACKET
+    while hi < _MAX_LAMBDA and moment(fam, hi) < mu:
+        hi *= 2.0
+    while lo > -_MAX_LAMBDA and moment(fam, lo) > mu:
+        lo *= 2.0
     lam = 0.0
     for _ in range(_MAX_NEWTON_ITERS):
         p = tilted(fam, lam).probs
@@ -198,13 +202,9 @@ def divergence_cost(fam: TiltedFamily, mu: float) -> float:
     if fam.is_binary:
         # KL(Bernoulli(mu) || Bernoulli(A1))
         return mu * math.log(mu / fam.A1) + (1.0 - mu) * math.log((1.0 - mu) / fam.A0)
-    return _legendre_cost(fam, natural_param(fam, mu), mu)
-
-
-def _legendre_cost(fam: TiltedFamily, lam: float, mu: float) -> float:
-    """kappa = lam*mu - A(lam) at a point of the curve.  At large |lam| the
-    difference cancels (relative error 2.9e-12 at lam = 20000), which is
-    why binary rewards take the closed form instead."""
+    # lam*mu - A(lam) cancels at large |lam| (relative error 2.9e-12 at
+    # lam = 20000), which is why binary rewards take the closed form
+    lam = natural_param(fam, mu)
     return lam * mu - log_partition(fam, lam)
 
 
@@ -218,15 +218,11 @@ def kl_difference(fam: TiltedFamily, q: FiniteDistribution, l1: float, l2: float
     return log_partition(fam, l2) - log_partition(fam, l1) + mu_q * (l1 - l2)
 
 
-def j_beta(fam: TiltedFamily, q: FiniteDistribution, beta: float) -> ExtendedReal:
-    """E_q[r] - beta * KL(q, base).  beta = 0 is the pure expected reward."""
+def j_beta(fam: TiltedFamily, q: FiniteDistribution, beta: float) -> float:
+    """E_q[r] - beta * KL(q, base); finite, because the base has full support."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    mu_q = expected_reward(q, fam.reward)
-    if beta == 0.0:
-        return ExtendedReal.of(mu_q)
-    # base has full support, so the KL term is always finite
-    return ExtendedReal.of(mu_q - beta * kl_divergence_finite(q, fam.base))
+    return expected_reward(q, fam.reward) - beta * kl_divergence_finite(q, fam.base)
 
 
 def compare(fam: TiltedFamily, pi: FiniteDistribution, pi2: FiniteDistribution,
@@ -236,7 +232,7 @@ def compare(fam: TiltedFamily, pi: FiniteDistribution, pi2: FiniteDistribution,
         raise ValueError("beta must be positive")
     lam = 1.0 / beta
     p_lam = tilted(fam, lam)
-    d_j = float(j_beta(fam, pi2, beta)) - float(j_beta(fam, pi, beta))
+    d_j = j_beta(fam, pi2, beta) - j_beta(fam, pi, beta)
     d_kl_tilted = (kl_divergence_finite(pi, p_lam)
                    - kl_divergence_finite(pi2, p_lam))
     d_validity = expected_reward(pi2, fam.reward) - expected_reward(pi, fam.reward)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import __version__ as LIBRARY_VERSION
 from .dist import ExtendedReal
-from .experiments import DEFAULT_SIGMA, TOP_K
+from .experiments import DEFAULT_LAMBDA_GRID, DEFAULT_SIGMA, TOP_K
 from .ngram import FD_STEP
 from .optimize import TVD_FIT_CONFIG, OptimizerConfig
 from .rng import ALGORITHM
@@ -74,7 +74,7 @@ def _fmt_value(v) -> str:
 SCHEMAS = {
     "sweep": {
         "seeds": (_parse_int_list, [1]),
-        "lambdas": (_parse_float_list, None),  # None -> module default grid
+        "lambdas": (_parse_float_list, list(DEFAULT_LAMBDA_GRID)),
         "order": (_parse_order, "bigram"),
         "steps": (int, OptimizerConfig().steps),
         "learning_rate": (float, OptimizerConfig().learning_rate),
@@ -89,7 +89,8 @@ SCHEMAS = {
         "a1_values": (_parse_float_list, [0.1, 0.35, 0.5, 0.9]),
         "mu_targets": (_parse_float_list, [0.9]),
         "profile_a1": (float, 0.5),
-        "lambdas": (_parse_float_list, None),
+        "lambdas": (_parse_float_list, [-10.0, -5.0, -2.0, 0.0, 0.5, 1.0, 2.0,
+                                        3.0, 5.0, 10.0, 20.0, 40.0]),
         "plots": (_parse_bool, False),
     },
     "check": {
@@ -125,10 +126,7 @@ class RunConfig:
     def serialize(self) -> str:
         lines = [f"command={self.command}"]
         for key in sorted(self.values):
-            v = self.values[key]
-            if v is None:
-                continue
-            lines.append(f"{key}={_fmt_value(v)}")
+            lines.append(f"{key}={_fmt_value(self.values[key])}")
         return "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import BinaryVerifier, FiniteDistribution
+from .dist import BinaryVerifier, FiniteDistribution, entropy
 from .geometry import TiltedFamily
 from .rng import SeededRng
 
@@ -133,27 +133,40 @@ class NGramPolicy:
 def _log_softmax(struct: _Structure, theta: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax of a logit vector or a (B, n_params) batch."""
     z = theta.reshape(*theta.shape[:-1], -1, struct.space.vocab_size)
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return ((z - m) - np.log(e.sum(axis=-1, keepdims=True))).reshape(theta.shape)
+    zm = z - z.max(axis=-1, keepdims=True)
+    return (zm - np.log(np.exp(zm).sum(axis=-1, keepdims=True))).reshape(theta.shape)
 
 
-def _log_probs(struct: _Structure, theta: np.ndarray) -> np.ndarray:
+def _log_probs(struct: _Structure, lsm: np.ndarray) -> np.ndarray:
+    """log q_s of every sequence, from the row log-softmax lsm."""
     # np.take keeps the (..., N) result C-contiguous; fancy indexing would not,
     # and the TVD finite difference's row sums depend on that memory order
-    return np.take(_log_softmax(struct, theta), struct.index, axis=-1).sum(axis=-2)
+    return np.take(lsm, struct.index, axis=-1).sum(axis=-2)
 
 
 def _probs(struct: _Structure, theta: np.ndarray) -> np.ndarray:
-    return np.exp(_log_probs(struct, theta))
+    return np.exp(_log_probs(struct, _log_softmax(struct, theta)))
 
 
-def _grad_weighted_logprob(struct: _Structure, theta: np.ndarray,
+def _grad_weighted_logprob(struct: _Structure, lsm: np.ndarray,
                            w: np.ndarray) -> np.ndarray:
-    """Gradient of sum_s w_s * log q_s in the logits, for fixed weights w."""
+    """Gradient of sum_s w_s * log q_s in the logits, for fixed weights w,
+    given the row log-softmax lsm of those logits."""
     sw = struct.scatter(w)
-    q = np.exp(_log_softmax(struct, theta)).reshape(sw.shape)
+    q = np.exp(lsm).reshape(sw.shape)
     return (sw - q * sw.sum(axis=1, keepdims=True)).ravel()
+
+
+def central_difference(values, theta: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient (f(theta + h e_i) - f(theta - h e_i)) / 2h.
+
+    values maps the (2n, n) batch of the n forward then the n backward
+    points to their (2n,) objective values.
+    """
+    n = theta.shape[0]
+    eye = h * np.eye(n)
+    v = values(np.concatenate([theta + eye, theta - eye], axis=0))
+    return (v[:n] - v[n:]) / (2.0 * h)
 
 
 def to_distribution(pol: NGramPolicy) -> FiniteDistribution:
@@ -185,18 +198,19 @@ class JBetaObjective:
 
     def value_theta(self, struct: _Structure, theta: np.ndarray) -> float:
         _check_space(struct, self._r)
-        logq = _log_probs(struct, theta)
+        logq = _log_probs(struct, _log_softmax(struct, theta))
         q = np.exp(logq)
         return float(q @ self._r - self.beta * (q @ (logq - self._log_base)))
 
     def grad_theta(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
         _check_space(struct, self._r)
-        logq = _log_probs(struct, theta)
+        lsm = _log_softmax(struct, theta)
+        logq = _log_probs(struct, lsm)
         q = np.exp(logq)
         # d/dtheta sum_s q_s f_s with f = r - beta(log q - log base); the
         # -beta * sum q dlogq correction vanishes because sum dq = 0
         f = self._r - self.beta * (logq - self._log_base)
-        return _grad_weighted_logprob(struct, theta, q * f)
+        return _grad_weighted_logprob(struct, lsm, q * f)
 
 
 class ForwardKLObjective:
@@ -207,19 +221,18 @@ class ForwardKLObjective:
     def __init__(self, target: FiniteDistribution):
         self.target = target
         self._p = target.probs
-        pm = self._p[self._p > 0]
-        self._neg_entropy = float(np.sum(pm * np.log(pm)))
+        self._neg_entropy = -entropy(target)
 
     def value_theta(self, struct: _Structure, theta: np.ndarray) -> float:
         _check_space(struct, self._p)
-        logq = _log_probs(struct, theta)
+        logq = _log_probs(struct, _log_softmax(struct, theta))
         mask = self._p > 0
         return float(self._neg_entropy - self._p[mask] @ logq[mask])
 
     def grad_theta(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
         _check_space(struct, self._p)
         # per block: (target block-marginal) * (softmax - onehot), aggregated
-        return -_grad_weighted_logprob(struct, theta, self._p)
+        return -_grad_weighted_logprob(struct, _log_softmax(struct, theta), self._p)
 
 
 class TVDObjective:
@@ -232,17 +245,16 @@ class TVDObjective:
         self._p = target.probs
 
     def value_theta(self, struct: _Structure, theta: np.ndarray) -> float:
-        _check_space(struct, self._p)
-        return 0.5 * float(np.abs(_probs(struct, theta) - self._p).sum())
+        return float(self._values(struct, theta))
 
     def grad_theta(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
+        return central_difference(lambda thetas: self._values(struct, thetas),
+                                  theta, FD_STEP)
+
+    def _values(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
+        """TVD at a logit vector or at each row of a (B, n_params) batch."""
         _check_space(struct, self._p)
-        n = theta.shape[0]
-        eye = FD_STEP * np.eye(n)
-        thetas = np.concatenate([theta + eye, theta - eye], axis=0)
-        q = _probs(struct, thetas)
-        vals = 0.5 * np.abs(q - self._p).sum(axis=1)
-        return (vals[:n] - vals[n:]) / (2.0 * FD_STEP)
+        return 0.5 * np.abs(_probs(struct, theta) - self._p).sum(axis=-1)
 
 
 def grad_objective(pol: NGramPolicy, objective) -> np.ndarray:

@@ -18,6 +18,7 @@ from .ngram import (
     JBetaObjective,
     NGramPolicy,
     TVDObjective,
+    central_difference,
     conditional_projection,
     grad_objective,
 )
@@ -169,25 +170,12 @@ def verify_gradients(pol: NGramPolicy, objective, h: float = FD_STEP) -> float:
     if h <= 0:
         raise ValueError("h must be positive")
     struct = pol._struct
-    theta = pol.logits
     analytic = grad_objective(pol, objective)
-    fd = np.empty_like(analytic)
-    for i in range(theta.shape[0]):
-        e = np.zeros_like(theta)
-        e[i] = h
-        fd[i] = (objective.value_theta(struct, theta + e)
-                 - objective.value_theta(struct, theta - e)) / (2.0 * h)
+    fd = central_difference(
+        lambda thetas: np.array([objective.value_theta(struct, t) for t in thetas]),
+        pol.logits, h)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-12)
     err = np.abs(analytic - fd) / denom
     # both sides at the guard floor means a genuinely zero component
     err[(np.abs(analytic) < 1e-12) & (np.abs(fd) < 1e-12)] = 0.0
     return float(err.max())
-
-
-def warm_start_run(fam: TiltedFamily, pol: NGramPolicy, from_lambda: float,
-                   to_lambda: float, cfg: OptimizerConfig) -> tuple:
-    """Two chained ascents: first at a moderate natural parameter, then at the
-    target one initialized from the first result.  Returns both traces."""
-    first = ascend_j_beta(fam, pol, cfg, beta=1.0 / from_lambda)
-    second = ascend_j_beta(fam, first.final_policy, cfg, beta=1.0 / to_lambda)
-    return first, second

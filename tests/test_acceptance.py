@@ -48,7 +48,6 @@ from klgeo.optimize import (
     OptimizerConfig,
     ascend_j_beta,
     verify_gradients,
-    warm_start_run,
 )
 from klgeo.rng import SeededRng
 
@@ -95,7 +94,8 @@ def warm_cold_full():
         fam = TiltedFamily(base, verifier)
         pstar = condition(base, verifier.mask)
         cold = ascend_j_beta(fam, base_pol, cfg, beta=1.0 / 50.0)
-        _, warm = warm_start_run(fam, base_pol, 3.0, 50.0, cfg)
+        first = ascend_j_beta(fam, base_pol, cfg, beta=1.0 / 3.0)
+        warm = ascend_j_beta(fam, first.final_policy, cfg, beta=1.0 / 50.0)
         out[seed] = (
             kl_divergence_finite(pstar, to_distribution(cold.final_policy)),
             kl_divergence_finite(pstar, to_distribution(warm.final_policy)),
@@ -171,7 +171,7 @@ def test_criterion_3_identity_suite():
         l1, l2 = -2.0 + 6.0 * rng.uniform(2)
         beta = 0.05 + 2.0 * float(rng.uniform(1)[0])
         lam = 1.0 / beta
-        lhs = float(j_beta(fam, q, beta))
+        lhs = j_beta(fam, q, beta)
         rhs = beta * (log_partition(fam, lam)
                       - kl_divergence_finite(q, tilted(fam, lam)))
         worst = max(worst, abs(lhs - rhs))

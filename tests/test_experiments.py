@@ -192,7 +192,7 @@ class TestRunSweep:
         for rec in summary.records:
             beta = 1.0 / rec.lam
             p_lam = tilted(fam, rec.lam)
-            j_opt = float(j_beta(fam, p_lam, beta))
+            j_opt = j_beta(fam, p_lam, beta)
             assert rec.j_beta_value == pytest.approx(
                 j_opt - beta * rec.rkl_to_tilted, abs=1e-9)
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from klgeo import geometry
 from klgeo.dist import (
     BinaryVerifier,
     FiniteDistribution,
@@ -187,12 +188,31 @@ class TestNaturalParam:
                 natural_param(fam, mu)
 
     @pytest.mark.parametrize("mu", [1 - 1e-15, 1e-15])
-    def test_general_solver_unconverged_raises(self, mu):
-        # lam lies outside the solver's bracket; the bracket edge is not an answer
+    def test_general_solver_unconverged_raises(self, mu, monkeypatch):
+        # out of iterations, the solver raises; the last iterate is not an answer
+        monkeypatch.setattr(geometry, "_MAX_NEWTON_ITERS", 1)
         fam = TiltedFamily(FiniteDistribution(range(3), (0.2, 0.3, 0.5)),
                            RewardFn((0.0, 0.5, 1.0)))
         with pytest.raises(ValueError, match="did not converge"):
             natural_param(fam, mu)
+
+    def test_general_solver_grows_its_bracket(self):
+        # lam beyond the starting bracket [-60, 60] (about 66.5 and -68.5 for
+        # the first family) is still found to a 1e-12 moment residual
+        small = TiltedFamily(FiniteDistribution(range(3), (0.2, 0.3, 0.5)),
+                             RewardFn((0.0, 0.5, 1.0)))
+        fam, _ = general_family()
+        m, M = fam.reward.m, fam.reward.M
+        cases = [(small, 1 - 1e-15), (small, 1e-15)]
+        cases += [(fam, mu) for gap in (1e-3, 1e-5, 1e-7)
+                  for mu in (m + gap * (M - m), M - gap * (M - m))]
+        lams = []
+        for f, mu in cases:
+            lam = natural_param(f, mu)
+            assert abs(float(moment(f, lam)) - mu) <= 1e-12
+            lams.append(lam)
+        assert lams[0] > 60 and lams[1] < -60
+        assert max(lams) > 150 and min(lams) < -600
 
     def test_general_solver_residual(self):
         fam, _ = general_family()
@@ -259,12 +279,13 @@ class TestGeometryPoint:
             assert fam.reward.m < pt.mu < fam.reward.M
 
     def test_general_reward_outside_newton_bracket(self):
-        # at_lambda knows lam, so it needs no natural_param (bracket [-60, 60])
+        # kappa comes from divergence_cost, whose solver grows its bracket
+        # past the starting [-60, 60]
         fam, _ = general_family()
-        for lam in (-100.0, 100.0):
+        for lam in (-1000.0, -100.0, 100.0, 1000.0):
             pt = GeometryPoint.at_lambda(fam, lam)
             assert pt.kappa == pytest.approx(
-                kl_divergence_finite(tilted(fam, lam), fam.base), rel=1e-9)
+                kl_divergence_finite(tilted(fam, lam), fam.base), rel=1e-12)
 
 
 class TestIdentities:
@@ -308,7 +329,7 @@ class TestIdentities:
             for _ in range(10):
                 q = random_dist(rng, fam.base.outcomes)
                 lam = 1.0 / beta
-                lhs = float(j_beta(fam, q, beta))
+                lhs = j_beta(fam, q, beta)
                 rhs = beta * (log_partition(fam, lam)
                               - kl_divergence_finite(q, tilted(fam, lam)))
                 assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -347,13 +368,13 @@ class TestJBeta:
     def test_base_is_anchor(self):
         fam = binary_family(0.3)
         for beta in (0.0, 0.5, 3.0):
-            assert float(j_beta(fam, fam.base, beta)) == pytest.approx(0.3, abs=1e-12)
+            assert j_beta(fam, fam.base, beta) == pytest.approx(0.3, abs=1e-12)
 
     def test_tilted_value(self):
         fam, _ = general_family()
         beta = 0.4
         lam = 1.0 / beta
-        val = float(j_beta(fam, tilted(fam, lam), beta))
+        val = j_beta(fam, tilted(fam, lam), beta)
         assert val == pytest.approx(beta * log_partition(fam, lam), abs=1e-12)
 
     def test_reinforce_flat_on_valid_set(self, rng):
@@ -361,7 +382,7 @@ class TestJBeta:
         w = rng.uniform(2) + 0.1
         q = FiniteDistribution(fam.base.outcomes,
                                np.array([w[0], w[1], 0.0]) / w.sum())
-        assert float(j_beta(fam, q, 0.0)) == pytest.approx(1.0, abs=1e-12)
+        assert j_beta(fam, q, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_beta_rejected(self):
         fam = binary_family(0.5)
@@ -425,9 +446,9 @@ class TestCompare:
             FiniteDistribution(fam.base.outcomes, (0.05, 0.05, 0.88, 0.01, 0.01)),
         ]
         beta = 0.02
-        jstar = float(j_beta(fam, pstar, beta))
+        jstar = j_beta(fam, pstar, beta)
         for pi in others:
-            assert jstar > float(j_beta(fam, pi, beta))
+            assert jstar > j_beta(fam, pi, beta)
 
 
 class TestConvergenceProfile:

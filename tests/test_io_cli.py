@@ -73,6 +73,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("command=frobnicate\n")
 
+    def test_serialize_lists_default_grids(self):
+        # config.echo is fully resolved: a default-grid run names its grid
+        assert "\nlambdas=0.5,1,2,3,5,7,10,15,20,35,50,100\n" in \
+            RunConfig(command="sweep").serialize()
+        assert "\nlambdas=-10,-5,-2,0,0.5,1,2,3,5,10,20,40\n" in \
+            RunConfig(command="geometry").serialize()
+
     def test_removed_forward_kl_fit_keys(self):
         # the forward-KL reference is closed form; its old step knobs are gone
         for key in ("fkl_steps=15000", "fkl_learning_rate=0.05"):
@@ -122,6 +129,16 @@ class TestCsv:
         assert payload["y"] == "inf"
         assert payload["z"] == [1.5, 2.0]
         assert "provenance" in payload
+
+    def test_package_version_single_sourced(self):
+        # the provenance version is the one the package metadata reads
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).parent.parent / "pyproject.toml", "rb") as fh:
+            meta = tomllib.load(fh)
+        assert "version" not in meta["project"]
+        assert meta["project"]["dynamic"] == ["version"]
+        assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "klgeo.__version__"}
 
     @pytest.mark.parametrize("x", [math.nan, -math.inf])
     def test_json_non_finite_raises_before_writing(self, tmp_path, x):

@@ -3,7 +3,13 @@ import numpy as np
 import pytest
 
 from klgeo import ngram
-from klgeo.dist import FiniteDistribution, condition, kl_divergence_finite, total_variation
+from klgeo.dist import (
+    FiniteDistribution,
+    RewardFn,
+    condition,
+    kl_divergence_finite,
+    total_variation,
+)
 from klgeo.geometry import TiltedFamily
 from klgeo.ngram import (
     FD_STEP,
@@ -35,6 +41,18 @@ def toy_setup(seed=1):
     fam = TiltedFamily(base, verifier)
     pstar = condition(base, verifier.mask)
     return base_pol, base, verifier, fam, pstar
+
+
+def loop_central_difference(obj, struct, theta, h):
+    """The per-coordinate central difference that the shared batched one
+    replaced, kept as its oracle."""
+    fd = np.empty_like(theta)
+    for i in range(theta.shape[0]):
+        e = np.zeros_like(theta)
+        e[i] = h
+        fd[i] = (obj.value_theta(struct, theta + e)
+                 - obj.value_theta(struct, theta - e)) / (2.0 * h)
+    return fd
 
 
 class TestSequenceSpace:
@@ -174,18 +192,34 @@ class TestGradients:
             assert err < 1e-7
 
     def test_tvd_gradient_matches_loop_fd(self):
-        # the batched central differences agree with a plain per-coordinate loop
+        # the batched central differences equal a plain per-coordinate loop
         _, _, _, _, pstar = toy_setup()
         pol = NGramPolicy(SPACE, bigram_orders(SPACE), SeededRng(4).normal(21))
         obj = TVDObjective(pstar)
-        g = grad_objective(pol, obj)
-        h = FD_STEP
-        for i in (0, 7, 20):
-            e = np.zeros(21)
-            e[i] = h
-            fd = (objective_value(pol.with_logits(pol.logits + e), obj)
-                  - objective_value(pol.with_logits(pol.logits - e), obj)) / (2 * h)
-            assert g[i] == pytest.approx(fd, abs=1e-12)
+        assert np.array_equal(
+            grad_objective(pol, obj),
+            loop_central_difference(obj, pol._struct, pol.logits, FD_STEP))
+
+    @pytest.mark.parametrize("orders", [bigram_orders, full_orders],
+                             ids=["bigram", "full"])
+    @pytest.mark.parametrize("name", ["j_beta", "forward_kl", "tvd"])
+    def test_central_difference_matches_loop(self, name, orders):
+        _, _, _, fam, pstar = toy_setup()
+        obj = {"j_beta": JBetaObjective(fam, beta=0.2),
+               "forward_kl": ForwardKLObjective(pstar),
+               "tvd": TVDObjective(pstar)}[name]
+        pol = NGramPolicy(SPACE, orders(SPACE), SeededRng(6).normal(
+            ngram._Structure.get(SPACE, orders(SPACE)).n_params))
+        struct, theta = pol._struct, pol.logits
+        fd = loop_central_difference(obj, struct, theta, FD_STEP)
+        values = lambda thetas: np.array([obj.value_theta(struct, t) for t in thetas])
+        assert np.array_equal(ngram.central_difference(values, theta, FD_STEP), fd)
+        # verify_gradients' error, as computed before it shared the routine
+        analytic = grad_objective(pol, obj)
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-12)
+        err = np.abs(analytic - fd) / denom
+        err[(np.abs(analytic) < 1e-12) & (np.abs(fd) < 1e-12)] = 0.0
+        assert verify_gradients(pol, obj) == float(err.max())
 
     def test_forward_kl_zero_gradient_at_optimum(self):
         # well-specified target: the projection is stationary
@@ -369,7 +403,23 @@ class TestFlatKernelMatchesPerBlockReference:
         for _ in range(5):
             theta = rng.normal(struct.n_params, sigma=2.0)
             w = rng.normal(space.n_sequences)
-            assert np.array_equal(ngram._grad_weighted_logprob(struct, theta, w),
+            lsm = ngram._log_softmax(struct, theta)
+            assert np.array_equal(ngram._grad_weighted_logprob(struct, lsm, w),
+                                  ref.grad_weighted_logprob(theta, w))
+
+    def test_j_beta_grad_theta_equals_two_pass_form(self, shape, order):
+        # one log-softmax per gradient gives the same bits as the form that
+        # recomputed it from the logits for the weighted-logprob gradient
+        space, _, struct, ref, rng = self._setup(shape, order)
+        w = rng.uniform(space.n_sequences) + 0.1
+        base = FiniteDistribution(space.outcomes(), w / w.sum())
+        obj = JBetaObjective(TiltedFamily(base, RewardFn(rng.uniform(space.n_sequences))), 0.3)
+        for _ in range(3):
+            theta = rng.normal(struct.n_params, sigma=2.0)
+            logq = ngram._log_probs(struct, ngram._log_softmax(struct, theta))
+            q = np.exp(logq)
+            w = q * (obj._r - obj.beta * (logq - obj._log_base))
+            assert np.array_equal(obj.grad_theta(struct, theta),
                                   ref.grad_weighted_logprob(theta, w))
 
     def test_conditional_projection_logits(self, shape, order):

@@ -23,7 +23,6 @@ from klgeo.optimize import (
     fit_forward_kl,
     fit_tvd,
     verify_gradients,
-    warm_start_run,
 )
 from klgeo.rng import SeededRng
 
@@ -242,21 +241,13 @@ class TestVerifyGradients:
 
 
 class TestWarmStart:
-    def test_returns_both_traces(self):
-        _, _, fam, _, template = setup()
-        cfg = OptimizerConfig(learning_rate=0.1, steps=300)
-        first, second = warm_start_run(fam, template, 3.0, 50.0, cfg)
-        assert first.steps_run == second.steps_run == 300
-        assert np.array_equal(
-            second.objective_values[:1],
-            [second.objective_values[0]])
-
     def test_same_lambda_continues_monotonically(self):
         # stage two resumes where stage one stopped: no objective drop at the
         # seam, and the remaining improvement is a small fraction of stage one's
         _, _, fam, _, template = setup()
         cfg = OptimizerConfig(learning_rate=0.1, steps=4000)
-        first, second = warm_start_run(fam, template, 5.0, 5.0, cfg)
+        first = ascend_j_beta(fam, template, cfg, beta=1.0 / 5.0)
+        second = ascend_j_beta(fam, first.final_policy, cfg, beta=1.0 / 5.0)
         assert second.objective_values[0] == pytest.approx(first.final_value, abs=1e-12)
         gain1 = first.final_value - first.objective_values[0]
         gain2 = second.final_value - second.objective_values[0]
