@@ -140,10 +140,11 @@ def natural_param(fam: TiltedFamily, mu: float) -> float:
 
     Binary rewards use the closed form log(mu/(1-mu)) + log(A0/A1).  The
     general case runs bisection refined by Newton steps with derivative
-    Var_{p_lam}(r), stopping on a 1e-12 moment residual.  The bracket starts
-    at [-60, 60] and each end doubles until the moment there brackets mu.
-    It raises ValueError when the residual is not reached (for instance
-    when mu is so near a reward bound that no |lam| <= 1e300 brackets it).
+    Var_{p_lam}(r), stopping on a 1e-12 moment residual or on a bracket
+    four ulps of lam wide.  The bracket starts at [-60, 60] and each end
+    doubles until the moment there brackets mu.  It raises ValueError when
+    neither stop is reached (for instance when mu is so near a reward bound
+    that no |lam| <= 1e300 brackets it).
     """
     if not (fam.reward.m < mu < fam.reward.M):
         raise ValueError("unattainable moment")
@@ -174,6 +175,10 @@ def natural_param(fam: TiltedFamily, mu: float) -> float:
             hi = lam
         else:
             lo = lam
+        # at the moment's round-off floor the residual may never pass the
+        # test above; a bracket a few ulps wide pins lam all the same
+        if hi - lo <= 4.0 * np.spacing(max(abs(lo), abs(hi))):
+            return lam
         step = lam - resid / var if var > 0 else None
         if step is not None and lo < step < hi:
             lam = step

@@ -20,8 +20,14 @@ from .dist import BinaryVerifier, FiniteDistribution, entropy
 from .geometry import TiltedFamily
 from .rng import SeededRng
 
-# Central-difference step used for TVD gradients and for gradient verification.
+# Central-difference step used for gradient verification.
 FD_STEP = 1e-5
+
+# The TVD polish stops once a sweep over the rows lowers TVD by no more than
+# POLISH_TOL (round-off in a sum of N terms of size <= 1), or after
+# POLISH_MAX_SWEEPS sweeps.
+POLISH_TOL = 1e-14
+POLISH_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,7 @@ def _log_softmax(struct: _Structure, theta: np.ndarray) -> np.ndarray:
 def _log_probs(struct: _Structure, lsm: np.ndarray) -> np.ndarray:
     """log q_s of every sequence, from the row log-softmax lsm."""
     # np.take keeps the (..., N) result C-contiguous; fancy indexing would not,
-    # and the TVD finite difference's row sums depend on that memory order
+    # and sums over that result depend on its memory order
     return np.take(lsm, struct.index, axis=-1).sum(axis=-2)
 
 
@@ -194,7 +200,7 @@ class JBetaObjective:
         self.fam = fam
         self.beta = float(beta)
         self._r = fam.reward.values
-        self._log_base = np.log(fam.base.probs)
+        self._log_base = fam._log_base
 
     def value_theta(self, struct: _Structure, theta: np.ndarray) -> float:
         _check_space(struct, self._r)
@@ -236,7 +242,8 @@ class ForwardKLObjective:
 
 
 class TVDObjective:
-    """TVD(pi, target) in the logits; non-convex, differentiated by central differences."""
+    """TVD(pi, target) in the logits; non-convex, and non-smooth where some
+    q_s = p_s.  grad_theta is the analytic subgradient, with sign(0) = 0."""
 
     name = "tvd"
 
@@ -245,16 +252,98 @@ class TVDObjective:
         self._p = target.probs
 
     def value_theta(self, struct: _Structure, theta: np.ndarray) -> float:
-        return float(self._values(struct, theta))
+        _check_space(struct, self._p)
+        return float(_tvd(struct, theta, self._p))
 
     def grad_theta(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
-        return central_difference(lambda thetas: self._values(struct, thetas),
-                                  theta, FD_STEP)
-
-    def _values(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
-        """TVD at a logit vector or at each row of a (B, n_params) batch."""
         _check_space(struct, self._p)
-        return 0.5 * np.abs(_probs(struct, theta) - self._p).sum(axis=-1)
+        return _tvd_subgradient(struct, theta, self._p)
+
+
+def _tvd(struct: _Structure, theta: np.ndarray, p: np.ndarray) -> float:
+    return 0.5 * np.abs(_probs(struct, theta) - p).sum()
+
+
+def _tvd_subgradient(struct: _Structure, theta: np.ndarray,
+                     p: np.ndarray) -> np.ndarray:
+    """A subgradient of TVD(pi, p) in the logits: dq_s = q_s dlog q_s."""
+    lsm = _log_softmax(struct, theta)
+    q = np.exp(_log_probs(struct, lsm))
+    return _grad_weighted_logprob(struct, lsm, 0.5 * np.sign(q - p) * q)
+
+
+def _row_tvd_argmin(c: np.ndarray, p: np.ndarray, tok: np.ndarray,
+                    vocab_size: int) -> np.ndarray:
+    """The x on the simplex minimizing sum_s |c_s x[tok_s] - p_s|, c_s > 0.
+
+    The sum is separable across tokens; each token's part is convex and
+    piecewise linear with kinks at p_s / c_s.  Filling the segments in order
+    of slope, ties broken by token, spends the unit budget optimally.
+    """
+    segments = []  # (slope, token, length)
+    for v in range(vocab_size):
+        on = tok == v
+        kinks = p[on] / c[on]
+        order = np.argsort(kinks, kind="stable")
+        slope, left = -c[on].sum(), 0.0
+        for kink, weight in zip(kinks[order], c[on][order]):
+            segments.append((slope, v, kink - left))
+            slope, left = slope + 2.0 * weight, kink
+        segments.append((slope, v, np.inf))
+    x = np.zeros(vocab_size)
+    budget = 1.0
+    for _, v, length in sorted(segments, key=lambda seg: seg[:2]):
+        take = min(length, budget)
+        x[v] += take
+        budget -= take
+        if budget <= 0.0:
+            break
+    return x
+
+
+def _polish_tvd(struct: _Structure, theta: np.ndarray, p: np.ndarray):
+    """Exact block-coordinate descent on TVD(pi, p), one softmax row at a time.
+
+    With every other row fixed, a sequence s through row r has probability
+    c_s * x[tok_s] in that row's conditional x, and uses the row at most
+    once, so the row's exact minimizer is _row_tvd_argmin.  Zero conditionals
+    become -inf logits.  A row update is kept only if TVD does not rise, and
+    sweeps over all rows repeat while one lowers TVD by more than POLISH_TOL.
+
+    Returns (logits, TVD there, sweeps run, whether the sweep cap stopped it).
+    """
+    V = struct.space.vocab_size
+    # per row: the sequences through it, their tokens there, and the logits
+    # they use at every other position
+    row_data = []
+    row_of = struct.index // V
+    for t in range(struct.space.length):
+        others = np.delete(struct.index, t, axis=0)
+        for r in range(row_of[t].min(), row_of[t].max() + 1):
+            uses = np.flatnonzero(row_of[t] == r)
+            row_data.append((r, p[uses], struct.index[t, uses] % V, others[:, uses]))
+    theta = theta.copy()
+    rows = theta.reshape(-1, V)  # a view: row updates write into theta
+    value = _tvd(struct, theta, p)
+    for sweep in range(1, POLISH_MAX_SWEEPS + 1):
+        start_value = value
+        for r, p_r, tok, others in row_data:
+            c = np.exp(np.take(_log_softmax(struct, theta), others).sum(axis=0))
+            live = c > 0.0
+            if not live.any():  # TVD does not depend on this row
+                continue
+            x = _row_tvd_argmin(c[live], p_r[live], tok[live], V)
+            old_row = rows[r].copy()
+            with np.errstate(divide="ignore"):
+                rows[r] = np.log(x)
+            new_value = _tvd(struct, theta, p)
+            if new_value <= value:
+                value = new_value
+            else:
+                rows[r] = old_row
+        if start_value - value <= POLISH_TOL:
+            return theta, value, sweep, False
+    return theta, value, POLISH_MAX_SWEEPS, True
 
 
 def grad_objective(pol: NGramPolicy, objective) -> np.ndarray:

@@ -18,8 +18,11 @@ from .ngram import (
     JBetaObjective,
     NGramPolicy,
     TVDObjective,
+    _polish_tvd,
+    _tvd_subgradient,
     central_difference,
     conditional_projection,
+    full_orders,
     grad_objective,
 )
 from .rng import SeededRng
@@ -70,6 +73,7 @@ class RunTrace:
     diagnostic: str = ""
     converged: bool = False
     restart_index: int = 0
+    polish_sweeps: int = 0
 
     @property
     def final_value(self) -> float:
@@ -142,14 +146,19 @@ def fit_forward_kl(target: FiniteDistribution, template: NGramPolicy) -> RunTrac
 
 def fit_tvd(target: FiniteDistribution, template: NGramPolicy,
             cfg: OptimizerConfig = TVD_FIT_CONFIG) -> RunTrace:
-    """Best-effort minimization of TVD(pi, target): multi-restart descent
-    with central finite-difference gradients.
+    """Minimization of TVD(pi, target) over the template's family.
 
-    Restart i starts from SeededRng(0).spawn(i).normal(n_params) and halves
-    its step every TVD_HALVING_STEPS steps, so it depends only on i.  Returns
-    the lowest-TVD run; the objective is non-convex in the logits, so no
-    global optimality is claimed.
+    In the full-order family the target lies in the family's closure, so the
+    conditional projection attains TVD 0 (to round-off) and no step is run.
+    Otherwise each restart is a descent on the analytic subgradient followed
+    by the exact row polish of ngram._polish_tvd.  Restart i starts from
+    SeededRng(0).spawn(i).normal(n_params) and halves its step every
+    TVD_HALVING_STEPS steps, so it depends only on i.  Returns the restart
+    with the lowest TVD after its polish; the objective is non-convex in the
+    logits, so no global optimality is claimed there.
     """
+    if template.context_lengths == full_orders(template.space):
+        return _tvd_closed_form(target, template)
     objective = TVDObjective(target)
     rng = SeededRng(0)
     best = None
@@ -157,11 +166,49 @@ def fit_tvd(target: FiniteDistribution, template: NGramPolicy,
         start_pol = template.with_logits(rng.spawn(i).normal(template.n_params))
         trace = _gradient_run(objective, start_pol, cfg, maximize=False,
                               halving=True)
+        if not trace.aborted:
+            trace = _polished(trace, target.probs)
         trace.restart_index = i
         if best is None or (not trace.aborted
                             and trace.final_value < best.final_value):
             best = trace
     return best
+
+
+def _tvd_closed_form(target: FiniteDistribution, template: NGramPolicy) -> RunTrace:
+    start = time.perf_counter()
+    pol = conditional_projection(target, template.space, template.context_lengths)
+    value = TVDObjective(target).value_theta(pol._struct, pol.logits)
+    # q = p, up to round-off, where every subdifferential of |q_s - p_s|
+    # holds 0, so the least-norm subgradient is 0
+    return RunTrace(
+        objective_values=np.array([value]),
+        final_policy=pol,
+        final_grad_norm=0.0,
+        wall_time=time.perf_counter() - start,
+        steps_run=0,
+        converged=True)
+
+
+def _polished(trace: RunTrace, p: np.ndarray) -> RunTrace:
+    """The descent's trace continued by the exact row polish.  The run counts
+    as converged when the polish stopped before its sweep cap, at a point no
+    sweep of row minimizations improves; its gradient norm is that of the
+    analytic subgradient there."""
+    start = time.perf_counter()
+    pol = trace.final_policy
+    theta, value, sweeps, capped = _polish_tvd(pol._struct, pol.logits, p)
+    grad_norm = float(np.linalg.norm(_tvd_subgradient(pol._struct, theta, p)))
+    return RunTrace(
+        objective_values=np.append(trace.objective_values, value),
+        final_policy=pol.with_logits(theta),
+        final_grad_norm=grad_norm,
+        wall_time=trace.wall_time + time.perf_counter() - start,
+        steps_run=trace.steps_run,
+        diagnostic=(f"TVD polish stopped at its {sweeps}-sweep cap"
+                    if capped else ""),
+        converged=not capped,
+        polish_sweeps=sweeps)
 
 
 def verify_gradients(pol: NGramPolicy, objective, h: float = FD_STEP) -> float:

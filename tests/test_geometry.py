@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from klgeo import geometry
+from klgeo import checks, geometry
 from klgeo.dist import (
     BinaryVerifier,
     FiniteDistribution,
@@ -219,6 +219,15 @@ class TestNaturalParam:
         for mu in (0.2, 0.5, 0.9):
             lam = natural_param(fam, mu)
             assert abs(float(moment(fam, lam)) - mu) <= 1e-12
+
+    def test_stops_at_the_ulp_floor(self):
+        # Var_{p_lam}(r) is below 1e-5 here, so a residual at the 1-ulp floor
+        # never passes the Newton-step test; the few-ulp bracket ends the search
+        fam = checks._general_family(seed=3)[0]
+        mu = 0.9314613831772881
+        lam = natural_param(fam, mu)
+        assert 120 < lam < 240
+        assert abs(float(moment(fam, lam)) - mu) <= 1e-12
 
 
 class TestDivergenceCost:

@@ -191,14 +191,25 @@ class TestGradients:
             err = verify_gradients(pol, ForwardKLObjective(pstar))
             assert err < 1e-7
 
-    def test_tvd_gradient_matches_loop_fd(self):
-        # the batched central differences equal a plain per-coordinate loop
+    @pytest.mark.parametrize("orders", [bigram_orders, full_orders],
+                             ids=["bigram", "full"])
+    def test_tvd_subgradient_matches_finite_differences(self, orders):
+        # TVD kinks where q_s = p*_s > 0 (q_s > 0 = p*_s is no kink); away
+        # from them TVD is smooth and the analytic subgradient is its gradient
         _, _, _, _, pstar = toy_setup()
-        pol = NGramPolicy(SPACE, bigram_orders(SPACE), SeededRng(4).normal(21))
-        obj = TVDObjective(pstar)
-        assert np.array_equal(
-            grad_objective(pol, obj),
-            loop_central_difference(obj, pol._struct, pol.logits, FD_STEP))
+        n_params = ngram._Structure.get(SPACE, orders(SPACE)).n_params
+        for seed in (4, 5, 6):
+            pol = NGramPolicy(SPACE, orders(SPACE), SeededRng(seed).normal(n_params))
+            q = to_distribution(pol).probs
+            assert np.abs(q - pstar.probs)[pstar.probs > 0].min() > 1e-3
+            obj, struct = TVDObjective(pstar), pol._struct
+            fd = ngram.central_difference(
+                lambda thetas: np.array([obj.value_theta(struct, t) for t in thetas]),
+                pol.logits, FD_STEP)
+            # atol covers the difference's round-off (eps / FD_STEP) on the
+            # components that vanish analytically
+            np.testing.assert_allclose(grad_objective(pol, obj), fd,
+                                       rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("orders", [bigram_orders, full_orders],
                              ids=["bigram", "full"])
@@ -361,12 +372,9 @@ class _PerBlockReference:
                 logits[self.offsets[t]:self.offsets[t + 1]] = np.log(cond).ravel()
         return logits
 
-    def tvd_grad(self, theta, p, h):
-        n = theta.shape[0]
-        eye = h * np.eye(n)
-        q = self.batched_probs(np.concatenate([theta + eye, theta - eye], axis=0))
-        vals = 0.5 * np.abs(q - p).sum(axis=1)
-        return (vals[:n] - vals[n:]) / (2.0 * h)
+    def tvd_grad(self, theta, p):
+        q = self.probs(theta)
+        return self.grad_weighted_logprob(theta, 0.5 * np.sign(q - p) * q)
 
 
 ORACLE_ORDERS = {
@@ -441,4 +449,75 @@ class TestFlatKernelMatchesPerBlockReference:
         for _ in range(3):
             theta = rng.normal(struct.n_params, sigma=2.0)
             assert np.array_equal(obj.grad_theta(struct, theta),
-                                  ref.tvd_grad(theta, target.probs, FD_STEP))
+                                  ref.tvd_grad(theta, target.probs))
+
+
+class TestTVDPolish:
+    """The exact row minimizer behind the TVD fit's block-coordinate polish."""
+
+    @staticmethod
+    def _simplex_grid(n):
+        return np.array([(i, j, n - i - j) for i in range(n + 1)
+                         for j in range(n + 1 - i)], dtype=float) / n
+
+    def test_row_argmin_matches_brute_force_grid(self):
+        # V = 3: sum_s |c_s x[tok_s] - p_s| at the minimizer is no larger than
+        # anywhere on a fine simplex grid, and the minimizer is on the simplex
+        rng = SeededRng(17)
+        grid = self._simplex_grid(300)
+        for trial in range(20):
+            m = 4 + trial % 6
+            c = rng.uniform(m) + 0.05
+            p = rng.uniform(m) * (rng.uniform(m) > 0.2)
+            tok = np.arange(m) % 3
+            x = ngram._row_tvd_argmin(c, p, tok, 3)
+            assert np.all(x >= 0.0) and x.sum() == pytest.approx(1.0, abs=1e-15)
+            cost = lambda xs: np.abs(c * xs[..., tok] - p).sum(axis=-1)
+            assert cost(x) <= cost(grid).min() + 1e-12
+
+    def test_row_update_is_exact_for_the_full_tvd(self):
+        # with every other row fixed, the polish's update of one row gives the
+        # lowest TVD over a grid of that row's conditionals
+        _, _, _, _, pstar = toy_setup()
+        struct = ngram._Structure.get(SPACE, bigram_orders(SPACE))
+        theta = SeededRng(8).normal(struct.n_params)
+        grid = self._simplex_grid(60)
+        V = SPACE.vocab_size
+        for t, r in ((0, 0), (1, 2), (2, 5)):
+            uses = np.flatnonzero(struct.index[t] // V == r)
+            others = np.delete(struct.index, t, axis=0)[:, uses]
+            c = np.exp(np.take(ngram._log_softmax(struct, theta), others).sum(axis=0))
+            x = ngram._row_tvd_argmin(c, pstar.probs[uses], struct.index[t, uses] % V, V)
+
+            def tvd_with_row(cond):
+                th = theta.copy()
+                with np.errstate(divide="ignore"):
+                    th[r * V:(r + 1) * V] = np.log(cond)
+                return ngram._tvd(struct, th, pstar.probs)
+
+            assert tvd_with_row(x) <= min(map(tvd_with_row, grid)) + 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_sweep_raises_tvd(self, seed, monkeypatch):
+        # one sweep per call: the TVD after each is no higher than before it,
+        # and the sweeps chained end where one uncapped polish ends
+        _, _, _, _, pstar = toy_setup(seed)
+        struct = ngram._Structure.get(SPACE, bigram_orders(SPACE))
+        start = SeededRng(seed).normal(struct.n_params)
+        full_theta, full_value, full_sweeps, capped = ngram._polish_tvd(
+            struct, start, pstar.probs)
+        assert not capped and full_sweeps >= 2
+        monkeypatch.setattr(ngram, "POLISH_MAX_SWEEPS", 1)
+        theta, value = start, ngram._tvd(struct, start, pstar.probs)
+        for _ in range(full_sweeps):
+            theta, new_value, sweeps, _ = ngram._polish_tvd(struct, theta, pstar.probs)
+            assert sweeps == 1 and new_value <= value
+            assert new_value == ngram._tvd(struct, theta, pstar.probs)
+            value = new_value
+        assert value == full_value
+        assert np.array_equal(theta, full_theta)
+        # an updated row holds log-conditionals, -inf where one is zero
+        rows = theta.reshape(-1, SPACE.vocab_size)
+        moved = np.any(rows != start.reshape(rows.shape), axis=1)
+        assert moved.any() and np.isneginf(rows[moved]).any()
+        assert np.allclose(np.exp(rows[moved]).sum(axis=1), 1.0, atol=1e-15)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from klgeo import ngram
 from klgeo.dist import condition, expected_reward, kl_divergence_finite, total_variation
 from klgeo.geometry import TiltedFamily
 from klgeo.ngram import (
@@ -10,6 +11,7 @@ from klgeo.ngram import (
     SequenceSpace,
     TVDObjective,
     bigram_orders,
+    conditional_projection,
     full_orders,
     make_verifier_first_equals_last,
     random_base_model,
@@ -170,24 +172,62 @@ class TestTVDFit:
         assert np.array_equal(a.final_policy.logits, b.final_policy.logits)
         assert a.restart_index == b.restart_index
 
-    def test_matches_hand_written_halving_descent(self):
+    def test_matches_hand_written_descent_and_polish(self):
         # oracle: each restart as a plain loop from its SeededRng(0).spawn(i)
-        # start, with the step halved every 1000 steps; the fit is the better
+        # start on the subgradient written out, with the step halved every
+        # 1000 steps, then the row polish; the fit is the better restart
         _, _, _, pstar, template = setup()
-        objective = TVDObjective(pstar)
-        struct = template._struct
+        struct, p = template._struct, pstar.probs
         finals = []
         for i in range(2):
             theta = SeededRng(0).spawn(i).normal(template.n_params, sigma=1.0)
             for k in range(1200):
-                theta = theta - 0.1 * 0.5 ** (k // 1000) * objective.grad_theta(struct, theta)
-            finals.append((objective.value_theta(struct, theta), i, theta))
-        value, index, theta = min(finals, key=lambda f: f[0])
+                lsm = ngram._log_softmax(struct, theta)
+                q = np.exp(ngram._log_probs(struct, lsm))
+                grad = ngram._grad_weighted_logprob(struct, lsm, 0.5 * np.sign(q - p) * q)
+                theta = theta - 0.1 * 0.5 ** (k // 1000) * grad
+            theta, value, sweeps, capped = ngram._polish_tvd(struct, theta, p)
+            assert not capped
+            finals.append((value, i, theta, sweeps))
+        value, index, theta, sweeps = min(finals, key=lambda f: f[0])
         trace = fit_tvd(pstar, template, OptimizerConfig(steps=1200, restarts=2))
         assert trace.restart_index == index
         assert trace.final_value == value
         assert np.array_equal(trace.final_policy.logits, theta)
         assert trace.steps_run == 1200 and not trace.aborted
+        assert trace.polish_sweeps == sweeps and trace.converged
+        assert trace.diagnostic == ""
+
+    def test_trace_ends_with_the_polished_value(self):
+        # values at step 0, 100, 200 and 300, then the polished one, lower
+        # than the descent's last
+        _, _, _, pstar, template = setup()
+        for restarts in (1, 2, 3):
+            trace = fit_tvd(pstar, template, OptimizerConfig(steps=300, restarts=restarts))
+            assert len(trace.objective_values) == 5
+            assert trace.final_value < trace.objective_values[-2]
+            assert trace.final_value == pytest.approx(
+                total_variation(to_distribution(trace.final_policy), pstar), abs=1e-15)
+
+    def test_sweep_cap_is_reported(self, monkeypatch):
+        _, _, _, pstar, template = setup()
+        monkeypatch.setattr(ngram, "POLISH_MAX_SWEEPS", 1)
+        trace = fit_tvd(pstar, template, OptimizerConfig(steps=300, restarts=1))
+        assert trace.polish_sweeps == 1 and not trace.converged
+        assert "1-sweep cap" in trace.diagnostic and not trace.aborted
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_full_order_is_closed_form(self, seed):
+        # p* lies in the closure of the full family: the conditional
+        # projection attains TVD 0, with no descent step
+        _, _, _, pstar, _ = setup(seed)
+        template = NGramPolicy(SPACE, full_orders(SPACE), np.zeros(39))
+        trace = fit_tvd(pstar, template, OptimizerConfig(steps=300, restarts=2))
+        assert trace.final_value <= 1e-15
+        assert total_variation(to_distribution(trace.final_policy), pstar) <= 1e-15
+        assert trace.steps_run == 0 and trace.converged and not trace.aborted
+        assert np.array_equal(trace.final_policy.logits,
+                              conditional_projection(pstar, SPACE, full_orders(SPACE)).logits)
 
 
 class _ExplodingObjective:
