@@ -116,7 +116,13 @@ def _geometry_settings(cfg: RunConfig) -> list:
     return lambdas
 
 
+def _check_settings(cfg: RunConfig) -> None:
+    if not 0 <= cfg["tolerance"] < math.inf:
+        raise ValueError("tolerance must be finite and non-negative")
+
+
 def _gradcheck_settings(cfg: RunConfig) -> None:
+    _check_settings(cfg)
     if cfg["seed"] < 0:
         raise ValueError("seed must be non-negative")
     if not 0 < cfg["h"] < math.inf:
@@ -226,7 +232,7 @@ def cmd_gradcheck(cfg: RunConfig, out: str, settings: None) -> int:
 # handler's settings; handler)
 COMMANDS = {"sweep": (_sweep_settings, cmd_sweep),
             "geometry": (_geometry_settings, cmd_geometry),
-            "check": (lambda cfg: None, cmd_check),
+            "check": (_check_settings, cmd_check),
             "gradcheck": (_gradcheck_settings, cmd_gradcheck)}
 
 

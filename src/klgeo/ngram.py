@@ -67,7 +67,8 @@ class _Structure:
     Every softmax block has width V, so the logits are one (R, V) array
     whose rows are the blocks' contexts stacked by position (block t holds
     V^c_t rows).  index[t, s] is the flat logit that sequence s uses at
-    position t.
+    position t; flat_index is index.ravel() and seq_of_flat[k] the sequence
+    behind flat_index[k], so a scatter needs no per-call index work.
     """
 
     _cache: dict = {}
@@ -84,11 +85,14 @@ class _Structure:
         self.context_lengths = tuple(context_lengths)
         self.block_shapes = [(V ** c, V) for c in context_lengths]
         first_row = np.cumsum([0] + [nc for nc, _ in self.block_shapes])
-        self.n_params = int(first_row[-1]) * V
+        self.row_shape = (int(first_row[-1]), V)
+        self.n_params = self.row_shape[0] * V
         self.index = np.empty((T, space.n_sequences), dtype=np.intp)
         for t, c in enumerate(context_lengths):
             ctx = seqs[:, t - c:t] @ V ** np.arange(c - 1, -1, -1, dtype=np.intp)
             self.index[t] = (first_row[t] + ctx) * V + seqs[:, t]
+        self.flat_index = self.index.ravel()
+        self.seq_of_flat = np.tile(np.arange(space.n_sequences), T)
 
     @classmethod
     def get(cls, space: SequenceSpace, context_lengths: tuple) -> "_Structure":
@@ -99,9 +103,8 @@ class _Structure:
 
     def scatter(self, w: np.ndarray) -> np.ndarray:
         """(R, V) array of sum_s w_s over the sequences using each logit."""
-        T = self.space.length
-        return np.bincount(self.index.ravel(), weights=np.tile(w, T),
-                           minlength=self.n_params).reshape(-1, self.space.vocab_size)
+        return np.bincount(self.flat_index, weights=w[self.seq_of_flat],
+                           minlength=self.n_params).reshape(self.row_shape)
 
 
 class NGramPolicy:
@@ -136,18 +139,29 @@ class NGramPolicy:
         return np.split(rows, np.cumsum([nc for nc, _ in self._struct.block_shapes[:-1]]))
 
 
+# The kernels below run once or twice per solver step on a few dozen
+# numbers, where a numpy call's overhead outweighs its arithmetic: they
+# gather with the array's own take, not the np.take wrapper, and reduce
+# with ufunc methods, which .max and .sum forward to through Python.
+
+
 def _log_softmax(struct: _Structure, theta: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax of a logit vector or a (B, n_params) batch."""
-    z = theta.reshape(*theta.shape[:-1], -1, struct.space.vocab_size)
-    zm = z - z.max(axis=-1, keepdims=True)
-    return (zm - np.log(np.exp(zm).sum(axis=-1, keepdims=True))).reshape(theta.shape)
+    return _log_softmax_rows(theta.reshape(theta.shape[:-1] + struct.row_shape)
+                             ).reshape(theta.shape)
+
+
+def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
+    """log-softmax along the last axis; each row's bits depend on that row only."""
+    zm = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    return zm - np.log(np.add.reduce(np.exp(zm), axis=-1, keepdims=True))
 
 
 def _log_probs(struct: _Structure, lsm: np.ndarray) -> np.ndarray:
     """log q_s of every sequence, from the row log-softmax lsm."""
-    # np.take keeps the (..., N) result C-contiguous; fancy indexing would not,
+    # take keeps the (..., N) result C-contiguous; fancy indexing would not,
     # and sums over that result depend on its memory order
-    return np.take(lsm, struct.index, axis=-1).sum(axis=-2)
+    return np.add.reduce(lsm.take(struct.index, axis=-1), axis=-2)
 
 
 def _probs(struct: _Structure, theta: np.ndarray) -> np.ndarray:
@@ -159,8 +173,8 @@ def _grad_weighted_logprob(struct: _Structure, lsm: np.ndarray,
     """Gradient of sum_s w_s * log q_s in the logits, for fixed weights w,
     given the row log-softmax lsm of those logits."""
     sw = struct.scatter(w)
-    q = np.exp(lsm).reshape(sw.shape)
-    return (sw - q * sw.sum(axis=1, keepdims=True)).ravel()
+    q = np.exp(lsm).reshape(struct.row_shape)
+    return (sw - q * np.add.reduce(sw, axis=1, keepdims=True)).ravel()
 
 
 def central_difference(values, theta: np.ndarray, h: float) -> np.ndarray:
@@ -253,15 +267,16 @@ class TVDObjective:
 
     def value_theta(self, struct: _Structure, theta: np.ndarray) -> float:
         _check_space(struct, self._p)
-        return float(_tvd(struct, theta, self._p))
+        return float(_tvd(struct, _log_softmax(struct, theta), self._p))
 
     def grad_theta(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
         _check_space(struct, self._p)
         return _tvd_subgradient(struct, theta, self._p)
 
 
-def _tvd(struct: _Structure, theta: np.ndarray, p: np.ndarray) -> float:
-    return 0.5 * np.abs(_probs(struct, theta) - p).sum()
+def _tvd(struct: _Structure, lsm: np.ndarray, p: np.ndarray) -> float:
+    """TVD(pi, p), from the row log-softmax lsm of pi's logits."""
+    return 0.5 * np.add.reduce(np.abs(np.exp(_log_probs(struct, lsm)) - p))
 
 
 def _tvd_subgradient(struct: _Structure, theta: np.ndarray,
@@ -323,24 +338,28 @@ def _polish_tvd(struct: _Structure, theta: np.ndarray, p: np.ndarray):
             uses = np.flatnonzero(row_of[t] == r)
             row_data.append((r, p[uses], struct.index[t, uses] % V, others[:, uses]))
     theta = theta.copy()
-    rows = theta.reshape(-1, V)  # a view: row updates write into theta
-    value = _tvd(struct, theta, p)
+    rows = theta.reshape(struct.row_shape)  # a view: row updates write into theta
+    # the row log-softmax of theta, kept in step with it one row at a time
+    lsm = _log_softmax(struct, theta)
+    lsm_rows = lsm.reshape(struct.row_shape)
+    value = _tvd(struct, lsm, p)
     for sweep in range(1, POLISH_MAX_SWEEPS + 1):
         start_value = value
         for r, p_r, tok, others in row_data:
-            c = np.exp(np.take(_log_softmax(struct, theta), others).sum(axis=0))
+            c = np.exp(np.add.reduce(lsm.take(others), axis=0))
             live = c > 0.0
             if not live.any():  # TVD does not depend on this row
                 continue
             x = _row_tvd_argmin(c[live], p_r[live], tok[live], V)
-            old_row = rows[r].copy()
+            old_row, old_lsm_row = rows[r].copy(), lsm_rows[r].copy()
             with np.errstate(divide="ignore"):
                 rows[r] = np.log(x)
-            new_value = _tvd(struct, theta, p)
+            lsm_rows[r] = _log_softmax_rows(rows[r])
+            new_value = _tvd(struct, lsm, p)
             if new_value <= value:
                 value = new_value
             else:
-                rows[r] = old_row
+                rows[r], lsm_rows[r] = old_row, old_lsm_row
         if start_value - value <= POLISH_TOL:
             return theta, value, sweep, False
     return theta, value, POLISH_MAX_SWEEPS, True

@@ -435,6 +435,12 @@ class TestCliErrors:
         ("gradcheck", "h=0", "h must be"),
         ("gradcheck", "h=-1e-5", "h must be"),
         ("gradcheck", "seed=-1", "seed"),
+        ("check", "tolerance=-1", "tolerance"),
+        ("check", "tolerance=nan", "tolerance"),
+        ("check", "tolerance=inf", "tolerance"),
+        ("gradcheck", "tolerance=-1", "tolerance"),
+        ("gradcheck", "tolerance=nan", "tolerance"),
+        ("gradcheck", "tolerance=inf", "tolerance"),
     ])
     def test_bad_value_exit_one_before_output(self, tmp_path, capsys, command,
                                               line, message):
@@ -482,17 +488,21 @@ class TestCliErrors:
         assert exc.value.code == 0
         assert "--tolerance" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("seeds", ["1", "1,2"])
     def test_aborted_ascent_exit_one(self, tmp_path, capsys, seeds):
-        # beta = 1e300 aborts the first ascent; no row is written for any seed
+        # beta = 1e300 aborts the first ascent; no row is written for any
+        # seed, and the diagnostic is the only message: numpy's overflow
+        # warnings on the way there would raise here
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text("command=sweep\nsteps=3\ntvd_restarts=1\ntvd_steps=3\n")
         out = tmp_path / "out"
         rc = main(["sweep", "--config", str(cfgfile), "--seeds", seeds,
                    "--lambdas", "1e-300,1", "--out", str(out)])
         assert rc == EXIT_CONFIG
-        assert "ascent at lambda 1e-300 aborted" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err and len(err.splitlines()) == 1
+        assert "ascent at lambda 1e-300 aborted" in err
         assert (out / "config.echo").exists()
         assert not (out / "sweep.csv").exists()
 

@@ -28,7 +28,7 @@ from klgeo.ngram import (
     random_base_model,
     to_distribution,
 )
-from klgeo.optimize import verify_gradients
+from klgeo.optimize import OptimizerConfig, ascend_j_beta, fit_tvd, verify_gradients
 from klgeo.rng import SeededRng
 
 SPACE = SequenceSpace(3, 3)
@@ -225,11 +225,13 @@ class TestGradients:
         fd = loop_central_difference(obj, struct, theta, FD_STEP)
         values = lambda thetas: np.array([obj.value_theta(struct, t) for t in thetas])
         assert np.array_equal(ngram.central_difference(values, theta, FD_STEP), fd)
-        # verify_gradients' error, as computed before it shared the routine
+        # verify_gradients' error, written out on the loop's difference
         analytic = grad_objective(pol, obj)
+        f = obj.value_theta(struct, theta)
+        round_off = max(np.finfo(float).eps * abs(f) / FD_STEP, 1e-12)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-12)
         err = np.abs(analytic - fd) / denom
-        err[(np.abs(analytic) < 1e-12) & (np.abs(fd) < 1e-12)] = 0.0
+        err[(np.abs(analytic) < 1e-12) & (np.abs(fd) < round_off)] = 0.0
         assert verify_gradients(pol, obj) == float(err.max())
 
     def test_forward_kl_zero_gradient_at_optimum(self):
@@ -452,6 +454,131 @@ class TestFlatKernelMatchesPerBlockReference:
                                   ref.tvd_grad(theta, target.probs))
 
 
+# The kernels as spelled before the structure held its scatter map and the
+# reductions were called as ufunc methods, kept as the lean path's oracle:
+# the same arithmetic, so the same bits.
+
+
+def old_scatter(struct, w):
+    return np.bincount(struct.index.ravel(), weights=np.tile(w, struct.space.length),
+                       minlength=struct.n_params).reshape(-1, struct.space.vocab_size)
+
+
+def old_log_softmax(struct, theta):
+    z = theta.reshape(*theta.shape[:-1], -1, struct.space.vocab_size)
+    zm = z - z.max(axis=-1, keepdims=True)
+    return (zm - np.log(np.exp(zm).sum(axis=-1, keepdims=True))).reshape(theta.shape)
+
+
+def old_log_probs(struct, lsm):
+    return np.take(lsm, struct.index, axis=-1).sum(axis=-2)
+
+
+def old_grad_weighted_logprob(struct, lsm, w):
+    sw = old_scatter(struct, w)
+    q = np.exp(lsm).reshape(sw.shape)
+    return (sw - q * sw.sum(axis=1, keepdims=True)).ravel()
+
+
+def old_tvd(struct, theta, p):
+    q = np.exp(old_log_probs(struct, old_log_softmax(struct, theta)))
+    return 0.5 * np.abs(q - p).sum()
+
+
+def old_polish_tvd(struct, theta, p):
+    """The row polish that recomputed every row's log-softmax for each row
+    update and each TVD value; returns (logits, TVD there)."""
+    V = struct.space.vocab_size
+    row_of = struct.index // V
+    row_data = []
+    for t in range(struct.space.length):
+        others = np.delete(struct.index, t, axis=0)
+        for r in range(row_of[t].min(), row_of[t].max() + 1):
+            uses = np.flatnonzero(row_of[t] == r)
+            row_data.append((r, p[uses], struct.index[t, uses] % V, others[:, uses]))
+    theta = theta.copy()
+    rows = theta.reshape(-1, V)
+    value = old_tvd(struct, theta, p)
+    for _ in range(ngram.POLISH_MAX_SWEEPS):
+        start_value = value
+        for r, p_r, tok, others in row_data:
+            c = np.exp(np.take(old_log_softmax(struct, theta), others).sum(axis=0))
+            live = c > 0.0
+            if not live.any():
+                continue
+            x = ngram._row_tvd_argmin(c[live], p_r[live], tok[live], V)
+            old_row = rows[r].copy()
+            with np.errstate(divide="ignore"):
+                rows[r] = np.log(x)
+            new_value = old_tvd(struct, theta, p)
+            if new_value <= value:
+                value = new_value
+            else:
+                rows[r] = old_row
+        if start_value - value <= ngram.POLISH_TOL:
+            break
+    return theta, value
+
+
+@pytest.mark.parametrize("order", sorted(ORACLE_ORDERS))
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_lean_kernel_matches_old_spelling(shape, order):
+    space = SequenceSpace(*shape)
+    struct = ngram._Structure.get(space, ORACLE_ORDERS[order](space))
+    rng = SeededRng(41)
+    for _ in range(5):
+        theta = rng.normal(struct.n_params, sigma=2.0)
+        w = rng.normal(space.n_sequences)
+        lsm = ngram._log_softmax(struct, theta)
+        assert np.array_equal(lsm, old_log_softmax(struct, theta))
+        assert np.array_equal(struct.scatter(w), old_scatter(struct, w))
+        assert np.array_equal(ngram._log_probs(struct, lsm), old_log_probs(struct, lsm))
+        assert np.array_equal(ngram._grad_weighted_logprob(struct, lsm, w),
+                              old_grad_weighted_logprob(struct, lsm, w))
+    thetas = rng.normal(4 * struct.n_params, sigma=2.0).reshape(4, -1)
+    lsm = ngram._log_softmax(struct, thetas)
+    assert np.array_equal(lsm, old_log_softmax(struct, thetas))
+    assert np.array_equal(ngram._log_probs(struct, lsm), old_log_probs(struct, lsm))
+
+
+class TestSolversMatchOldSpelling:
+    """The solvers' final logits equal serial loops through the old kernels."""
+
+    def test_ascend_j_beta(self):
+        _, _, _, fam, _ = toy_setup()
+        template = NGramPolicy(SPACE, bigram_orders(SPACE), np.zeros(21))
+        obj = JBetaObjective(fam, beta=0.2)
+        struct, theta = template._struct, template.logits.copy()
+        for _ in range(300):
+            lsm = old_log_softmax(struct, theta)
+            logq = old_log_probs(struct, lsm)
+            q = np.exp(logq)
+            theta += 0.1 * old_grad_weighted_logprob(
+                struct, lsm, q * (obj._r - obj.beta * (logq - obj._log_base)))
+        trace = ascend_j_beta(fam, template, OptimizerConfig(steps=300), beta=0.2)
+        assert np.array_equal(trace.final_policy.logits, theta)
+
+    def test_fit_tvd_with_polish(self):
+        _, _, _, _, pstar = toy_setup()
+        template = NGramPolicy(SPACE, bigram_orders(SPACE), np.zeros(21))
+        struct, p = template._struct, pstar.probs
+        best = None
+        for i in range(3):
+            theta = SeededRng(0).spawn(i).normal(template.n_params)
+            for _ in range(400):
+                lsm = old_log_softmax(struct, theta)
+                q = np.exp(old_log_probs(struct, lsm))
+                theta -= 0.1 * old_grad_weighted_logprob(struct, lsm,
+                                                         0.5 * np.sign(q - p) * q)
+            theta, value = old_polish_tvd(struct, theta, p)
+            if best is None or value < best[0]:
+                best = (value, i, theta)
+        trace = fit_tvd(pstar, template, OptimizerConfig(steps=400, restarts=3))
+        assert (trace.final_value, trace.restart_index) == best[:2]
+        assert np.array_equal(trace.final_policy.logits, best[2])
+
+
 class TestTVDPolish:
     """The exact row minimizer behind the TVD fit's block-coordinate polish."""
 
@@ -493,7 +620,7 @@ class TestTVDPolish:
                 th = theta.copy()
                 with np.errstate(divide="ignore"):
                     th[r * V:(r + 1) * V] = np.log(cond)
-                return ngram._tvd(struct, th, pstar.probs)
+                return ngram._tvd(struct, ngram._log_softmax(struct, th), pstar.probs)
 
             assert tvd_with_row(x) <= min(map(tvd_with_row, grid)) + 1e-12
 
@@ -508,11 +635,12 @@ class TestTVDPolish:
             struct, start, pstar.probs)
         assert not capped and full_sweeps >= 2
         monkeypatch.setattr(ngram, "POLISH_MAX_SWEEPS", 1)
-        theta, value = start, ngram._tvd(struct, start, pstar.probs)
+        tvd = lambda th: ngram._tvd(struct, ngram._log_softmax(struct, th), pstar.probs)
+        theta, value = start, tvd(start)
         for _ in range(full_sweeps):
             theta, new_value, sweeps, _ = ngram._polish_tvd(struct, theta, pstar.probs)
             assert sweeps == 1 and new_value <= value
-            assert new_value == ngram._tvd(struct, theta, pstar.probs)
+            assert new_value == tvd(theta)
             value = new_value
         assert value == full_value
         assert np.array_equal(theta, full_theta)

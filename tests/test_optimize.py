@@ -279,6 +279,17 @@ class TestVerifyGradients:
         err = verify_gradients(template, ForwardKLObjective(target))
         assert err == 0.0
 
+    def test_round_off_zero_component(self):
+        # component 30 is 6.9e-18 analytically and -5.6e-12 by central
+        # difference, below the difference's round-off eps * |f| / h = 1.9e-11;
+        # a fixed 1e-12 guard reported relative error 1.0 there
+        _, _, _, pstar, _ = setup(1)
+        pol = NGramPolicy(SPACE, full_orders(SPACE), SeededRng(5).normal(39))
+        assert verify_gradients(pol, TVDObjective(pstar)) < 1e-7
+        # a step lost in the logits' round-off gives fd = 0: every nonzero
+        # analytic component fails, however large the round-off estimate
+        assert verify_gradients(pol, TVDObjective(pstar), h=1e-300) == 1.0
+
 
 class TestWarmStart:
     def test_same_lambda_continues_monotonically(self):
