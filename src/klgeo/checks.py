@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dist, geometry, ngram, optimize
-from .experiments import ordering_illustration, ordering_instance
+from .experiments import _toy_instance, ordering_illustration, ordering_instance
 from .rng import SeededRng
 
 
@@ -182,17 +182,12 @@ def gradient_error(objective_name, base_seed, order, policy_seed,
     ("j_beta" or "forward_kl") against central differences of step h, at a
     random policy of the given order ("bigram" or "full") on the (3, 3)
     first-equals-last toy whose base model has seed base_seed."""
-    space = ngram.SequenceSpace(3, 3)
-    orders = (ngram.bigram_orders(space) if order == "bigram"
-              else ngram.full_orders(space))
-    n_params = ngram._Structure.get(space, orders).n_params
-    pol = ngram.NGramPolicy(space, orders, SeededRng(policy_seed).normal(n_params))
-    base = ngram.to_distribution(ngram.random_base_model(space, base_seed))
-    verifier = ngram.make_verifier_first_equals_last(space)
+    _, _, _, _, fam, pstar, template = _toy_instance(base_seed, order)
+    pol = template.with_logits(SeededRng(policy_seed).normal(template.n_params))
     if objective_name == "j_beta":
-        obj = ngram.JBetaObjective(geometry.TiltedFamily(base, verifier), beta=0.2)
+        obj = ngram.JBetaObjective(fam, beta=0.2)
     else:
-        obj = ngram.ForwardKLObjective(dist.condition(base, verifier.mask))
+        obj = ngram.ForwardKLObjective(pstar)
     return optimize.verify_gradients(pol, obj, h=h)
 
 

@@ -157,8 +157,8 @@ def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
     Each grid point starts cold from the base model unless warm_start is
     set, in which case each ascent is initialized at the previous grid
     point's result (grid points must then be sorted ascending).  An ascent
-    that aborts, or a metric with no finite value, raises ValueError naming
-    the seed and lambda.
+    that aborts or ends below its start, or a metric with no finite value,
+    raises ValueError naming the seed and lambda.
     """
     lambdas = check_lambdas(lambdas)
     _, base_pol, base, verifier, fam, pstar, template = _toy_instance(
@@ -177,6 +177,9 @@ def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
             records.append(make_sweep_record(fam, pstar, to_distribution(current), lam))
         except ValueError as exc:  # a metric with no finite value
             raise ValueError(f"seed {seed}, lambda {lam!r}: {exc}") from exc
+        if trace.diagnostic:  # it ended worse than its start
+            raise ValueError(f"seed {seed}: the ascent at lambda {lam!r} "
+                             f"diverged: {trace.diagnostic}")
 
     fkl_trace = fit_forward_kl(pstar, template)
     fkl_dist = to_distribution(fkl_trace.final_policy)

@@ -35,6 +35,11 @@ MAX_TOTAL_STEPS = 50_000_000
 # A run counts as converged when its final gradient norm is below this.
 CONVERGED_GRAD_NORM = 1e-6
 
+# A run that ends worse than it started, in its own direction, by more than
+# this times max(1, |start|) has diverged: more than the round-off of a run
+# that starts at its optimum.
+DIVERGED_TOL = 1e-12
+
 # A trace records the objective every TRACE_STRIDE steps and at the last step.
 TRACE_STRIDE = 100
 
@@ -85,6 +90,8 @@ def _gradient_run(objective, pol: NGramPolicy, cfg: OptimizerConfig,
                   maximize: bool, halving: bool = False) -> RunTrace:
     """Gradient steps from pol, of constant size or (halving) halved every
     TVD_HALVING_STEPS steps; a non-finite gradient or value aborts the run.
+    A run that ends worse than its start (see DIVERGED_TOL) is not aborted
+    but has not converged, and its diagnostic names both values.
 
     numpy's overflow and invalid-value warnings are off for the run: what
     they would report ends it, with its own diagnostic."""
@@ -114,15 +121,19 @@ def _gradient_run(objective, pol: NGramPolicy, cfg: OptimizerConfig,
                 values.append(v)
         grad_norm = (float("nan") if diagnostic else
                      float(np.linalg.norm(grad_theta(struct, theta))))
+    aborted = bool(diagnostic)
+    first, last = values[0], values[-1]
+    if not aborted and sign * (last - first) < -DIVERGED_TOL * max(1.0, abs(first)):
+        diagnostic = f"the objective ended at {last!r}, worse than its start {first!r}"
     return RunTrace(
         objective_values=np.array(values),
         final_policy=pol.with_logits(theta),
         final_grad_norm=grad_norm,
         wall_time=time.perf_counter() - start,
         steps_run=steps_run,
-        aborted=bool(diagnostic),
+        aborted=aborted,
         diagnostic=diagnostic,
-        converged=grad_norm < CONVERGED_GRAD_NORM)
+        converged=not diagnostic and grad_norm < CONVERGED_GRAD_NORM)
 
 
 def ascend_j_beta(fam: TiltedFamily, pol: NGramPolicy,

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from klgeo import FiniteDistribution
 from klgeo.rng import SeededRng
+
+# The suite's property-test settings: reproducible, and nothing kept between runs.
+FUZZ = settings(max_examples=34, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def random_simplex(rng: SeededRng, n: int) -> np.ndarray:

@@ -24,7 +24,6 @@ from klgeo.experiments import (
 )
 from klgeo.geometry import TiltedFamily, log_partition, moment, tilted
 from klgeo.optimize import OptimizerConfig
-from klgeo.rng import SeededRng
 
 
 TINY_CFG = OptimizerConfig(learning_rate=0.1, steps=200)
@@ -225,6 +224,12 @@ class TestRunSweep:
                            r"1e-300 aborted: non-finite gradient"):
             run_sweep(2, "bigram", (1e-300, 1.0), TINY_CFG, TINY_TVD)
 
+    def test_diverged_ascent_raises(self):
+        # at beta = 1/lambda = 100 the fixed step 0.1 drives J_beta down
+        with pytest.raises(ValueError, match=r"seed 1: the ascent at lambda "
+                           r"0.01 diverged: the objective ended at -"):
+            run_sweep(1, "bigram", (0.01,), OptimizerConfig(steps=10), TINY_TVD)
+
     def test_deterministic(self):
         a = run_sweep(4, "bigram", (2.0,), TINY_CFG, TINY_TVD)
         b = run_sweep(4, "bigram", (2.0,), TINY_CFG, TINY_TVD)
@@ -273,25 +278,3 @@ class TestDipDiagnostic:
         diag = tvd_dip_diagnostic(summary)
         assert isinstance(diag.dip_present, bool)
         assert diag.argmin_lambda in DEFAULT_LAMBDA_GRID
-
-
-class TestSeededRng:
-    def test_determinism_and_independence(self):
-        a = SeededRng(9).normal(10)
-        b = SeededRng(9).normal(10)
-        c = SeededRng(10).normal(10)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_spawn_streams_differ(self):
-        r = SeededRng(3)
-        x = r.spawn(0).normal(5)
-        y = r.spawn(1).normal(5)
-        assert not np.array_equal(x, y)
-        # spawning does not perturb the parent and is itself reproducible
-        x2 = SeededRng(3).spawn(0).normal(5)
-        assert np.array_equal(x, x2)
-
-    def test_uniform_range(self):
-        u = SeededRng(1).uniform(1000)
-        assert u.min() >= 0.0 and u.max() < 1.0

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from conftest import FUZZ
+from hypothesis import given
 from hypothesis import strategies as st
 
 from klgeo import checks
@@ -506,6 +507,30 @@ class TestCliErrors:
         assert (out / "config.echo").exists()
         assert not (out / "sweep.csv").exists()
 
+    # arguments -> exit code: the fixed step 0.1 makes the ascent fall from
+    # J_beta -2.381 to -54.1 at lambda 0.01; at 0.05 the optimum it reaches
+    # has J_beta < 0; the second ascent at 0.5 starts at its optimum and
+    # ends 5.6e-17 below it, within round-off
+    ASCENTS = {"--seeds 1 --lambdas 0.01": EXIT_CONFIG,
+               "--seeds 1 --lambdas 0.05": EXIT_OK,
+               "--order full --warm-start --seeds 2 --lambdas 0.5,0.5": EXIT_OK}
+
+    @pytest.mark.parametrize("args", list(ASCENTS))
+    def test_diverged_ascent_exit_one(self, tmp_path, capsys, args):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("command=sweep\ntvd_restarts=1\ntvd_steps=10\n")
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", str(cfgfile), *args.split(),
+                   "--out", str(out)])
+        assert rc == self.ASCENTS[args]
+        err = capsys.readouterr().err
+        if rc == EXIT_CONFIG:
+            assert "seed 1: the ascent at lambda 0.01 diverged" in err
+            assert "-54.1000894743390" in err
+            assert not (out / "sweep.csv").exists()
+        else:
+            assert err == "" and (out / "sweep.csv").exists()
+
     # config line -> the grid point whose metrics have no finite value
     UNCOMPUTABLE = {"learning_rate=1e10": 0.5, "lambdas=1e-20": 1e-20,
                     "lambdas=750": 750.0}
@@ -534,8 +559,6 @@ class TestCliErrors:
 # both the exit-1 checks and the computations behind them.
 ANY_FLOAT = st.floats()
 UNIT_OR_ANY = st.one_of(st.floats(0.0, 1.0), ANY_FLOAT)
-FUZZ = settings(max_examples=34, deadline=None, derandomize=True, database=None,
-                suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def _float_list(elements):

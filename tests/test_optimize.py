@@ -17,7 +17,9 @@ from klgeo.ngram import (
     random_base_model,
     to_distribution,
 )
+from klgeo.experiments import _toy_instance
 from klgeo.optimize import (
+    CONVERGED_GRAD_NORM,
     TRACE_STRIDE,
     OptimizerConfig,
     _gradient_run,
@@ -262,6 +264,28 @@ class TestAbort:
         assert trace.steps_run == 10
         assert "non-finite" in trace.diagnostic
         assert np.isnan(trace.final_grad_norm)
+
+
+class TestDiverged:
+    def test_ascent_worse_than_start_fails(self):
+        # the fixed step 0.1 is unstable at beta = 100: J_beta falls from
+        # -2.381 to about -55 within 10 steps
+        _, _, _, _, fam, _, template = _toy_instance(1, "bigram")
+        trace = ascend_j_beta(fam, template, OptimizerConfig(steps=10), beta=100.0)
+        assert trace.final_value < trace.objective_values[0] - 1.0
+        assert not trace.converged and not trace.aborted
+        assert trace.steps_run == 10
+        assert repr(trace.final_value) in trace.diagnostic
+        assert repr(float(trace.objective_values[0])) in trace.diagnostic
+
+    def test_stationary_at_a_worse_point_is_not_converged(self):
+        # at beta = 1000 the ascent settles, gradient norm below the
+        # convergence bound, far below where it started
+        _, _, _, _, fam, _, template = _toy_instance(3, "bigram")
+        trace = ascend_j_beta(fam, template, OptimizerConfig(), beta=1000.0)
+        assert trace.final_grad_norm < CONVERGED_GRAD_NORM
+        assert trace.final_value < -1000.0 < trace.objective_values[0]
+        assert not trace.converged and "worse than its start" in trace.diagnostic
 
 
 class TestVerifyGradients:
