@@ -140,22 +140,18 @@ def check_iprojection_slice(tol=None):
 
 
 def _slice_member(fam, rng, mu):
-    """A random distribution with expected reward exactly mu, by mixing a
-    random point with the tilted point on the other side of the slice."""
+    """A random distribution with expected reward mu, by mixing a random
+    point with a tilted point on the other side of the slice; a mixing
+    weight outside [0, 1] leaves a negative entry, which raises."""
     r = fam.reward.values
-    p_mu = geometry.tilted(fam, geometry.natural_param(fam, mu)).probs
     q = _random_simplex(rng, len(r))
     mu_q = float(q @ r)
-    if abs(mu_q - mu) < 1e-15:
-        return dist.FiniteDistribution(fam.base.outcomes, q)
     # mix with a tilted point whose moment lies on the opposite side
     other_mu = mu + (0.3 if mu_q < mu else -0.3) * (fam.reward.M - fam.reward.m)
     other_mu = min(max(other_mu, fam.reward.m + 1e-6), fam.reward.M - 1e-6)
     p_other = geometry.tilted(fam, geometry.natural_param(fam, other_mu)).probs
     mu_other = float(p_other @ r)
     t = (mu - mu_q) / (mu_other - mu_q)
-    if not 0 <= t <= 1:
-        return dist.FiniteDistribution(fam.base.outcomes, p_mu)
     mix = (1 - t) * q + t * p_other
     return dist.FiniteDistribution(fam.base.outcomes, mix)
 
@@ -257,5 +253,12 @@ REGISTRY = {
 
 
 def run_all(tolerance=None):
-    """Run every registered check; returns {name: (passed, detail)}."""
-    return {name: fn(tolerance) for name, fn in REGISTRY.items()}
+    """Run every registered check; returns {name: (passed, detail)}.  A check
+    that raises ValueError or ArithmeticError fails, with the error as detail."""
+    results = {}
+    for name, fn in REGISTRY.items():
+        try:
+            results[name] = fn(tolerance)
+        except (ValueError, ArithmeticError) as exc:
+            results[name] = (False, f"raised {type(exc).__name__}: {exc}")
+    return results

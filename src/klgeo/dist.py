@@ -49,7 +49,7 @@ class FiniteDistribution:
     identical outcome tuples.
     """
 
-    __slots__ = ("outcomes", "probs", "_index")
+    __slots__ = ("outcomes", "probs")
 
     def __init__(self, outcomes, probs):
         outcomes = tuple(outcomes)
@@ -58,9 +58,12 @@ class FiniteDistribution:
             raise ValueError("outcomes and probs must have matching length")
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("outcomes must be distinct")
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite")
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
-        total = probs.sum()
+        with np.errstate(over="ignore"):  # an overflowing sum fails below
+            total = float(probs.sum())
         if abs(total - 1.0) > _RENORM_ATOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         if total != 1.0:
@@ -68,7 +71,6 @@ class FiniteDistribution:
         probs.setflags(write=False)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteDistribution is immutable")
@@ -85,11 +87,8 @@ class FiniteDistribution:
         return f"FiniteDistribution({len(self)} outcomes)"
 
     def index_of(self, outcome) -> int:
-        idx = object.__getattribute__(self, "_index")
-        if idx is None:
-            idx = {o: i for i, o in enumerate(self.outcomes)}
-            object.__setattr__(self, "_index", idx)
-        return idx[outcome]
+        """Position of outcome; ValueError if it is not an outcome."""
+        return self.outcomes.index(outcome)
 
     def prob(self, outcome) -> float:
         return float(self.probs[self.index_of(outcome)])

@@ -83,8 +83,6 @@ class SeedSummary:
     fkl_ref_kl: float
     tvd_ref_tvd: float
     pstar_entropy: float
-    base: FiniteDistribution = None
-    pstar: FiniteDistribution = None
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,7 @@ def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
     raises ValueError naming the seed and lambda.
     """
     lambdas = check_lambdas(lambdas)
-    _, base_pol, base, verifier, fam, pstar, template = _toy_instance(
+    _, _, _, verifier, fam, pstar, template = _toy_instance(
         seed, family_order, sigma)
 
     records = []
@@ -194,8 +192,6 @@ def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
         fkl_ref_kl=kl_divergence_finite(pstar, fkl_dist),
         tvd_ref_tvd=total_variation(tvd_dist, pstar),
         pstar_entropy=entropy(pstar),
-        base=base,
-        pstar=pstar,
     )
 
 

@@ -177,16 +177,11 @@ def _grad_weighted_logprob(struct: _Structure, lsm: np.ndarray,
     return (sw - q * np.add.reduce(sw, axis=1, keepdims=True)).ravel()
 
 
-def central_difference(values, theta: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient (f(theta + h e_i) - f(theta - h e_i)) / 2h.
-
-    values maps the (2n, n) batch of the n forward then the n backward
-    points to their (2n,) objective values.
-    """
-    n = theta.shape[0]
-    eye = h * np.eye(n)
-    v = values(np.concatenate([theta + eye, theta - eye], axis=0))
-    return (v[:n] - v[n:]) / (2.0 * h)
+def central_difference(f, theta: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient (f(theta + h e_i) - f(theta - h e_i)) / 2h
+    of f(theta) -> float."""
+    return np.array([(f(theta + e) - f(theta - e)) / (2.0 * h)
+                     for e in h * np.eye(theta.shape[0])])
 
 
 def to_distribution(pol: NGramPolicy) -> FiniteDistribution:
@@ -206,12 +201,9 @@ def _check_space(struct: _Structure, values: np.ndarray):
 class JBetaObjective:
     """E_pi[r] - beta * KL(pi, base), as a function of the policy logits."""
 
-    name = "j_beta"
-
     def __init__(self, fam: TiltedFamily, beta: float):
         if beta <= 0:
             raise ValueError("beta must be positive")
-        self.fam = fam
         self.beta = float(beta)
         self._r = fam.reward.values
         self._log_base = fam._log_base
@@ -236,10 +228,7 @@ class JBetaObjective:
 class ForwardKLObjective:
     """KL(target, pi) as a function of the policy logits; convex in them."""
 
-    name = "forward_kl"
-
     def __init__(self, target: FiniteDistribution):
-        self.target = target
         self._p = target.probs
         self._neg_entropy = -entropy(target)
 
@@ -259,10 +248,7 @@ class TVDObjective:
     """TVD(pi, target) in the logits; non-convex, and non-smooth where some
     q_s = p_s.  grad_theta is the analytic subgradient, with sign(0) = 0."""
 
-    name = "tvd"
-
     def __init__(self, target: FiniteDistribution):
-        self.target = target
         self._p = target.probs
 
     def value_theta(self, struct: _Structure, theta: np.ndarray) -> float:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -149,18 +149,7 @@ def fit_forward_kl(target: FiniteDistribution, template: NGramPolicy) -> RunTrac
     conditional projection of the target; no descent steps are run.  The
     trace holds the objective and its gradient norm at that point.
     """
-    start = time.perf_counter()
-    objective = ForwardKLObjective(target)
-    pol = conditional_projection(target, template.space, template.context_lengths)
-    value = objective.value_theta(pol._struct, pol.logits)
-    grad_norm = float(np.linalg.norm(objective.grad_theta(pol._struct, pol.logits)))
-    return RunTrace(
-        objective_values=np.array([value]),
-        final_policy=pol,
-        final_grad_norm=grad_norm,
-        wall_time=time.perf_counter() - start,
-        steps_run=0,
-        converged=grad_norm < CONVERGED_GRAD_NORM)
+    return _closed_form_run(ForwardKLObjective(target), target, template)
 
 
 def fit_tvd(target: FiniteDistribution, template: NGramPolicy,
@@ -169,16 +158,22 @@ def fit_tvd(target: FiniteDistribution, template: NGramPolicy,
 
     In the full-order family the target lies in the family's closure, so the
     conditional projection attains TVD 0 (to round-off) and no step is run.
-    Otherwise each restart is a descent on the analytic subgradient followed
-    by the exact row polish of ngram._polish_tvd.  Restart i starts from
-    SeededRng(0).spawn(i).normal(n_params) and halves its step every
-    TVD_HALVING_STEPS steps, so it depends only on i.  Returns the restart
-    with the lowest TVD after its polish; the objective is non-convex in the
-    logits, so no global optimality is claimed there.
+    Otherwise each restart is a descent on the analytic subgradient followed,
+    unless it aborted, by the exact row polish of ngram._polish_tvd.  The
+    polished run counts as converged when the polish stopped before its
+    sweep cap, and its gradient norm is that of the analytic subgradient.
+    Restart i starts from SeededRng(0).spawn(i).normal(n_params) and halves
+    its step every TVD_HALVING_STEPS steps, so it depends only on i.
+    Returns the first restart lowest in (aborted, TVD): the lowest TVD after
+    its polish among the restarts that did not abort.  The objective is
+    non-convex in the logits, so no global optimality is claimed there.
     """
-    if template.context_lengths == full_orders(template.space):
-        return _tvd_closed_form(target, template)
     objective = TVDObjective(target)
+    if template.context_lengths == full_orders(template.space):
+        # q = p, up to round-off, where every subdifferential of |q_s - p_s|
+        # holds 0, so the least-norm subgradient is 0
+        return _closed_form_run(objective, target, template, grad_norm=0.0)
+    p = target.probs
     rng = SeededRng(0)
     best = None
     for i in range(cfg.restarts):
@@ -186,48 +181,42 @@ def fit_tvd(target: FiniteDistribution, template: NGramPolicy,
         trace = _gradient_run(objective, start_pol, cfg, maximize=False,
                               halving=True)
         if not trace.aborted:
-            trace = _polished(trace, target.probs)
+            start, pol = time.perf_counter(), trace.final_policy
+            theta, value, sweeps, capped = _polish_tvd(pol._struct, pol.logits, p)
+            trace = replace(
+                trace,
+                objective_values=np.append(trace.objective_values, value),
+                final_policy=pol.with_logits(theta),
+                final_grad_norm=float(np.linalg.norm(
+                    _tvd_subgradient(pol._struct, theta, p))),
+                wall_time=trace.wall_time + time.perf_counter() - start,
+                diagnostic=(f"TVD polish stopped at its {sweeps}-sweep cap"
+                            if capped else ""),
+                converged=not capped,
+                polish_sweeps=sweeps)
         trace.restart_index = i
-        if best is None or (not trace.aborted
-                            and trace.final_value < best.final_value):
+        if best is None or (trace.aborted, trace.final_value) < (
+                best.aborted, best.final_value):
             best = trace
     return best
 
 
-def _tvd_closed_form(target: FiniteDistribution, template: NGramPolicy) -> RunTrace:
+def _closed_form_run(objective, target: FiniteDistribution, template: NGramPolicy,
+                     grad_norm: float | None = None) -> RunTrace:
+    """The zero-step run at the conditional projection of the target onto the
+    template's family; grad_norm, when known, spares the gradient."""
     start = time.perf_counter()
     pol = conditional_projection(target, template.space, template.context_lengths)
-    value = TVDObjective(target).value_theta(pol._struct, pol.logits)
-    # q = p, up to round-off, where every subdifferential of |q_s - p_s|
-    # holds 0, so the least-norm subgradient is 0
+    value = objective.value_theta(pol._struct, pol.logits)
+    if grad_norm is None:
+        grad_norm = float(np.linalg.norm(objective.grad_theta(pol._struct, pol.logits)))
     return RunTrace(
         objective_values=np.array([value]),
         final_policy=pol,
-        final_grad_norm=0.0,
+        final_grad_norm=grad_norm,
         wall_time=time.perf_counter() - start,
         steps_run=0,
-        converged=True)
-
-
-def _polished(trace: RunTrace, p: np.ndarray) -> RunTrace:
-    """The descent's trace continued by the exact row polish.  The run counts
-    as converged when the polish stopped before its sweep cap, at a point no
-    sweep of row minimizations improves; its gradient norm is that of the
-    analytic subgradient there."""
-    start = time.perf_counter()
-    pol = trace.final_policy
-    theta, value, sweeps, capped = _polish_tvd(pol._struct, pol.logits, p)
-    grad_norm = float(np.linalg.norm(_tvd_subgradient(pol._struct, theta, p)))
-    return RunTrace(
-        objective_values=np.append(trace.objective_values, value),
-        final_policy=pol.with_logits(theta),
-        final_grad_norm=grad_norm,
-        wall_time=trace.wall_time + time.perf_counter() - start,
-        steps_run=trace.steps_run,
-        diagnostic=(f"TVD polish stopped at its {sweeps}-sweep cap"
-                    if capped else ""),
-        converged=not capped,
-        polish_sweeps=sweeps)
+        converged=grad_norm < CONVERGED_GRAD_NORM)
 
 
 def verify_gradients(pol: NGramPolicy, objective, h: float = FD_STEP) -> float:
@@ -241,9 +230,7 @@ def verify_gradients(pol: NGramPolicy, objective, h: float = FD_STEP) -> float:
         raise ValueError("h must be positive")
     struct = pol._struct
     analytic = grad_objective(pol, objective)
-    fd = central_difference(
-        lambda thetas: np.array([objective.value_theta(struct, t) for t in thetas]),
-        pol.logits, h)
+    fd = central_difference(lambda t: objective.value_theta(struct, t), pol.logits, h)
     f = objective.value_theta(struct, pol.logits)
     round_off = max(np.finfo(float).eps * abs(f) / h, 1e-12)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-12)

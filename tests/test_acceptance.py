@@ -53,8 +53,9 @@ from klgeo.rng import SeededRng
 
 SEEDS = tuple(range(1, 9))
 
-# Reduced multi-restart budget for the TVD reference fit; reproduces the
-# full-budget best TVD to ~1e-3 at a fraction of the cost.
+# Reduced multi-restart budget for the TVD reference fit, at a fraction of
+# the cost.  Its best TVD is above the full budget's: 0.359 against 0.325
+# on seed 1, 0.320 against 0.297 on seed 2.
 ACCEPT_TVD_CFG = OptimizerConfig(learning_rate=0.1, steps=2000, restarts=40)
 
 

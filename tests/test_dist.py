@@ -34,8 +34,16 @@ def five_point():
 
 class TestFiniteDistribution:
     def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"sum to 1\.1, not 1"):
             FiniteDistribution(("a", "b"), (0.5, 0.6))
+        # a sum that overflows is printed as a plain float too
+        with pytest.raises(ValueError, match="sum to inf, not 1"):
+            FiniteDistribution(("a", "b"), (1e308, 1e308))
+        # every comparison with NaN is false, so the sum test would let it pass
+        for bad in ((math.nan, math.nan), (0.5, math.nan), (math.inf, 0.0),
+                    (0.5, -math.inf)):
+            with pytest.raises(ValueError, match="probabilities must be finite"):
+                FiniteDistribution(("a", "b"), bad)
 
     def test_renormalizes_tiny_drift(self):
         p = FiniteDistribution(("a", "b"), (0.5 + 1e-10, 0.5))
@@ -55,6 +63,12 @@ class TestFiniteDistribution:
             p.probs = np.array([1.0, 0.0])
         with pytest.raises(ValueError):
             p.probs[0] = 1.0  # read-only buffer
+
+    def test_unknown_outcome_raises_value_error(self):
+        p = FiniteDistribution.uniform(("a", "b"))
+        assert p.index_of("b") == 1
+        with pytest.raises(ValueError):
+            p.prob("c")
 
     def test_dirac_and_uniform(self):
         d = FiniteDistribution.dirac(("a", "b", "c"), "b")

@@ -14,6 +14,7 @@ from klgeo.dist import (
 from klgeo.experiments import (
     DEFAULT_LAMBDA_GRID,
     SweepRecord,
+    _toy_instance,
     beta_mu_table,
     multi_seed,
     ordering_illustration,
@@ -185,9 +186,7 @@ class TestRunSweep:
 
         summary = run_sweep(2, "bigram", (1.0, 5.0, 20.0), TINY_CFG,
                             TINY_TVD)
-        base = summary.base
-        verifier = BinaryVerifier(summary.pstar.probs > 0)
-        fam = TiltedFamily(base, verifier)
+        fam = _toy_instance(2, "bigram")[4]
         for rec in summary.records:
             beta = 1.0 / rec.lam
             p_lam = tilted(fam, rec.lam)
@@ -212,10 +211,9 @@ class TestRunSweep:
         assert 0.0 <= summary.fkl_ref_validity <= 1.0
         assert summary.fkl_ref_kl >= 0.0
         assert 0.0 <= summary.tvd_ref_tvd <= 1.0
+        p = _toy_instance(3, "bigram")[5].probs
         assert summary.pstar_entropy == pytest.approx(
-            float(-(summary.pstar.probs[summary.pstar.probs > 0]
-                    * np.log(summary.pstar.probs[summary.pstar.probs > 0])).sum()),
-            abs=1e-12)
+            float(-(p[p > 0] * np.log(p[p > 0])).sum()), abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_aborted_ascent_raises(self):

@@ -15,6 +15,7 @@ from klgeo import checks
 from klgeo.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from klgeo.dist import ExtendedReal
 from klgeo.io import (
+    SCHEMAS,
     ConfigError,
     RunConfig,
     fmt_float,
@@ -86,6 +87,37 @@ class TestConfigParsing:
         for key in ("fkl_steps=15000", "fkl_learning_rate=0.05"):
             with pytest.raises(ConfigError):
                 parse_config(f"command=sweep\n{key}\n")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_config_tables():
+    """{command: {key: default text}} from README's "Config keys" tables."""
+    section = README.read_text(encoding="utf-8").split("### Config keys", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    tables, command = {}, None
+    for line in section.splitlines():
+        if line.startswith("`") and line.endswith("`:"):
+            command = line[1:-2]
+            tables[command] = {}
+        elif line.startswith("| `") and command is not None:
+            key, default = (cell.strip().strip("`")
+                            for cell in line.split("|")[1:3])
+            tables[command][key] = default
+    return tables
+
+
+class TestReadmeConfigKeys:
+    def test_tables_match_schemas(self):
+        tables = readme_config_tables()
+        assert set(tables) == set(SCHEMAS)
+        for command, rows in tables.items():
+            schema = SCHEMAS[command]
+            assert set(rows) == set(schema), command
+            for key, text in rows.items():
+                parse, default = schema[key]
+                assert parse(text) == default, (command, key, text)
 
 
 class TestFloatFormat:
@@ -346,6 +378,24 @@ class TestCliCheck:
             "bijection-roundtrip" in [
                 n.strip() for line in captured.splitlines()
                 if "FAIL" in line for n in [line.split("FAIL")[0]]]
+
+    def test_raising_check_fails_with_exit_three(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # a natural_param 1e4 times too large makes some checks raise (an
+        # infinite KL); each is reported as a failure, every line still prints
+        from klgeo import geometry
+
+        real = geometry.natural_param
+        monkeypatch.setattr(geometry, "natural_param",
+                            lambda fam, mu: 1e4 * real(fam, mu))
+        rc = main(["check", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CHECK
+        lines = captured.out.splitlines()
+        assert len(lines) == 13 and lines[-1].startswith("failed checks: ")
+        assert any("FAIL  raised ValueError: KL divergence is infinite" in line
+                   for line in lines)
+        assert "config error" not in captured.err
 
     def test_unreachable_tolerance(self, tmp_path, capsys):
         rc = main(["check", "--out", str(tmp_path / "out"),

@@ -44,8 +44,8 @@ def toy_setup(seed=1):
 
 
 def loop_central_difference(obj, struct, theta, h):
-    """The per-coordinate central difference that the shared batched one
-    replaced, kept as its oracle."""
+    """The per-coordinate central difference, written out as the oracle of
+    the shared one."""
     fd = np.empty_like(theta)
     for i in range(theta.shape[0]):
         e = np.zeros_like(theta)
@@ -203,9 +203,8 @@ class TestGradients:
             q = to_distribution(pol).probs
             assert np.abs(q - pstar.probs)[pstar.probs > 0].min() > 1e-3
             obj, struct = TVDObjective(pstar), pol._struct
-            fd = ngram.central_difference(
-                lambda thetas: np.array([obj.value_theta(struct, t) for t in thetas]),
-                pol.logits, FD_STEP)
+            fd = ngram.central_difference(lambda t: obj.value_theta(struct, t),
+                                          pol.logits, FD_STEP)
             # atol covers the difference's round-off (eps / FD_STEP) on the
             # components that vanish analytically
             np.testing.assert_allclose(grad_objective(pol, obj), fd,
@@ -223,8 +222,8 @@ class TestGradients:
             ngram._Structure.get(SPACE, orders(SPACE)).n_params))
         struct, theta = pol._struct, pol.logits
         fd = loop_central_difference(obj, struct, theta, FD_STEP)
-        values = lambda thetas: np.array([obj.value_theta(struct, t) for t in thetas])
-        assert np.array_equal(ngram.central_difference(values, theta, FD_STEP), fd)
+        assert np.array_equal(ngram.central_difference(
+            lambda t: obj.value_theta(struct, t), theta, FD_STEP), fd)
         # verify_gradients' error, written out on the loop's difference
         analytic = grad_objective(pol, obj)
         f = obj.value_theta(struct, theta)

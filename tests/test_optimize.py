@@ -1,8 +1,10 @@
 """Gradient-descent driver: configs, traces, determinism, reference fits."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from klgeo import ngram
+from klgeo import ngram, optimize
 from klgeo.dist import condition, expected_reward, kl_divergence_finite, total_variation
 from klgeo.geometry import TiltedFamily
 from klgeo.ngram import (
@@ -217,6 +219,29 @@ class TestTVDFit:
         trace = fit_tvd(pstar, template, OptimizerConfig(steps=300, restarts=1))
         assert trace.polish_sweeps == 1 and not trace.converged
         assert "1-sweep cap" in trace.diagnostic and not trace.aborted
+
+    def test_aborted_restart_is_never_best(self, monkeypatch):
+        # restart 0 aborts with a last finite value, 0, below every polished
+        # TVD; the fit returns the lowest restart that did not abort
+        _, _, _, pstar, template = setup()
+        descents = []
+
+        def first_aborts(*args, **kwargs):
+            trace = _gradient_run(*args, **kwargs)
+            descents.append(trace)
+            if len(descents) > 1:
+                return trace
+            return dataclasses.replace(
+                trace, objective_values=np.array([trace.objective_values[0], 0.0]),
+                aborted=True, diagnostic="non-finite gradient at step 100")
+
+        monkeypatch.setattr(optimize, "_gradient_run", first_aborts)
+        trace = fit_tvd(pstar, template, OptimizerConfig(steps=300, restarts=3))
+        polished = [ngram._polish_tvd(template._struct, d.final_policy.logits,
+                                      pstar.probs)[1] for d in descents[1:]]
+        assert not trace.aborted and trace.final_value > 0.0
+        assert trace.restart_index == 1 + int(np.argmin(polished))
+        assert trace.final_value == min(polished)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_full_order_is_closed_form(self, seed):
