@@ -178,7 +178,7 @@ def gradient_error(objective_name, base_seed, order, policy_seed,
     ("j_beta" or "forward_kl") against central differences of step h, at a
     random policy of the given order ("bigram" or "full") on the (3, 3)
     first-equals-last toy whose base model has seed base_seed."""
-    _, _, _, _, fam, pstar, template = _toy_instance(base_seed, order)
+    fam, pstar, template = _toy_instance(base_seed, order)
     pol = template.with_logits(SeededRng(policy_seed).normal(template.n_params))
     if objective_name == "j_beta":
         obj = ngram.JBetaObjective(fam, beta=0.2)

@@ -95,6 +95,7 @@ class BetaMuRow:
 
 
 def _toy_instance(seed: int, family_order: str, sigma: float = DEFAULT_SIGMA):
+    """The seed's tilted family, its p* and the ascents' starting policy."""
     space = SequenceSpace(3, 3)
     base_pol = random_base_model(space, seed, sigma=sigma)
     base = to_distribution(base_pol)
@@ -107,12 +108,11 @@ def _toy_instance(seed: int, family_order: str, sigma: float = DEFAULT_SIGMA):
         template = base_pol
     else:
         raise ValueError("family_order must be 'bigram' or 'full'")
-    return space, base_pol, base, verifier, fam, pstar, template
+    return fam, pstar, template
 
 
 def make_sweep_record(fam: TiltedFamily, pstar: FiniteDistribution,
-                      policy_dist: FiniteDistribution, lam: float,
-                      top_k: int = TOP_K) -> SweepRecord:
+                      policy_dist: FiniteDistribution, lam: float) -> SweepRecord:
     beta = 1.0 / lam
     p_lam = tilted(fam, lam)
     return SweepRecord(
@@ -124,7 +124,7 @@ def make_sweep_record(fam: TiltedFamily, pstar: FiniteDistribution,
         rkl_to_tilted=kl_divergence_finite(policy_dist, p_lam),
         entropy=entropy(policy_dist),
         j_beta_value=j_beta(fam, policy_dist, beta),
-        top_sequences=top_sequences(policy_dist, top_k),
+        top_sequences=top_sequences(policy_dist, TOP_K),
     )
 
 
@@ -159,8 +159,7 @@ def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
     raises ValueError naming the seed and lambda.
     """
     lambdas = check_lambdas(lambdas)
-    _, _, _, verifier, fam, pstar, template = _toy_instance(
-        seed, family_order, sigma)
+    fam, pstar, template = _toy_instance(seed, family_order, sigma)
 
     records = []
     current = template
@@ -188,7 +187,7 @@ def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
         seed=seed,
         A1_base=fam.A1,
         records=records,
-        fkl_ref_validity=expected_reward(fkl_dist, verifier),
+        fkl_ref_validity=expected_reward(fkl_dist, fam.reward),
         fkl_ref_kl=kl_divergence_finite(pstar, fkl_dist),
         tvd_ref_tvd=total_variation(tvd_dist, pstar),
         pstar_entropy=entropy(pstar),

@@ -42,7 +42,7 @@ def _parse_order(s: str) -> str:
 
 
 def _parse_int_list(s: str):
-    """Comma-separated integers; 'a..b' expands to an inclusive, non-empty range."""
+    """Distinct comma-separated integers; 'a..b' is an inclusive, non-empty range."""
     out = []
     for part in s.split(","):
         part = part.strip()
@@ -53,6 +53,8 @@ def _parse_int_list(s: str):
             out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
+    if len(set(out)) != len(out):
+        raise ValueError("seeds must be distinct")
     return out
 
 
@@ -142,6 +144,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("expected key=value", lineno, 1)
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key in values or (key == "command" and command is not None):
+            raise ConfigError(f"duplicate key {key!r}", lineno, 1)
         if key == "command":
             if val not in SCHEMAS:
                 raise ConfigError(f"unknown command {val!r}", lineno,

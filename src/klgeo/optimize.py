@@ -40,9 +40,6 @@ CONVERGED_GRAD_NORM = 1e-6
 # that starts at its optimum.
 DIVERGED_TOL = 1e-12
 
-# A trace records the objective every TRACE_STRIDE steps and at the last step.
-TRACE_STRIDE = 100
-
 # fit_tvd halves its step size every TVD_HALVING_STEPS steps.
 TVD_HALVING_STEPS = 1000
 
@@ -54,8 +51,8 @@ class OptimizerConfig:
     restarts: int = 1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
         if self.steps < 1 or self.restarts < 1:
             raise ValueError("steps and restarts must be positive")
         if self.steps * self.restarts > MAX_TOTAL_STEPS:
@@ -68,9 +65,10 @@ TVD_FIT_CONFIG = OptimizerConfig(steps=5000, restarts=200)
 
 @dataclass
 class RunTrace:
-    """Strided objective values plus the final state of one optimization run."""
+    """One optimization run: the objective at its start and at final_policy."""
 
-    objective_values: np.ndarray
+    start_value: float
+    final_value: float
     final_policy: NGramPolicy
     final_grad_norm: float
     wall_time: float
@@ -81,15 +79,11 @@ class RunTrace:
     restart_index: int = 0
     polish_sweeps: int = 0
 
-    @property
-    def final_value(self) -> float:
-        return float(self.objective_values[-1])
-
 
 def _gradient_run(objective, pol: NGramPolicy, cfg: OptimizerConfig,
                   maximize: bool, halving: bool = False) -> RunTrace:
     """Gradient steps from pol, of constant size or (halving) halved every
-    TVD_HALVING_STEPS steps; a non-finite gradient or value aborts the run.
+    TVD_HALVING_STEPS steps; a non-finite gradient or final value aborts the run.
     A run that ends worse than its start (see DIVERGED_TOL) is not aborted
     but has not converged, and its diagnostic names both values.
 
@@ -103,7 +97,7 @@ def _gradient_run(objective, pol: NGramPolicy, cfg: OptimizerConfig,
     learning_rate, steps = cfg.learning_rate, cfg.steps
     steps_run, diagnostic = steps, ""
     with np.errstate(over="ignore", invalid="ignore"):
-        values = [value_theta(struct, theta)]
+        first = value_theta(struct, theta)
         start = time.perf_counter()
         for step in range(steps):
             grad = grad_theta(struct, theta)
@@ -112,21 +106,17 @@ def _gradient_run(objective, pol: NGramPolicy, cfg: OptimizerConfig,
                 break
             lr = learning_rate * decay ** (step // TVD_HALVING_STEPS)
             theta += sign * lr * grad
-            if (step + 1) % TRACE_STRIDE == 0 or step + 1 == steps:
-                v = value_theta(struct, theta)
-                if not math.isfinite(v):
-                    steps_run = step + 1
-                    diagnostic = f"non-finite objective at step {steps_run}"
-                    break
-                values.append(v)
+        last = value_theta(struct, theta)
+        if not diagnostic and not math.isfinite(last):
+            diagnostic = f"non-finite objective at step {steps_run}"
         grad_norm = (float("nan") if diagnostic else
                      float(np.linalg.norm(grad_theta(struct, theta))))
     aborted = bool(diagnostic)
-    first, last = values[0], values[-1]
     if not aborted and sign * (last - first) < -DIVERGED_TOL * max(1.0, abs(first)):
         diagnostic = f"the objective ended at {last!r}, worse than its start {first!r}"
     return RunTrace(
-        objective_values=np.array(values),
+        start_value=first,
+        final_value=last,
         final_policy=pol.with_logits(theta),
         final_grad_norm=grad_norm,
         wall_time=time.perf_counter() - start,
@@ -185,7 +175,7 @@ def fit_tvd(target: FiniteDistribution, template: NGramPolicy,
             theta, value, sweeps, capped = _polish_tvd(pol._struct, pol.logits, p)
             trace = replace(
                 trace,
-                objective_values=np.append(trace.objective_values, value),
+                final_value=value,
                 final_policy=pol.with_logits(theta),
                 final_grad_norm=float(np.linalg.norm(
                     _tvd_subgradient(pol._struct, theta, p))),
@@ -211,7 +201,8 @@ def _closed_form_run(objective, target: FiniteDistribution, template: NGramPolic
     if grad_norm is None:
         grad_norm = float(np.linalg.norm(objective.grad_theta(pol._struct, pol.logits)))
     return RunTrace(
-        objective_values=np.array([value]),
+        start_value=value,
+        final_value=value,
         final_policy=pol,
         final_grad_norm=grad_norm,
         wall_time=time.perf_counter() - start,

@@ -1,14 +1,11 @@
 """Minimal deterministic SVG line charts.
 
 Output bytes depend only on the input series, so golden-file tests of the
-plotting path are stable.  Points whose y value is the infinite sentinel
-are omitted and noted in an annotation.
+plotting path are stable.
 """
 from __future__ import annotations
 
 import math
-
-from .dist import ExtendedReal
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 20, 30, 45
@@ -21,40 +18,24 @@ def _fmt(x: float) -> str:
     return format(x, ".3f")
 
 
-def _finite_xy(xs, ys):
-    pairs = []
-    omitted = 0
-    for x, y in zip(xs, ys):
-        if isinstance(y, ExtendedReal):
-            if y.infinite:
-                omitted += 1
-                continue
-            y = y.value
-        if not math.isfinite(y):
-            omitted += 1
-            continue
-        pairs.append((float(x), float(y)))
-    return pairs, omitted
-
-
 def emit_svg(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
              log_x: bool = False) -> None:
     """Write a standalone SVG with one polyline per (name, xs, ys) series.
 
-    x values must be sorted ascending within each series; with log_x they
-    must also be positive.
+    x values must be sorted ascending within each series (with log_x, also
+    positive) and y values finite; ValueError is raised before any write.
     """
     if not series:
         raise ValueError("series must be non-empty")
     cleaned = []
-    any_omitted = False
     for name, xs, ys in series:
         if len(xs) != len(ys):
             raise ValueError(f"series {name!r} has mismatched x/y lengths")
         if list(xs) != sorted(float(x) for x in xs):
             raise ValueError(f"series {name!r} x values must be sorted")
-        pairs, omitted = _finite_xy(xs, ys)
-        any_omitted = any_omitted or omitted > 0
+        pairs = [(float(x), float(y)) for x, y in zip(xs, ys)]
+        if not all(math.isfinite(y) for _, y in pairs):
+            raise ValueError(f"series {name!r} has a non-finite y value")
         if log_x:
             if any(x <= 0 for x, _ in pairs):
                 raise ValueError("log_x requires positive x values")
@@ -119,9 +100,6 @@ def emit_svg(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
                          f'stroke="{color}" stroke-width="1.5"/>')
         lines.append(f'<text x="{WIDTH - MARGIN_R - 130}" y="{MARGIN_T + 14 + 14 * i}" '
                      f'font-size="11" fill="{color}">{name}</text>')
-    if any_omitted:
-        lines.append(f'<text x="{MARGIN_L + 4}" y="{MARGIN_T + 12}" font-size="11" '
-                     f'fill="#666666">&#8734; (omitted)</text>')
     lines.append("</svg>")
     data = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

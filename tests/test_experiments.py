@@ -186,7 +186,7 @@ class TestRunSweep:
 
         summary = run_sweep(2, "bigram", (1.0, 5.0, 20.0), TINY_CFG,
                             TINY_TVD)
-        fam = _toy_instance(2, "bigram")[4]
+        fam = _toy_instance(2, "bigram")[0]
         for rec in summary.records:
             beta = 1.0 / rec.lam
             p_lam = tilted(fam, rec.lam)
@@ -211,7 +211,7 @@ class TestRunSweep:
         assert 0.0 <= summary.fkl_ref_validity <= 1.0
         assert summary.fkl_ref_kl >= 0.0
         assert 0.0 <= summary.tvd_ref_tvd <= 1.0
-        p = _toy_instance(3, "bigram")[5].probs
+        p = _toy_instance(3, "bigram")[1].probs
         assert summary.pstar_entropy == pytest.approx(
             float(-(p[p > 0] * np.log(p[p > 0])).sum()), abs=1e-12)
 

@@ -51,6 +51,15 @@ class TestConfigParsing:
         # untouched keys fall back to defaults
         assert cfg["order"] == "bigram"
 
+    @pytest.mark.parametrize("text, line", [
+        ("command=sweep\nsteps=20\nsteps=30\n", 3),
+        ("command=sweep\ncommand=sweep\n", 2),
+    ])
+    def test_duplicate_key(self, text, line):
+        with pytest.raises(ConfigError, match="duplicate key") as exc:
+            parse_config(text)
+        assert (exc.value.line, exc.value.column) == (line, 1)
+
     def test_missing_command(self):
         with pytest.raises(ConfigError):
             parse_config("seeds=1\n")
@@ -190,16 +199,12 @@ class TestSvg:
         assert p1.read_bytes() == p2.read_bytes()
         assert b"<polyline" in p1.read_bytes()
 
-    def test_infinite_points_omitted_with_note(self, tmp_path):
-        series = [("s", [1.0, 2.0, 3.0],
-                   [0.5, ExtendedReal.INFINITY, 0.9])]
+    @pytest.mark.parametrize("y", [ExtendedReal.INFINITY, float("inf"), float("nan")])
+    def test_non_finite_point_rejected_before_writing(self, tmp_path, y):
         path = tmp_path / "inf.svg"
-        emit_svg(series, path)
-        text = path.read_text()
-        assert "&#8734; (omitted)" in text
-        # the polyline has only the two finite points
-        line = [l for l in text.splitlines() if "polyline" in l][0]
-        assert line.count(",") == 2
+        with pytest.raises(ValueError, match="non-finite y value"):
+            emit_svg([("s", [1.0, 2.0, 3.0], [0.5, y, 0.9])], path)
+        assert not path.exists()
 
     def test_errors(self, tmp_path):
         path = tmp_path / "x.svg"
@@ -451,6 +456,23 @@ class TestCliErrors:
         assert "empty range" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_duplicate_seeds_exit_one(self, tmp_path, capsys, monkeypatch, via_env):
+        # a repeated seed would count twice in every mean across seeds; a
+        # tiny budget, so that a run which took the seeds ends quickly
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("command=sweep\nsteps=3\ntvd_restarts=1\ntvd_steps=3\n")
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(cfgfile), "--out", str(out)]
+        if via_env:
+            monkeypatch.setenv("KLGEO_SEED", "2,1..3")
+            rc = main(argv)
+        else:
+            rc = main(argv + ["--seeds", "1,1"])
+        assert rc == EXIT_CONFIG
+        assert "seeds must be distinct" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("lambdas", ["5,1", "nan", "inf"])
     def test_unsorted_lambdas_exit_one(self, tmp_path, capsys, lambdas):
         out = tmp_path / "out"
@@ -477,6 +499,10 @@ class TestCliErrors:
         ("sweep", "top_k=0", "top_k"),
         ("sweep", "top_k=6", "top_k"),
         ("sweep", "seeds=-1", "seeds"),
+        ("sweep", "seeds=1,1", "seeds must be distinct"),
+        ("sweep", "seeds=1..3,2", "seeds must be distinct"),
+        ("sweep", "learning_rate=nan", "learning_rate"),
+        ("sweep", "learning_rate=inf", "learning_rate"),
         ("geometry", "mu_targets=0.9,1", "mu targets"),
         ("geometry", "a1_values=0", "A1"),
         ("geometry", "profile_a1=1.5", "A1"),

@@ -22,7 +22,6 @@ from klgeo.ngram import (
 from klgeo.experiments import _toy_instance
 from klgeo.optimize import (
     CONVERGED_GRAD_NORM,
-    TRACE_STRIDE,
     OptimizerConfig,
     _gradient_run,
     ascend_j_beta,
@@ -45,10 +44,23 @@ def setup(seed=1):
     return base_pol, base, fam, pstar, template
 
 
+def chained(run, pol, pieces=20):
+    """pieces consecutive runs, each from the policy the last one ended at:
+    a long run cut into pieces whose start and final values can be compared."""
+    traces = []
+    for _ in range(pieces):
+        traces.append(run(pol))
+        pol = traces[-1].final_policy
+    return traces
+
+
 class TestOptimizerConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             OptimizerConfig(learning_rate=0.0)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                OptimizerConfig(learning_rate=lr)
         with pytest.raises(ValueError):
             OptimizerConfig(steps=0)
         with pytest.raises(ValueError):
@@ -69,29 +81,21 @@ class TestForwardKLFit:
     # convex forward-KL objective; fit_forward_kl itself is closed form
 
     def test_trace_non_increasing(self):
+        # a 2000-step descent in 20 pieces: none ends above its start
         _, _, _, pstar, template = setup()
-        cfg = OptimizerConfig(learning_rate=0.05, steps=2000)
-        trace = _gradient_run(ForwardKLObjective(pstar), template, cfg, maximize=False)
-        vals = trace.objective_values
-        assert np.all(np.diff(vals) <= 1e-10)
-        assert trace.final_value < vals[0]
-        assert not trace.aborted
+        cfg = OptimizerConfig(learning_rate=0.05, steps=100)
+        traces = chained(lambda pol: _gradient_run(ForwardKLObjective(pstar), pol,
+                                                   cfg, maximize=False), template)
+        assert all(t.final_value <= t.start_value + 1e-10 for t in traces)
+        assert traces[-1].final_value < traces[0].start_value
+        assert not any(t.aborted for t in traces)
 
     def test_deterministic(self):
         _, _, _, pstar, template = setup()
         a = fit_forward_kl(pstar, template)
         b = fit_forward_kl(pstar, template)
         assert np.array_equal(a.final_policy.logits, b.final_policy.logits)
-        assert np.array_equal(a.objective_values, b.objective_values)
-
-    def test_trace_stride(self):
-        _, _, _, pstar, template = setup()
-        cfg = OptimizerConfig(learning_rate=0.05, steps=1000)
-        trace = _gradient_run(ForwardKLObjective(pstar), template, cfg, maximize=False)
-        # initial value plus one record every TRACE_STRIDE steps
-        assert TRACE_STRIDE == 100
-        assert trace.objective_values.shape == (11,)
-        assert trace.steps_run == 1000
+        assert (a.start_value, a.final_value) == (b.start_value, b.final_value)
 
     def test_well_specified_converges(self):
         # fitting a bigram-representable target drives the KL to ~0
@@ -114,7 +118,7 @@ class TestForwardKLFit:
         kl_gd = kl_divergence_finite(pstar, to_distribution(gd.final_policy))
         assert abs(kl - kl_gd) <= 1e-10
         assert trace.final_value == pytest.approx(kl, abs=1e-12)
-        assert trace.steps_run == 0 and trace.objective_values.shape == (1,)
+        assert trace.steps_run == 0 and trace.start_value == trace.final_value
         assert trace.converged and not trace.aborted
 
     def test_full_order_reaches_pstar(self):
@@ -130,10 +134,22 @@ class TestForwardKLFit:
 
 class TestJBetaAscent:
     def test_trace_non_decreasing(self):
+        # a 2000-step ascent in 20 pieces: none ends below its start
         _, _, fam, _, template = setup()
-        cfg = OptimizerConfig(learning_rate=0.1, steps=2000)
-        trace = ascend_j_beta(fam, template, cfg, beta=0.2)
-        assert np.all(np.diff(trace.objective_values) >= -1e-10)
+        cfg = OptimizerConfig(learning_rate=0.1, steps=100)
+        traces = chained(lambda pol: ascend_j_beta(fam, pol, cfg, beta=0.2), template)
+        assert all(t.final_value >= t.start_value - 1e-10 for t in traces)
+        assert traces[-1].final_value > traces[0].start_value
+
+    def test_pieces_equal_one_run(self):
+        # cutting an ascent into pieces changes none of its steps
+        _, _, fam, _, template = setup()
+        whole = ascend_j_beta(fam, template, OptimizerConfig(steps=2000), beta=0.2)
+        traces = chained(lambda pol: ascend_j_beta(
+            fam, pol, OptimizerConfig(steps=100), beta=0.2), template)
+        assert np.array_equal(traces[-1].final_policy.logits, whole.final_policy.logits)
+        assert (traces[0].start_value, traces[-1].final_value) == (
+            whole.start_value, whole.final_value)
 
     def test_huge_beta_pins_to_base(self):
         # at beta = 1e6 the KL term dominates and the optimum is the base
@@ -203,13 +219,17 @@ class TestTVDFit:
         assert trace.diagnostic == ""
 
     def test_trace_ends_with_the_polished_value(self):
-        # values at step 0, 100, 200 and 300, then the polished one, lower
-        # than the descent's last
+        # the best restart's descent, from the same start: the fit keeps its
+        # start value and ends at the polished value, below the descent's
         _, _, _, pstar, template = setup()
         for restarts in (1, 2, 3):
-            trace = fit_tvd(pstar, template, OptimizerConfig(steps=300, restarts=restarts))
-            assert len(trace.objective_values) == 5
-            assert trace.final_value < trace.objective_values[-2]
+            cfg = OptimizerConfig(steps=300, restarts=restarts)
+            trace = fit_tvd(pstar, template, cfg)
+            start = SeededRng(0).spawn(trace.restart_index).normal(template.n_params)
+            descent = _gradient_run(TVDObjective(pstar), template.with_logits(start),
+                                    cfg, maximize=False, halving=True)
+            assert trace.start_value == descent.start_value
+            assert trace.final_value < descent.final_value
             assert trace.final_value == pytest.approx(
                 total_variation(to_distribution(trace.final_policy), pstar), abs=1e-15)
 
@@ -221,8 +241,8 @@ class TestTVDFit:
         assert "1-sweep cap" in trace.diagnostic and not trace.aborted
 
     def test_aborted_restart_is_never_best(self, monkeypatch):
-        # restart 0 aborts with a last finite value, 0, below every polished
-        # TVD; the fit returns the lowest restart that did not abort
+        # restart 0 aborts with a final value, 0, below every polished TVD;
+        # the fit returns the lowest restart that did not abort
         _, _, _, pstar, template = setup()
         descents = []
 
@@ -232,7 +252,7 @@ class TestTVDFit:
             if len(descents) > 1:
                 return trace
             return dataclasses.replace(
-                trace, objective_values=np.array([trace.objective_values[0], 0.0]),
+                trace, final_value=0.0,
                 aborted=True, diagnostic="non-finite gradient at step 100")
 
         monkeypatch.setattr(optimize, "_gradient_run", first_aborts)
@@ -258,16 +278,22 @@ class TestTVDFit:
 
 
 class _ExplodingObjective:
-    """Stub that returns a non-finite gradient after a few calls."""
+    """Stub that returns a non-finite gradient after a few calls, or (with
+    value_blows) a finite gradient and a non-finite value after the first."""
 
     name = "exploding"
 
-    def __init__(self, inner, blow_at):
+    def __init__(self, inner, blow_at, value_blows=False):
         self.inner = inner
         self.blow_at = blow_at
+        self.value_blows = value_blows
         self.calls = 0
+        self.value_calls = 0
 
     def value_theta(self, struct, theta):
+        self.value_calls += 1
+        if self.value_blows and self.value_calls > 1:
+            return float("nan")
         return self.inner.value_theta(struct, theta)
 
     def grad_theta(self, struct, theta):
@@ -289,27 +315,41 @@ class TestAbort:
         assert trace.steps_run == 10
         assert "non-finite" in trace.diagnostic
         assert np.isnan(trace.final_grad_norm)
+        assert obj.value_calls == 2
+
+    def test_nonfinite_final_value_aborts(self):
+        # the value is checked once, after the last step
+        _, _, _, pstar, template = setup()
+        obj = _ExplodingObjective(ForwardKLObjective(pstar), blow_at=10**9,
+                                  value_blows=True)
+        cfg = OptimizerConfig(learning_rate=0.05, steps=500)
+        trace = _gradient_run(obj, template, cfg, maximize=False)
+        assert trace.aborted and not trace.converged
+        assert trace.steps_run == 500
+        assert trace.diagnostic == "non-finite objective at step 500"
+        assert np.isnan(trace.final_value) and np.isnan(trace.final_grad_norm)
+        assert obj.value_calls == 2
 
 
 class TestDiverged:
     def test_ascent_worse_than_start_fails(self):
         # the fixed step 0.1 is unstable at beta = 100: J_beta falls from
         # -2.381 to about -55 within 10 steps
-        _, _, _, _, fam, _, template = _toy_instance(1, "bigram")
+        fam, _, template = _toy_instance(1, "bigram")
         trace = ascend_j_beta(fam, template, OptimizerConfig(steps=10), beta=100.0)
-        assert trace.final_value < trace.objective_values[0] - 1.0
+        assert trace.final_value < trace.start_value - 1.0
         assert not trace.converged and not trace.aborted
         assert trace.steps_run == 10
         assert repr(trace.final_value) in trace.diagnostic
-        assert repr(float(trace.objective_values[0])) in trace.diagnostic
+        assert repr(trace.start_value) in trace.diagnostic
 
     def test_stationary_at_a_worse_point_is_not_converged(self):
         # at beta = 1000 the ascent settles, gradient norm below the
         # convergence bound, far below where it started
-        _, _, _, _, fam, _, template = _toy_instance(3, "bigram")
+        fam, _, template = _toy_instance(3, "bigram")
         trace = ascend_j_beta(fam, template, OptimizerConfig(), beta=1000.0)
         assert trace.final_grad_norm < CONVERGED_GRAD_NORM
-        assert trace.final_value < -1000.0 < trace.objective_values[0]
+        assert trace.final_value < -1000.0 < trace.start_value
         assert not trace.converged and "worse than its start" in trace.diagnostic
 
 
@@ -348,8 +388,8 @@ class TestWarmStart:
         cfg = OptimizerConfig(learning_rate=0.1, steps=4000)
         first = ascend_j_beta(fam, template, cfg, beta=1.0 / 5.0)
         second = ascend_j_beta(fam, first.final_policy, cfg, beta=1.0 / 5.0)
-        assert second.objective_values[0] == pytest.approx(first.final_value, abs=1e-12)
-        gain1 = first.final_value - first.objective_values[0]
-        gain2 = second.final_value - second.objective_values[0]
+        assert second.start_value == pytest.approx(first.final_value, abs=1e-12)
+        gain1 = first.final_value - first.start_value
+        gain2 = second.final_value - second.start_value
         assert gain2 >= -1e-12
         assert gain2 <= 0.05 * gain1
