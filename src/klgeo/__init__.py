@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .dist import (
     BinaryVerifier,
-    ExtendedReal,
     FiniteDistribution,
     RewardFn,
     condition,

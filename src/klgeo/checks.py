@@ -103,7 +103,7 @@ def check_closed_form_convergence(tol=None):
         worst = max(worst,
                     abs(dist.total_variation(pstar, p_lam) - point.tvd_to_pstar),
                     abs(dist.kl_divergence_finite(pstar, p_lam) - point.fkl_from_pstar))
-        if not dist.kl_divergence(p_lam, pstar).infinite:
+        if dist.kl_divergence(p_lam, pstar) != np.inf:
             return False, "reverse KL unexpectedly finite"
     return worst <= tol, f"max residual {worst:.3e}"
 

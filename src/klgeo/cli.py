@@ -13,7 +13,6 @@ import sys
 from . import checks, experiments, geometry, optimize
 from .io import (
     SCHEMAS,
-    ConfigError,
     RunConfig,
     fmt_float,
     parse_config,
@@ -65,9 +64,7 @@ def _load_config(args) -> RunConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
-        cfg = parse_config(text)
-        if cfg.command != args.command:
-            raise ConfigError(f"config is for command {cfg.command!r}", 1)
+        cfg = parse_config(text, args.command)
     else:
         cfg = RunConfig(command=args.command)
     # a given flag overrides the config value, through the key's own parser
@@ -110,9 +107,12 @@ def _geometry_settings(cfg: RunConfig) -> list:
         experiments.three_outcome_family(a1)  # raises unless a usable A1
     if not all(0 < mu < 1 for mu in cfg["mu_targets"]):
         raise ValueError("mu targets must be in (0, 1)")
+    for key in ("a1_values", "mu_targets"):
+        if len(set(cfg[key])) != len(cfg[key]):
+            raise ValueError(f"{key} must be distinct")
     lambdas = cfg["lambdas"]
-    if not all(map(math.isfinite, lambdas)) or lambdas != sorted(lambdas):
-        raise ValueError("lambdas must be finite and sorted ascending")
+    if not all(map(math.isfinite, lambdas)) or lambdas != sorted(set(lambdas)):
+        raise ValueError("lambdas must be finite, distinct and sorted ascending")
     return lambdas
 
 

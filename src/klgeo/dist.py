@@ -7,38 +7,11 @@ with the 0*log(0) = 0 convention.  No sampling, no log-space storage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 # Constructors renormalize when the sum is within this of 1, reject otherwise.
 _RENORM_ATOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ExtendedReal:
-    """A finite float or +infinity.
-
-    Kept as an explicit sum type (rather than IEEE inf) so that an infinite
-    divergence is a value callers must handle; io writes it as the token
-    "inf".
-    """
-
-    value: float
-    infinite: bool = False
-
-    @staticmethod
-    def of(x: float) -> "ExtendedReal":
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError("use ExtendedReal.INFINITY for the infinite value")
-        return ExtendedReal(x, False)
-
-    def __float__(self) -> float:
-        return math.inf if self.infinite else self.value
-
-
-ExtendedReal.INFINITY = ExtendedReal(math.inf, True)
 
 
 class FiniteDistribution:
@@ -160,26 +133,26 @@ def _check_aligned(p: FiniteDistribution, q: FiniteDistribution):
         raise ValueError("distributions are over different outcome spaces")
 
 
-def kl_divergence(p: FiniteDistribution, q: FiniteDistribution) -> ExtendedReal:
+def kl_divergence(p: FiniteDistribution, q: FiniteDistribution) -> float:
     """KL(p || q), summing only over the support of p.
 
-    Returns the infinite value exactly when some outcome has p > 0, q = 0.
+    Returns math.inf when some outcome has p > 0, q = 0.
     """
     _check_aligned(p, q)
     mask = p.probs > 0
     qm = q.probs[mask]
     if np.any(qm == 0.0):
-        return ExtendedReal.INFINITY
+        return math.inf
     pm = p.probs[mask]
-    return ExtendedReal.of(float(np.sum(pm * np.log(pm / qm))))
+    return float(np.sum(pm * np.log(pm / qm)))
 
 
 def kl_divergence_finite(p: FiniteDistribution, q: FiniteDistribution) -> float:
-    """KL(p || q) as a plain float, for callers that know q covers p's support."""
+    """KL(p || q), for callers that know q covers p's support."""
     d = kl_divergence(p, q)
-    if d.infinite:
+    if d == math.inf:
         raise ValueError("KL divergence is infinite (support mismatch)")
-    return d.value
+    return d
 
 
 def total_variation(p: FiniteDistribution, q: FiniteDistribution) -> float:
@@ -199,24 +172,15 @@ def expected_reward(q: FiniteDistribution, r: RewardFn) -> float:
     return float(q.probs @ r.values)
 
 
-def _subset_mask(p: FiniteDistribution, s) -> np.ndarray:
-    """Boolean mask over p's outcomes for a subset given as outcomes or as a mask."""
-    s_arr = np.asarray(s)
-    if s_arr.dtype == bool and s_arr.shape == (len(p),):
-        return s_arr.copy()
-    mask = np.zeros(len(p), dtype=bool)
-    for item in s:
-        mask[p.index_of(item)] = True
-    return mask
+def condition(p: FiniteDistribution, mask) -> FiniteDistribution:
+    """The distribution p conditioned on the subset given by a boolean mask
+    over its outcomes (any other mask raises ValueError).
 
-
-def condition(p: FiniteDistribution, s) -> FiniteDistribution:
-    """The distribution p conditioned on the outcome subset s.
-
-    Probability ratios inside s are preserved exactly; outcomes off s get
-    exact zeros.
-    """
-    mask = _subset_mask(p, s)
+    Probability ratios inside the subset are preserved exactly; outcomes off
+    it get exact zeros."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (len(p),):
+        raise ValueError(f"condition takes a boolean mask of shape ({len(p)},)")
     total = float(p.probs[mask].sum())
     if total == 0.0:
         raise ValueError("conditioning on null set")

@@ -14,7 +14,6 @@ import numpy as np
 
 from .dist import (
     BinaryVerifier,
-    ExtendedReal,
     FiniteDistribution,
     condition,
     entropy,
@@ -90,7 +89,7 @@ class BetaMuRow:
     A1: float
     mu_target: float
     lambda_required: float
-    beta_required: ExtendedReal
+    beta_required: float
     kappa_cost: float
 
 
@@ -137,10 +136,11 @@ def top_sequences(dist: FiniteDistribution, k: int) -> tuple:
 
 
 def check_lambdas(lambdas) -> list:
-    """The grid as floats; rejects a non-finite, non-positive or unsorted grid."""
+    """The grid as floats; rejects a non-finite, non-positive or not strictly
+    ascending grid."""
     lambdas = [float(l) for l in lambdas]
-    if not all(0 < l < math.inf for l in lambdas) or lambdas != sorted(lambdas):
-        raise ValueError("lambdas must be finite, positive and sorted ascending")
+    if not all(0 < l < math.inf for l in lambdas) or lambdas != sorted(set(lambdas)):
+        raise ValueError("lambdas must be finite, positive, distinct and sorted ascending")
     return lambdas
 
 
@@ -154,9 +154,9 @@ def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
 
     Each grid point starts cold from the base model unless warm_start is
     set, in which case each ascent is initialized at the previous grid
-    point's result (grid points must then be sorted ascending).  An ascent
-    that aborts or ends below its start, or a metric with no finite value,
-    raises ValueError naming the seed and lambda.
+    point's result (the grid is strictly ascending).  An ascent that aborts
+    or ends below its start, or a metric with no finite value, raises
+    ValueError naming the seed and lambda.
     """
     lambdas = check_lambdas(lambdas)
     fam, pstar, template = _toy_instance(seed, family_order, sigma)
@@ -319,10 +319,7 @@ def beta_mu_table(A1_values, mu_targets) -> list:
                 raise ValueError("mu targets must be in (0, 1)")
             lam = natural_param(fam, mu)
             # snap roundoff-level lambda to zero: beta is infinite there
-            if abs(lam) < 1e-12:
-                beta = ExtendedReal.INFINITY
-            else:
-                beta = ExtendedReal.of(1.0 / lam)
+            beta = math.inf if abs(lam) < 1e-12 else 1.0 / lam
             rows.append(BetaMuRow(A1=float(a1), mu_target=float(mu),
                                   lambda_required=lam, beta_required=beta,
                                   kappa_cost=divergence_cost(fam, mu)))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import (
-    ExtendedReal,
     FiniteDistribution,
     RewardFn,
     condition,
@@ -94,27 +93,33 @@ class ComparisonReport:
     d_kl_base: float
 
 
-def log_partition(fam: TiltedFamily, lam: float) -> float:
-    """A(lam) = log sum_y base(y) exp(lam r(y)), via max-shifted log-sum-exp."""
+def _shifted_log_weights(fam: TiltedFamily, lam: float):
+    """For z = log base + lam r: m = max z, z - m, e^(z - m) and its sum s,
+    so that A(lam) = m + log s and log p_lam = z - m - log s."""
     z = fam._log_base + lam * fam.reward.values
     m = z.max()
-    return float(m + np.log(np.exp(z - m).sum()))
+    z -= m
+    w = np.exp(z)
+    return m, z, w, w.sum()
+
+
+def log_partition(fam: TiltedFamily, lam: float) -> float:
+    """A(lam) = log sum_y base(y) exp(lam r(y)), via max-shifted log-sum-exp."""
+    m, _, _, s = _shifted_log_weights(fam, lam)
+    return float(m + np.log(s))
 
 
 def tilted(fam: TiltedFamily, lam: float) -> FiniteDistribution:
     """The tilted distribution p_lam.  Full support for every finite lam."""
-    z = fam._log_base + lam * fam.reward.values
-    z -= z.max()
-    w = np.exp(z)
-    return FiniteDistribution(fam.base.outcomes, w / w.sum())
+    _, _, w, s = _shifted_log_weights(fam, lam)
+    return FiniteDistribution(fam.base.outcomes, w / s)
 
 
 def kl_to_tilted(fam: TiltedFamily, q: FiniteDistribution, lam: float) -> float:
     """KL(q, p_lam), from log p_lam: finite at every finite lam, also where
     p_lam itself underflows to zero on some outcome."""
-    z = fam._log_base + lam * fam.reward.values
-    z -= z.max()
-    log_p = z - np.log(np.exp(z).sum())
+    _, z, _, s = _shifted_log_weights(fam, lam)
+    log_p = z - np.log(s)
     m = q.probs > 0
     return float(np.sum(q.probs[m] * (np.log(q.probs[m]) - log_p[m])))
 
@@ -254,7 +259,7 @@ class ProfilePoint:
     lam: float
     tvd_to_pstar: float
     fkl_from_pstar: float
-    rkl_to_pstar: ExtendedReal
+    rkl_to_pstar: float
 
 
 def convergence_profile(fam: TiltedFamily, lambdas) -> list[ProfilePoint]:
@@ -278,7 +283,7 @@ def convergence_profile(fam: TiltedFamily, lambdas) -> list[ProfilePoint]:
             tvd, fkl = a0 / (a0 + a1 * e), -lam + math.log(a0 / a1) + math.log1p((a1 / a0) * e)
         points.append(ProfilePoint(lam=float(lam), tvd_to_pstar=tvd,
                                    fkl_from_pstar=fkl,
-                                   rkl_to_pstar=ExtendedReal.INFINITY))
+                                   rkl_to_pstar=math.inf))
     return points
 
 

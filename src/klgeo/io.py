@@ -2,9 +2,9 @@
 
 Configs are a flat key=value text format (one pair per line, # comments).
 Numbers are written with 17 significant digits so that re-parsing a CSV row
-reproduces the in-memory value exactly; the infinite extended real is the
-literal lowercase token "inf" in both CSV and JSON (as a string there,
-never a bare non-finite numeric).
+reproduces the in-memory value exactly; +inf is the literal lowercase
+token "inf" in both CSV and JSON (as a string there, never a bare
+non-finite numeric).
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 from . import __version__ as LIBRARY_VERSION
-from .dist import ExtendedReal
 from .experiments import DEFAULT_LAMBDA_GRID, DEFAULT_SIGMA, TOP_K
 from .ngram import FD_STEP
 from .optimize import TVD_FIT_CONFIG, OptimizerConfig
@@ -132,9 +131,10 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse the flat key=value format; errors carry line/column info."""
-    command = None
+def parse_config(text: str, command: str) -> RunConfig:
+    """Parse the flat key=value format of a config for command; errors carry
+    line/column info."""
+    has_command = False
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -144,16 +144,18 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("expected key=value", lineno, 1)
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in values or (key == "command" and command is not None):
+        if key in values or (key == "command" and has_command):
             raise ConfigError(f"duplicate key {key!r}", lineno, 1)
         if key == "command":
+            column = raw.index("=") + 2
             if val not in SCHEMAS:
-                raise ConfigError(f"unknown command {val!r}", lineno,
-                                  raw.index("=") + 2)
-            command = val
+                raise ConfigError(f"unknown command {val!r}", lineno, column)
+            if val != command:
+                raise ConfigError(f"config is for command {val!r}", lineno, column)
+            has_command = True
         else:
             values[key] = (lineno, raw, val)
-    if command is None:
+    if not has_command:
         raise ConfigError("missing 'command' key", 1, 1)
     schema = SCHEMAS[command]
     parsed = {}
@@ -175,8 +177,7 @@ def parse_config(text: str) -> RunConfig:
 
 def fmt_float(x) -> str:
     """Locale-independent decimal with 17 significant digits; 'inf' token
-    (for a float or an ExtendedReal).  nan and -inf have none, so they
-    raise ValueError."""
+    for +inf.  nan and -inf have none, so they raise ValueError."""
     x = float(x)
     if x == math.inf:
         return "inf"
@@ -208,8 +209,6 @@ def read_csv(path):
 
 
 def _jsonable(obj):
-    if isinstance(obj, ExtendedReal):
-        obj = float(obj)
     if isinstance(obj, float):
         return "inf" if obj == float("inf") else obj
     if isinstance(obj, dict):

@@ -6,7 +6,6 @@ import pytest
 
 from klgeo.dist import (
     BinaryVerifier,
-    ExtendedReal,
     FiniteDistribution,
     RewardFn,
     condition,
@@ -80,7 +79,7 @@ class TestFiniteDistribution:
 class TestKL:
     def test_identity_is_zero(self, rng):
         p = random_dist(rng, tuple(range(9)))
-        assert float(kl_divergence(p, p)) == 0.0
+        assert kl_divergence(p, p) == 0.0
 
     def test_filtered_vs_base_closed_form(self):
         # KL(p*, a) telescopes to -log(mass of the valid set)
@@ -96,7 +95,7 @@ class TestKL:
         base, verifier = five_point()
         pstar = condition(base, verifier.mask)
         d = kl_divergence(base, pstar)
-        assert d.infinite and d is ExtendedReal.INFINITY
+        assert type(d) is float and d == math.inf
         with pytest.raises(ValueError):
             kl_divergence_finite(base, pstar)
 
@@ -198,15 +197,33 @@ class TestCondition:
         pminus = condition(base, ~verifier.mask)
         assert np.allclose(pminus.probs, (0, 0, 0, 0.5, 0.5), atol=1e-15)
 
-    def test_outcome_list_form(self):
+    def test_outcome_list_rejected(self):
         base, _ = five_point()
-        c = condition(base, ("y1", "y2"))
-        assert c.prob("y1") == pytest.approx(0.10 / 0.32)
+        for outcomes in (("y1", "y2"), ["y1", "y2"]):
+            with pytest.raises(ValueError, match="boolean mask"):
+                condition(base, outcomes)
+
+    def test_int_mask_rejected(self):
+        # with integer outcomes a 0/1 mask also reads as the outcome list
+        # (0, 1); only a boolean mask says which outcomes are kept
+        p = FiniteDistribution(range(5), (0.1, 0.2, 0.3, 0.2, 0.2))
+        for mask in ([0, 0, 1, 1, 1], np.array([0, 0, 1, 1, 1])):
+            with pytest.raises(ValueError, match="boolean mask"):
+                condition(p, mask)
+        c = condition(p, np.array([0, 0, 1, 1, 1], dtype=bool))
+        assert c.probs[0] == 0.0 and c.probs[1] == 0.0
+        assert np.allclose(c.probs[2:], np.array([0.3, 0.2, 0.2]) / 0.7, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_wrong_length_mask_rejected(self, n):
+        base, _ = five_point()
+        with pytest.raises(ValueError, match=r"boolean mask of shape \(5,\)"):
+            condition(base, np.ones(n, dtype=bool))
 
     def test_null_set_rejected(self):
         p = FiniteDistribution(("a", "b", "c"), (0.5, 0.5, 0.0))
         with pytest.raises(ValueError, match="null set"):
-            condition(p, ("c",))
+            condition(p, np.array([False, False, True]))
 
     def test_ratio_preservation(self, rng):
         outcomes = tuple(range(10))
@@ -249,13 +266,3 @@ class TestRewardTypes:
     def test_verifier_needs_one_invalid(self):
         with pytest.raises(ValueError):
             BinaryVerifier((True, True, True))
-
-
-class TestExtendedReal:
-    def test_rejects_ieee_inf(self):
-        with pytest.raises(ValueError):
-            ExtendedReal.of(float("inf"))
-
-    def test_float_conversion(self):
-        assert float(ExtendedReal.INFINITY) == float("inf")
-        assert float(ExtendedReal.of(2.5)) == 2.5

@@ -119,13 +119,13 @@ class TestBetaMuTable:
             assert row.kappa_cost == pytest.approx(
                 kl_divergence_finite(p_lam, base), abs=1e-10)
             if abs(row.lambda_required) > 1e-12:
-                assert float(row.beta_required) == pytest.approx(
+                assert row.beta_required == pytest.approx(
                     1.0 / row.lambda_required, abs=1e-12)
 
     def test_mu_equal_a1_needs_no_tilt(self):
         (row,) = beta_mu_table((0.9,), (0.9,))
         assert row.lambda_required == pytest.approx(0.0, abs=1e-12)
-        assert row.beta_required.infinite
+        assert row.beta_required == math.inf
         assert row.kappa_cost == pytest.approx(0.0, abs=1e-12)
 
     def test_kappa_closed_form(self):

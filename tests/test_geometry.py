@@ -373,6 +373,44 @@ class TestIdentities:
         assert max(gaps) - min(gaps) <= 1e-10
 
 
+def old_log_partition(fam, lam):
+    z = fam._log_base + lam * fam.reward.values
+    m = z.max()
+    return float(m + np.log(np.exp(z - m).sum()))
+
+
+def old_tilted_probs(fam, lam):
+    z = fam._log_base + lam * fam.reward.values
+    z -= z.max()
+    w = np.exp(z)
+    return FiniteDistribution(fam.base.outcomes, w / w.sum()).probs
+
+
+def old_kl_to_tilted(fam, q, lam):
+    z = fam._log_base + lam * fam.reward.values
+    z -= z.max()
+    log_p = z - np.log(np.exp(z).sum())
+    m = q.probs > 0
+    return float(np.sum(q.probs[m] * (np.log(q.probs[m]) - log_p[m])))
+
+
+@pytest.mark.parametrize("family", ["binary", "general"])
+def test_shifted_log_sum_exp_matches_old_spellings(family):
+    # log_partition, tilted and kl_to_tilted share one shifted log-sum-exp;
+    # each still gives the bits of the spelling it used to write out
+    fam = binary_family(0.35) if family == "binary" else general_family()[0]
+    rng = SeededRng(5)
+    qs = [fam.base, random_dist(rng, fam.base.outcomes),
+          condition(fam.base, fam.reward.values == fam.reward.M)]
+    for lam in (-800.0, -1.0, 0.0, 0.5, 50.0, 800.0):
+        assert (np.float64(log_partition(fam, lam)).tobytes()
+                == np.float64(old_log_partition(fam, lam)).tobytes())
+        assert tilted(fam, lam).probs.tobytes() == old_tilted_probs(fam, lam).tobytes()
+        for q in qs:
+            assert (np.float64(kl_to_tilted(fam, q, lam)).tobytes()
+                    == np.float64(old_kl_to_tilted(fam, q, lam)).tobytes())
+
+
 class TestJBeta:
     def test_base_is_anchor(self):
         fam = binary_family(0.3)
@@ -471,7 +509,7 @@ class TestConvergenceProfile:
             total_variation(pstar, fam.base), abs=1e-14)
         assert pt.tvd_to_pstar == pytest.approx(0.5, abs=1e-14)
         assert pt.fkl_from_pstar == pytest.approx(math.log(2.0), abs=1e-14)
-        assert pt.rkl_to_pstar.infinite
+        assert pt.rkl_to_pstar == math.inf
 
     def test_matches_direct_computation(self):
         fam = binary_family(0.35)
@@ -482,7 +520,7 @@ class TestConvergenceProfile:
                 pt.tvd_to_pstar, abs=1e-12)
             assert kl_divergence_finite(pstar, p_lam) == pytest.approx(
                 pt.fkl_from_pstar, abs=1e-12)
-            assert kl_divergence(p_lam, pstar).infinite
+            assert kl_divergence(p_lam, pstar) == math.inf
 
     def test_monotone_decay(self):
         fam = binary_family(0.2)
