@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: sweep | geometry | check | gradcheck.
+Subcommands: sweep | geometry | check.
 Exit codes: 0 ok, 1 config error, 2 I/O error, 3 check failure.
 """
 from __future__ import annotations
@@ -121,14 +121,6 @@ def _check_settings(cfg: RunConfig) -> None:
         raise ValueError("tolerance must be finite and non-negative")
 
 
-def _gradcheck_settings(cfg: RunConfig) -> None:
-    _check_settings(cfg)
-    if cfg["seed"] < 0:
-        raise ValueError("seed must be non-negative")
-    if not 0 < cfg["h"] < math.inf:
-        raise ValueError("h must be finite and positive")
-
-
 def cmd_sweep(cfg: RunConfig, out: str, settings: tuple) -> int:
     lambdas, opt_cfg, tvd_cfg = settings
     result = experiments.multi_seed(cfg["seeds"], cfg["order"], lambdas, opt_cfg,
@@ -162,7 +154,7 @@ def cmd_sweep(cfg: RunConfig, out: str, settings: tuple) -> int:
                        [getattr(r, metric) for r in s.records])
                       for s in result.summaries]
             emit_svg(series, os.path.join(out, f"{metric}.svg"),
-                     title=metric, xlabel="lambda", ylabel=metric, log_x=True)
+                     title=metric, xlabel="lambda", ylabel=metric)
     return EXIT_OK
 
 
@@ -197,7 +189,7 @@ def cmd_geometry(cfg: RunConfig, out: str, lambdas: list) -> int:
                   for name in ("pi1", "pi2", "pi3", "pi4")],
                  os.path.join(out, "ordering.svg"),
                  title="KL to tilted target", xlabel="lambda",
-                 ylabel="KL", log_x=True)
+                 ylabel="KL")
     return EXIT_OK
 
 
@@ -216,24 +208,11 @@ def cmd_check(cfg: RunConfig, out: str, settings: None) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(cfg: RunConfig, out: str, settings: None) -> int:
-    failed = False
-    for name in ("j_beta", "forward_kl"):
-        err = checks.gradient_error(name, cfg["seed"], cfg["order"],
-                                    cfg["seed"] + 1000, h=cfg["h"])
-        ok = err <= cfg["tolerance"]
-        print(f"{name:<12} max relative error {err:.3e}  "
-              f"{'PASS' if ok else 'FAIL'}")
-        failed = failed or not ok
-    return EXIT_CHECK if failed else EXIT_OK
-
-
 # command -> (value checks, run before any output and returning the
 # handler's settings; handler)
 COMMANDS = {"sweep": (_sweep_settings, cmd_sweep),
             "geometry": (_geometry_settings, cmd_geometry),
-            "check": (_check_settings, cmd_check),
-            "gradcheck": (_gradcheck_settings, cmd_gradcheck)}
+            "check": (_check_settings, cmd_check)}
 
 
 def main(argv=None) -> int:

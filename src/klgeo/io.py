@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from . import __version__ as LIBRARY_VERSION
 from .experiments import DEFAULT_LAMBDA_GRID, DEFAULT_SIGMA, TOP_K
-from .ngram import FD_STEP
 from .optimize import TVD_FIT_CONFIG, OptimizerConfig
 from .rng import ALGORITHM
 
@@ -96,12 +95,6 @@ SCHEMAS = {
     },
     "check": {
         "tolerance": (float, 0.0),  # 0 -> per-check defaults
-    },
-    "gradcheck": {
-        "seed": (int, 1),
-        "order": (_parse_order, "bigram"),
-        "h": (float, FD_STEP),
-        "tolerance": (float, 1e-7),
     },
 }
 

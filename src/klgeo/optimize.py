@@ -63,7 +63,7 @@ class OptimizerConfig:
 TVD_FIT_CONFIG = OptimizerConfig(steps=5000, restarts=200)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunTrace:
     """One optimization run: the objective at its start and at final_policy."""
 
@@ -184,7 +184,7 @@ def fit_tvd(target: FiniteDistribution, template: NGramPolicy,
                             if capped else ""),
                 converged=not capped,
                 polish_sweeps=sweeps)
-        trace.restart_index = i
+        trace = replace(trace, restart_index=i)
         if best is None or (trace.aborted, trace.final_value) < (
                 best.aborted, best.final_value):
             best = trace

@@ -18,12 +18,13 @@ def _fmt(x: float) -> str:
     return format(x, ".3f")
 
 
-def emit_svg(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
-             log_x: bool = False) -> None:
-    """Write a standalone SVG with one polyline per (name, xs, ys) series.
+def emit_svg(series, path, title: str = "", xlabel: str = "",
+             ylabel: str = "") -> None:
+    """Write a standalone SVG with one polyline per (name, xs, ys) series,
+    on a log10 x axis.
 
-    x values must be sorted ascending within each series (with log_x, also
-    positive) and y values finite; ValueError is raised before any write.
+    x values must be positive and sorted ascending within each series, and
+    y values finite; ValueError is raised before any write.
     """
     if not series:
         raise ValueError("series must be non-empty")
@@ -36,10 +37,9 @@ def emit_svg(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
         pairs = [(float(x), float(y)) for x, y in zip(xs, ys)]
         if not all(math.isfinite(y) for _, y in pairs):
             raise ValueError(f"series {name!r} has a non-finite y value")
-        if log_x:
-            if any(x <= 0 for x, _ in pairs):
-                raise ValueError("log_x requires positive x values")
-            pairs = [(math.log10(x), y) for x, y in pairs]
+        if any(x <= 0 for x, _ in pairs):
+            raise ValueError(f"series {name!r} has a non-positive x value")
+        pairs = [(math.log10(x), y) for x, y in pairs]
         cleaned.append((name, pairs))
 
     all_x = [x for _, pairs in cleaned for x, _ in pairs]
@@ -72,12 +72,10 @@ def emit_svg(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
     lines.append(f'<line x1="{MARGIN_L}" y1="{HEIGHT - MARGIN_B}" '
                  f'x2="{WIDTH - MARGIN_R}" y2="{HEIGHT - MARGIN_B}" stroke="black"/>')
     # tick labels at the axis extremes
-    x_label_lo = f"1e{_fmt(x_lo)}" if log_x else _fmt(x_lo)
-    x_label_hi = f"1e{_fmt(x_hi)}" if log_x else _fmt(x_hi)
     lines.append(f'<text x="{MARGIN_L}" y="{HEIGHT - MARGIN_B + 16}" '
-                 f'font-size="11">{x_label_lo}</text>')
+                 f'font-size="11">1e{_fmt(x_lo)}</text>')
     lines.append(f'<text x="{WIDTH - MARGIN_R - 40}" y="{HEIGHT - MARGIN_B + 16}" '
-                 f'font-size="11">{x_label_hi}</text>')
+                 f'font-size="11">1e{_fmt(x_hi)}</text>')
     lines.append(f'<text x="{MARGIN_L - 52}" y="{HEIGHT - MARGIN_B}" '
                  f'font-size="11">{_fmt(y_lo)}</text>')
     lines.append(f'<text x="{MARGIN_L - 52}" y="{MARGIN_T + 10}" '

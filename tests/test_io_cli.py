@@ -29,7 +29,7 @@ from klgeo.svg import emit_svg
 
 class TestConfigParsing:
     def test_roundtrip_each_command(self):
-        for command in ("sweep", "geometry", "check", "gradcheck"):
+        for command in ("sweep", "geometry", "check"):
             cfg = RunConfig(command=command)
             again = parse_config(cfg.serialize(), command)
             assert again.command == command
@@ -215,7 +215,7 @@ class TestSvg:
         with pytest.raises(ValueError):
             emit_svg([("s", [2.0, 1.0], [0.5, 0.5])], path)
         with pytest.raises(ValueError):
-            emit_svg([("s", [0.0, 1.0], [0.5, 0.5])], path, log_x=True)
+            emit_svg([("s", [0.0, 1.0], [0.5, 0.5])], path)
 
 
 class TestChecksRegistry:
@@ -410,11 +410,39 @@ class TestCliCheck:
 
 
 class TestCliGradcheck:
+    """The gradient checks that `klgeo check` runs, in both policy families."""
+
     def test_passes(self, tmp_path, capsys):
-        rc = main(["gradcheck", "--out", str(tmp_path / "out")])
-        captured = capsys.readouterr().out
+        rc = main(["check", "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().out.splitlines()
         assert rc == EXIT_OK
-        assert "j_beta" in captured and "forward_kl" in captured
+        # each gradient check reports the bigram and the full-order family
+        for name in ("gradient-j-beta", "gradient-forward-kl"):
+            line, = (l for l in lines if l.startswith(name))
+            assert "PASS" in line
+            assert "max relative error bigram " in line and ", full " in line
+
+    def test_full_order_gradient_fault_caught(self, tmp_path, capsys,
+                                              monkeypatch):
+        # a forward-KL gradient wrong in one component of the full-order
+        # family (39 logits) only; the bigram family (21) is untouched
+        from klgeo import ngram
+
+        real = ngram.ForwardKLObjective.grad_theta
+
+        def faulty(self, struct, theta):
+            grad = real(self, struct, theta)
+            if theta.size == 39:
+                grad[7] += 1e-3
+            return grad
+
+        monkeypatch.setattr(ngram.ForwardKLObjective, "grad_theta", faulty)
+        rc = main(["check", "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == EXIT_CHECK
+        assert lines[-1] == "failed checks: gradient-forward-kl"
+        line, = (l for l in lines if l.startswith("gradient-forward-kl"))
+        assert "FAIL" in line and ", full " in line
 
 
 class TestCliErrors:
@@ -443,7 +471,7 @@ class TestCliErrors:
         capsys.readouterr()
         assert rc == EXIT_CONFIG
 
-    @pytest.mark.parametrize("command", ["sweep", "gradcheck"])
+    @pytest.mark.parametrize("command", ["sweep"])
     def test_unknown_order_exit_one(self, tmp_path, capsys, command):
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text(f"command={command}\norder=trigram\n")
@@ -516,15 +544,9 @@ class TestCliErrors:
         ("geometry", "lambdas=1,1", "distinct and sorted ascending"),
         ("geometry", "a1_values=0.5,0.5", "a1_values must be distinct"),
         ("geometry", "mu_targets=0.9,0.9", "mu_targets must be distinct"),
-        ("gradcheck", "h=0", "h must be"),
-        ("gradcheck", "h=-1e-5", "h must be"),
-        ("gradcheck", "seed=-1", "seed"),
         ("check", "tolerance=-1", "tolerance"),
         ("check", "tolerance=nan", "tolerance"),
         ("check", "tolerance=inf", "tolerance"),
-        ("gradcheck", "tolerance=-1", "tolerance"),
-        ("gradcheck", "tolerance=nan", "tolerance"),
-        ("gradcheck", "tolerance=inf", "tolerance"),
     ])
     def test_bad_value_exit_one_before_output(self, tmp_path, capsys, command,
                                               line, message):
@@ -546,7 +568,6 @@ class TestCliErrors:
         ("sweep", ["--tolerance", "5"]),
         ("geometry", ["--seeds", "3", "--warm-start", "--tolerance", "5"]),
         ("check", ["--plots"]),
-        ("gradcheck", ["--seeds", "3", "--lambdas", "1,2"]),
     ])
     def test_flag_without_key_exit_one(self, tmp_path, capsys, command, flags):
         # a tiny budget, so that a run which ignored the flag ends quickly
@@ -560,15 +581,19 @@ class TestCliErrors:
         assert not out.exists()
 
     def test_usage_error_exit_one(self, tmp_path, capsys):
-        assert main(["frobnicate", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert "invalid choice" in capsys.readouterr().err
+        # gradcheck is no command: `check` runs the gradient checks
+        for command in ("frobnicate", "gradcheck"):
+            assert main([command, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("usage: klgeo ") and "invalid choice" in err
+        assert not (tmp_path / "out").exists()
         assert main(["check", "--tolerance", "tight",
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "tight" in capsys.readouterr().err
 
     def test_help_exit_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["gradcheck", "--help"])
+            main(["check", "--help"])
         assert exc.value.code == 0
         assert "--tolerance" in capsys.readouterr().out
 
@@ -681,14 +706,10 @@ class TestCliFuzz:
         _run_fuzzed(tmp_path, capsys, "geometry", values)
 
     @FUZZ
-    @given(seed=st.integers(-5, 2 ** 64),
-           order=st.sampled_from(["bigram", "full"]),
-           h=st.one_of(st.floats(1e-8, 1e-2), ANY_FLOAT),
-           tolerance=ANY_FLOAT)
-    def test_gradcheck(self, tmp_path, capsys, seed, order, h, tolerance):
-        _run_fuzzed(tmp_path, capsys, "gradcheck", {
-            "seed": seed, "order": order, "h": format(h, ".17g"),
-            "tolerance": format(tolerance, ".17g")})
+    @given(tolerance=st.one_of(st.floats(0.0, 1e-3), ANY_FLOAT))
+    def test_check(self, tmp_path, capsys, tolerance):
+        _run_fuzzed(tmp_path, capsys, "check",
+                    {"tolerance": format(tolerance, ".17g")})
 
     @FUZZ
     @given(sigma=st.one_of(st.floats(0.0, 12.0), ANY_FLOAT),

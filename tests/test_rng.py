@@ -95,8 +95,8 @@ TINY_SWEEP = "command=sweep\nsteps=3\ntvd_restarts=1\ntvd_steps=3\n"
 @pytest.mark.parametrize("argv", [
     ["sweep", "--seeds", "1", "--lambdas", "1,5"],
     ["sweep", "--seeds", "1", "--lambdas", "1,5", "--order", "full", "--warm-start"],
-    ["check"], ["gradcheck"], ["geometry"]],
-    ids=["sweep-bigram", "sweep-full-warm", "check", "gradcheck", "geometry"])
+    ["check"], ["geometry"]],
+    ids=["sweep-bigram", "sweep-full-warm", "check", "geometry"])
 def test_no_numpy_random_at_run_time(tmp_path, argv):
     """A run in a fresh interpreter loads neither numpy.random nor, through
     its seeding, OpenSSL's _hashlib: about 5 MB of peak memory."""
