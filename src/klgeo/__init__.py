@@ -20,11 +20,9 @@ from .dist import (
     total_variation,
 )
 from .geometry import (
-    ComparisonReport,
     GeometryPoint,
     TiltedFamily,
     attained_bound_limits,
-    compare,
     convergence_profile,
     divergence_cost,
     j_beta,
@@ -40,7 +38,6 @@ from .ngram import (
     bigram_orders,
     conditional_projection,
     full_orders,
-    grad_objective,
     make_verifier_first_equals_last,
     random_base_model,
     to_distribution,

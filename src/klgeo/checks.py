@@ -1,16 +1,23 @@
 """Registry of executable invariant checks.
 
 Every named identity or structural property the library promises is
-represented here once, so the `check` command cannot silently drop one.
-Each check returns (passed, detail); a nonzero tolerance override
-replaces the check's default tolerance.
+represented here once, so the `check` command cannot silently drop one,
+and the acceptance criteria run these same checks.  Each check runs on
+fixed instances at fixed tolerances and returns (passed, detail).
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from . import dist, geometry, ngram, optimize
-from .experiments import _toy_instance, ordering_illustration, ordering_instance
+from .experiments import (
+    _toy_instance,
+    ordering_illustration,
+    ordering_instance,
+    three_outcome_family,
+)
 from .rng import SeededRng
 
 
@@ -19,69 +26,98 @@ def _random_simplex(rng, n):
     return w / w.sum()
 
 
-def _toy_family(seed=7, n=27):
+def _random_dist(fam, rng):
+    return dist.FiniteDistribution(fam.base.outcomes,
+                                   _random_simplex(rng, len(fam.base)))
+
+
+def _toy_family(seed=7):
     rng = SeededRng(seed)
-    base = dist.FiniteDistribution(range(n), _random_simplex(rng, n))
-    mask = np.zeros(n, dtype=bool)
-    mask[: n // 3] = True
+    base = dist.FiniteDistribution(range(27), _random_simplex(rng, 27))
+    mask = np.zeros(27, dtype=bool)
+    mask[:9] = True
     return geometry.TiltedFamily(base, dist.BinaryVerifier(mask)), rng
 
 
-def _general_family(seed=11, n=27):
+def _general_family(seed=11):
     rng = SeededRng(seed)
-    base = dist.FiniteDistribution(range(n), _random_simplex(rng, n))
-    reward = dist.RewardFn(rng.uniform(n))
+    base = dist.FiniteDistribution(range(27), _random_simplex(rng, 27))
+    reward = dist.RewardFn(rng.uniform(27))
     return geometry.TiltedFamily(base, reward), rng
 
 
-def check_prop_identity(tol=None):
+def _identity_draws():
+    """100 draws of (q, l1, l2, beta), l1, l2 in [-2, 4) and beta in
+    [0.05, 2.05), on the general reward of seed 23."""
+    fam, rng = _general_family(seed=23)
+    draws = []
+    for _ in range(100):
+        q = _random_dist(fam, rng)
+        l1, l2 = -2.0 + 6.0 * rng.uniform(2)
+        beta = 0.05 + 2.0 * float(rng.uniform(1)[0])
+        draws.append((q, l1, l2, beta))
+    return fam, draws
+
+
+def check_prop_identity():
     """J_beta(q) = beta * (A(1/beta) - KL(q, p_{1/beta})) on random q."""
-    tol = tol or 1e-10
     fam, rng = _toy_family()
+    cases = [(fam, _random_dist(fam, rng), beta)
+             for beta in (0.1, 0.5, 2.0) for _ in range(10)]
+    fam23, draws = _identity_draws()
+    cases += [(fam23, q, beta) for q, _, _, beta in draws]
     worst = 0.0
-    for beta in (0.1, 0.5, 2.0):
-        for _ in range(10):
-            q = dist.FiniteDistribution(fam.base.outcomes,
-                                        _random_simplex(rng, len(fam.base)))
-            lam = 1.0 / beta
-            lhs = geometry.j_beta(fam, q, beta)
-            rhs = beta * (geometry.log_partition(fam, lam)
-                          - dist.kl_divergence_finite(q, geometry.tilted(fam, lam)))
-            worst = max(worst, abs(lhs - rhs))
-    return worst <= tol, f"max residual {worst:.3e}"
+    for fam, q, beta in cases:
+        lam = 1.0 / beta
+        lhs = geometry.j_beta(fam, q, beta)
+        rhs = beta * (geometry.log_partition(fam, lam)
+                      - dist.kl_divergence_finite(q, geometry.tilted(fam, lam)))
+        worst = max(worst, abs(lhs - rhs))
+    return worst <= 1e-10, f"max residual {worst:.3e}"
 
 
-def check_kl_difference_identity(tol=None):
+def check_kl_difference_identity():
     """Closed-form KL difference matches direct subtraction of the two KLs."""
-    tol = tol or 1e-10
     fam, rng = _general_family()
-    worst = 0.0
+    cases = []
     for _ in range(20):
-        q = dist.FiniteDistribution(fam.base.outcomes,
-                                    _random_simplex(rng, len(fam.base)))
+        q = _random_dist(fam, rng)
         l1, l2 = -1.0 + 4.0 * rng.uniform(2)
+        cases.append((fam, q, l1, l2))
+    fam23, draws = _identity_draws()
+    cases += [(fam23, q, l1, l2) for q, l1, l2, _ in draws]
+    worst = 0.0
+    for fam, q, l1, l2 in cases:
         direct = (dist.kl_divergence_finite(q, geometry.tilted(fam, l2))
                   - dist.kl_divergence_finite(q, geometry.tilted(fam, l1)))
         worst = max(worst, abs(geometry.kl_difference(fam, q, l1, l2) - direct))
-    return worst <= tol, f"max residual {worst:.3e}"
+    return worst <= 1e-10, f"max residual {worst:.3e}"
 
 
-def check_bijection_roundtrip(tol=None):
+def _moment_families():
+    """Binary rewards of seeds 7 and 11 and the general reward of seed 11."""
+    return [_toy_family(7)[0], _toy_family(11)[0], _general_family(11)[0]]
+
+
+def check_bijection_roundtrip():
     """natural_param(moment(lam)) = lam, binary and general rewards."""
-    tol = tol or 1e-10
     worst = 0.0
-    for fam, _ in (_toy_family(), _general_family()):
-        for lam in np.linspace(-20, 20, 21):
+    for fam in _moment_families():
+        for lam in np.linspace(-20, 20, 41):
             mu = geometry.moment(fam, lam)
             worst = max(worst, abs(geometry.natural_param(fam, mu) - lam))
-    return worst <= tol, f"max roundtrip error {worst:.3e}"
+    return worst <= 1e-10, f"max roundtrip error {worst:.3e}"
 
 
-def check_legendre_consistency(tol=None):
-    """kappa(mu) = lam(mu)*mu - A(lam(mu)) = KL(p_{lam(mu)}, base)."""
-    tol = tol or 1e-10
+def check_legendre_consistency():
+    """kappa(mu) = lam(mu)*mu - A(lam(mu)) = KL(p_{lam(mu)}, base), on a mu
+    grid and at mu = moment(lam) on a lam grid."""
     worst = 0.0
-    for fam, _ in (_toy_family(), _general_family()):
+    for fam in _moment_families():
+        for lam in np.linspace(-20, 20, 41):
+            kappa = geometry.divergence_cost(fam, geometry.moment(fam, lam))
+            direct = dist.kl_divergence_finite(geometry.tilted(fam, lam), fam.base)
+            worst = max(worst, abs(kappa - direct))
         lo, hi = fam.reward.m, fam.reward.M
         for mu in np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 9):
             lam = geometry.natural_param(fam, mu)
@@ -89,43 +125,47 @@ def check_legendre_consistency(tol=None):
             direct = dist.kl_divergence_finite(geometry.tilted(fam, lam), fam.base)
             dual = lam * mu - geometry.log_partition(fam, lam)
             worst = max(worst, abs(kappa - direct), abs(kappa - dual))
-    return worst <= tol, f"max residual {worst:.3e}"
+    return worst <= 1e-10, f"max residual {worst:.3e}"
 
 
-def check_closed_form_convergence(tol=None):
-    """Binary closed forms for TVD and forward KL to the filtered model."""
-    tol = tol or 1e-12
-    fam, _ = _toy_family()
-    pstar = geometry.attained_bound_limits(fam, "upper").limit_dist
+def check_closed_form_convergence():
+    """TVD and forward KL to the filtered model: the profile, the direct
+    values and A0/(A0 + A1 e^lam), log1p((A0/A1) e^-lam) agree; the
+    reverse KL is infinite."""
+    fams = [_toy_family()[0]] + [three_outcome_family(a1)
+                                 for a1 in (0.1, 0.35, 0.5, 0.9)]
     worst = 0.0
-    for point in geometry.convergence_profile(fam, np.linspace(-10, 40, 26)):
-        p_lam = geometry.tilted(fam, point.lam)
-        worst = max(worst,
-                    abs(dist.total_variation(pstar, p_lam) - point.tvd_to_pstar),
-                    abs(dist.kl_divergence_finite(pstar, p_lam) - point.fkl_from_pstar))
-        if dist.kl_divergence(p_lam, pstar) != np.inf:
-            return False, "reverse KL unexpectedly finite"
-    return worst <= tol, f"max residual {worst:.3e}"
+    for fam in fams:
+        a0, a1 = fam.A0, fam.A1
+        pstar = geometry.attained_bound_limits(fam, "upper").limit_dist
+        for point in geometry.convergence_profile(fam, np.linspace(-10, 40, 51)):
+            p_lam = geometry.tilted(fam, point.lam)
+            tvds = (point.tvd_to_pstar, dist.total_variation(pstar, p_lam),
+                    a0 / (a0 + a1 * math.exp(point.lam)))
+            fkls = (point.fkl_from_pstar, dist.kl_divergence_finite(pstar, p_lam),
+                    math.log1p((a0 / a1) * math.exp(-point.lam)))
+            worst = max(worst, max(tvds) - min(tvds), max(fkls) - min(fkls))
+            if (point.rkl_to_pstar != math.inf
+                    or dist.kl_divergence(p_lam, pstar) != math.inf):
+                return False, "reverse KL unexpectedly finite"
+    return worst <= 1e-12, f"max residual {worst:.3e}"
 
 
-def check_moment_monotone_convex(tol=None):
+def check_moment_monotone_convex():
     """moment strictly increasing; log-partition second differences >= 0."""
-    tol = tol or 1e-10
-    for fam, _ in (_toy_family(), _general_family()):
-        grid = np.linspace(-15, 15, 61)
+    grid = np.linspace(-20, 20, 81)
+    for fam in _moment_families():
         mus = [geometry.moment(fam, l) for l in grid]
         if any(b <= a for a, b in zip(mus, mus[1:])):
             return False, "moment map not strictly increasing"
-        avals = [geometry.log_partition(fam, l) for l in grid]
-        second = np.diff(avals, 2)
-        if second.min() < -tol:
+        second = np.diff([geometry.log_partition(fam, l) for l in grid], 2)
+        if second.min() < -1e-10:
             return False, f"convexity violated by {second.min():.3e}"
     return True, "ok"
 
 
-def check_iprojection_slice(tol=None):
+def check_iprojection_slice():
     """KL(q, p_{lam(mu)}) - KL(q, base) is constant over the moment slice."""
-    tol = tol or 1e-10
     fam, rng = _general_family()
     mu = 0.5 * (fam.reward.m + fam.reward.M)
     lam = geometry.natural_param(fam, mu)
@@ -136,7 +176,7 @@ def check_iprojection_slice(tol=None):
         gaps.append(dist.kl_divergence_finite(q, p_mu)
                     - dist.kl_divergence_finite(q, fam.base))
     spread = max(gaps) - min(gaps)
-    return spread <= tol, f"gap spread {spread:.3e}"
+    return spread <= 1e-10, f"gap spread {spread:.3e}"
 
 
 def _slice_member(fam, rng, mu):
@@ -156,11 +196,15 @@ def _slice_member(fam, rng, mu):
     return dist.FiniteDistribution(fam.base.outcomes, mix)
 
 
-def check_ordering_crossing(tol=None):
-    """The two mid-validity candidates swap order at the predicted lambda."""
-    tol = tol or 1e-8
+def check_ordering_crossing():
+    """The candidates pi3 and pi4, of validities 0.93 and 0.98, swap order
+    at the lambda the tilt identity predicts, (KL(pi4, a) - KL(pi3, a)) / 0.05,
+    and pi4 stays ahead at every larger lambda of the curves' grid."""
     fam, _, cands = ordering_instance()
-    lam_star = ordering_illustration(()).crossing_lambda
+    res = ordering_illustration(np.linspace(0.5, 60.0, 120))
+    lam_star = res.crossing_lambda
+    pred = (dist.kl_divergence_finite(cands["pi4"], fam.base)
+            - dist.kl_divergence_finite(cands["pi3"], fam.base)) / (0.98 - 0.93)
 
     def kl(name, lam):
         return dist.kl_divergence_finite(cands[name], geometry.tilted(fam, lam))
@@ -168,15 +212,20 @@ def check_ordering_crossing(tol=None):
     gap = kl("pi3", lam_star) - kl("pi4", lam_star)
     below = kl("pi4", lam_star - 1) < kl("pi3", lam_star - 1)
     above = kl("pi4", lam_star + 1) < kl("pi3", lam_star + 1)
-    ok = abs(gap) <= tol and above and not below
-    return ok, f"crossing at {lam_star:.4f}, gap {gap:.3e}"
+    ahead = all(k4 < k3 for lam, k3, k4 in zip(res.lambdas, res.curves["pi3"],
+                                               res.curves["pi4"]) if lam > lam_star)
+    ok = (abs(res.validities["pi3"] - 0.93) < 1e-12
+          and abs(res.validities["pi4"] - 0.98) < 1e-12
+          and math.isfinite(lam_star) and abs(lam_star - pred) <= 1e-6
+          and abs(gap) <= 1e-8 and above and not below and ahead)
+    return ok, (f"crossing at {lam_star:.4f} vs predicted {pred:.4f}, "
+                f"gap {gap:.3e}")
 
 
-def gradient_error(objective_name, base_seed, order, policy_seed,
-                   h=ngram.FD_STEP):
+def gradient_error(objective_name, base_seed, order, policy_seed):
     """Max relative error of the analytic gradient of one sweep objective
-    ("j_beta" or "forward_kl") against central differences of step h, at a
-    random policy of the given order ("bigram" or "full") on the (3, 3)
+    ("j_beta" or "forward_kl") against central differences, at a random
+    policy of the given order ("bigram" or "full") on the (3, 3)
     first-equals-last toy whose base model has seed base_seed."""
     fam, pstar, template = _toy_instance(base_seed, order)
     pol = template.with_logits(SeededRng(policy_seed).normal(template.n_params))
@@ -184,30 +233,37 @@ def gradient_error(objective_name, base_seed, order, policy_seed,
         obj = ngram.JBetaObjective(fam, beta=0.2)
     else:
         obj = ngram.ForwardKLObjective(pstar)
-    return optimize.verify_gradients(pol, obj, h=h)
+    return optimize.verify_gradients(pol, obj)
 
 
-def _gradcheck(objective_name, tol):
-    """Fails on the worse of the bigram and the full-order family's errors."""
-    errs = {order: gradient_error(objective_name, 3, order, 5)
-            for order in ("bigram", "full")}
-    return (max(errs.values()) <= tol, "max relative error "
-            + ", ".join(f"{order} {err:.3e}" for order, err in errs.items()))
+# (base seed, order, policy seed) of each instance the gradient checks run
+_GRADIENT_CASES = ((3, "bigram", 5), (3, "full", 5), (1, "bigram", 101),
+                   (1, "bigram", 102), (1, "bigram", 103))
 
 
-def check_gradient_j_beta(tol=None):
+def _gradcheck(objective_name):
+    """Fails unless every instance's error is below 1e-7; reports the worst
+    error of each order."""
+    worst = {"bigram": 0.0, "full": 0.0}
+    for base_seed, order, policy_seed in _GRADIENT_CASES:
+        worst[order] = max(worst[order], gradient_error(
+            objective_name, base_seed, order, policy_seed))
+    return (max(worst.values()) < 1e-7, "max relative error "
+            + ", ".join(f"{order} {err:.3e}" for order, err in worst.items()))
+
+
+def check_gradient_j_beta():
     """Analytic vs central-difference gradients of the KL-control objective."""
-    return _gradcheck("j_beta", tol or 1e-7)
+    return _gradcheck("j_beta")
 
 
-def check_gradient_forward_kl(tol=None):
+def check_gradient_forward_kl():
     """Analytic vs central-difference gradients of the forward-KL fit."""
-    return _gradcheck("forward_kl", tol or 1e-7)
+    return _gradcheck("forward_kl")
 
 
-def check_tvd_metric(tol=None):
+def check_tvd_metric():
     """Symmetry and triangle inequality of TVD on random triples."""
-    tol = tol or 1e-12
     rng = SeededRng(13)
     outcomes = tuple(range(12))
     for _ in range(20):
@@ -216,26 +272,25 @@ def check_tvd_metric(tol=None):
         if dist.total_variation(p, q) != dist.total_variation(q, p):
             return False, "symmetry violated"
         if (dist.total_variation(p, s)
-                > dist.total_variation(p, q) + dist.total_variation(q, s) + tol):
+                > dist.total_variation(p, q) + dist.total_variation(q, s) + 1e-12):
             return False, "triangle inequality violated"
     return True, "ok"
 
 
-def check_conditioning(tol=None):
+def check_conditioning():
     """Conditioning renormalizes exactly and zeroes the complement."""
-    tol = tol or 1e-12
     rng = SeededRng(17)
     outcomes = tuple(range(10))
     p = dist.FiniteDistribution(outcomes, _random_simplex(rng, 10))
     mask = np.zeros(10, dtype=bool)
     mask[2:7] = True
     c = dist.condition(p, mask)
-    if abs(c.probs.sum() - 1.0) > tol:
+    if abs(c.probs.sum() - 1.0) > 1e-12:
         return False, "not normalized"
     if np.any(c.probs[~mask] != 0.0):
         return False, "mass off the conditioning set"
     ratio = c.probs[mask] / p.probs[mask]
-    return float(ratio.max() - ratio.min()) <= tol, "ok"
+    return float(ratio.max() - ratio.min()) <= 1e-12, "ok"
 
 
 # Name -> callable; the single source for the `check` command and the tests.
@@ -255,13 +310,13 @@ REGISTRY = {
 }
 
 
-def run_all(tolerance=None):
+def run_all():
     """Run every registered check; returns {name: (passed, detail)}.  A check
     that raises ValueError or ArithmeticError fails, with the error as detail."""
     results = {}
     for name, fn in REGISTRY.items():
         try:
-            results[name] = fn(tolerance)
+            results[name] = fn()
         except (ValueError, ArithmeticError) as exc:
             results[name] = (False, f"raised {type(exc).__name__}: {exc}")
     return results

@@ -334,19 +334,14 @@ def beta_mu_table(A1_values, mu_targets) -> list:
 class DipDiagnostic:
     dip_present: bool
     argmin_lambda: float
-    fkl_monotone: bool
 
 
-def tvd_dip_diagnostic(summary: SeedSummary, tol: float = 1e-6) -> DipDiagnostic:
-    """Detect an interior minimum of TVD-to-filtered-model along the grid and
-    check that the forward KL is non-decreasing across it."""
+def tvd_dip_diagnostic(summary: SeedSummary) -> DipDiagnostic:
+    """Detect an interior minimum of TVD-to-filtered-model along the grid."""
     lams = [r.lam for r in summary.records]
     if len(lams) < 8 or min(lams) > 1.0 or max(lams) < 20.0:
         raise ValueError("lambda grid must span [1, 20] with at least 8 points")
     tvds = [r.tvd_to_pstar for r in summary.records]
-    fkls = [r.fkl_from_pstar for r in summary.records]
-    fkl_monotone = all(fkls[i + 1] >= fkls[i] - tol for i in range(len(fkls) - 1))
     k = int(np.argmin(tvds))
     dip_present = 0 < k < len(tvds) - 1
-    return DipDiagnostic(dip_present=dip_present, argmin_lambda=lams[k],
-                         fkl_monotone=fkl_monotone)
+    return DipDiagnostic(dip_present=dip_present, argmin_lambda=lams[k])

@@ -77,22 +77,6 @@ class GeometryPoint:
         return GeometryPoint(lam=lam, mu=mu, kappa=divergence_cost(fam, mu))
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Pairwise comparison of two candidate distributions at a fixed beta.
-
-    d_j           : J_beta(pi2) - J_beta(pi)
-    d_kl_tilted   : KL(pi, p_lam) - KL(pi2, p_lam)       with lam = 1/beta
-    d_validity    : E_pi2[r] - E_pi[r]
-    d_kl_base     : KL(pi2, base) - KL(pi, base)
-    """
-
-    d_j: float
-    d_kl_tilted: float
-    d_validity: float
-    d_kl_base: float
-
-
 def _shifted_log_weights(fam: TiltedFamily, lam: float):
     """For z = log base + lam r: m = max z, z - m, e^(z - m) and its sum s,
     so that A(lam) = m + log s and log p_lam = z - m - log s."""
@@ -233,23 +217,6 @@ def j_beta(fam: TiltedFamily, q: FiniteDistribution, beta: float) -> float:
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     return expected_reward(q, fam.reward) - beta * kl_divergence_finite(q, fam.base)
-
-
-def compare(fam: TiltedFamily, pi: FiniteDistribution, pi2: FiniteDistribution,
-            beta: float) -> ComparisonReport:
-    """Populate all four comparison deltas between pi and pi2 at this beta."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    lam = 1.0 / beta
-    p_lam = tilted(fam, lam)
-    d_j = j_beta(fam, pi2, beta) - j_beta(fam, pi, beta)
-    d_kl_tilted = (kl_divergence_finite(pi, p_lam)
-                   - kl_divergence_finite(pi2, p_lam))
-    d_validity = expected_reward(pi2, fam.reward) - expected_reward(pi, fam.reward)
-    d_kl_base = (kl_divergence_finite(pi2, fam.base)
-                 - kl_divergence_finite(pi, fam.base))
-    return ComparisonReport(d_j=d_j, d_kl_tilted=d_kl_tilted,
-                            d_validity=d_validity, d_kl_base=d_kl_base)
 
 
 @dataclass(frozen=True)

@@ -93,9 +93,7 @@ SCHEMAS = {
                                         3.0, 5.0, 10.0, 20.0, 40.0]),
         "plots": (_parse_bool, False),
     },
-    "check": {
-        "tolerance": (float, 0.0),  # 0 -> per-check defaults
-    },
+    "check": {},
 }
 
 

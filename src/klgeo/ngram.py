@@ -83,8 +83,7 @@ class _Structure:
         seqs = np.array(space.outcomes(), dtype=np.intp)  # (N, T)
         self.space = space
         self.context_lengths = tuple(context_lengths)
-        self.block_shapes = [(V ** c, V) for c in context_lengths]
-        first_row = np.cumsum([0] + [nc for nc, _ in self.block_shapes])
+        first_row = np.cumsum([0] + [V ** c for c in context_lengths])
         self.row_shape = (int(first_row[-1]), V)
         self.n_params = self.row_shape[0] * V
         self.index = np.empty((T, space.n_sequences), dtype=np.intp)
@@ -132,11 +131,6 @@ class NGramPolicy:
 
     def with_logits(self, logits) -> "NGramPolicy":
         return NGramPolicy(self.space, self.context_lengths, logits)
-
-    def blocks(self):
-        """The logits reshaped into their per-position (n_contexts, V) blocks."""
-        rows = self.logits.reshape(-1, self.space.vocab_size)
-        return np.split(rows, np.cumsum([nc for nc, _ in self._struct.block_shapes[:-1]]))
 
 
 # The kernels below run once or twice per solver step on a few dozen
@@ -349,15 +343,6 @@ def _polish_tvd(struct: _Structure, theta: np.ndarray, p: np.ndarray):
         if start_value - value <= POLISH_TOL:
             return theta, value, sweep, False
     return theta, value, POLISH_MAX_SWEEPS, True
-
-
-def grad_objective(pol: NGramPolicy, objective) -> np.ndarray:
-    """Gradient of the objective in the policy's flat logit vector."""
-    return objective.grad_theta(pol._struct, pol.logits)
-
-
-def objective_value(pol: NGramPolicy, objective) -> float:
-    return objective.value_theta(pol._struct, pol.logits)
 
 
 # ---------------------------------------------------------------------------

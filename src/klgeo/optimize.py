@@ -24,7 +24,6 @@ from .ngram import (
     central_difference,
     conditional_projection,
     full_orders,
-    grad_objective,
 )
 from .rng import SeededRng
 from .dist import FiniteDistribution
@@ -220,7 +219,7 @@ def verify_gradients(pol: NGramPolicy, objective, h: float = FD_STEP) -> float:
     if h <= 0:
         raise ValueError("h must be positive")
     struct = pol._struct
-    analytic = grad_objective(pol, objective)
+    analytic = objective.grad_theta(struct, pol.logits)
     fd = central_difference(lambda t: objective.value_theta(struct, t), pol.logits, h)
     f = objective.value_theta(struct, pol.logits)
     round_off = max(np.finfo(float).eps * abs(f) / h, 1e-12)

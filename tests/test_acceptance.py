@@ -2,54 +2,33 @@
 
 Ten numbered criteria covering the closed forms, the moment-map bijection,
 the algebraic identities, the ordering instance, gradient verification, and
-the eight-seed mode-collapse study with its reference policies.  Each
-criterion prints one pass/fail line (run with -s to see them for passing
-tests too).
+the eight-seed mode-collapse study with its reference policies.  Criteria 1,
+2, 3, 5 and 6 run the identities' checks from `klgeo.checks.REGISTRY`, which
+`klgeo check` runs too.  Each criterion prints one pass/fail line (run with
+-s to see them for passing tests too).
 """
 import math
 
 import numpy as np
 import pytest
 
-from klgeo.dist import (
-    BinaryVerifier,
-    FiniteDistribution,
-    RewardFn,
-    condition,
-    kl_divergence,
-    kl_divergence_finite,
-    total_variation,
-)
-from klgeo.experiments import DEFAULT_LAMBDA_GRID, beta_mu_table, ordering_illustration, run_sweep, tvd_dip_diagnostic
-from klgeo.geometry import (
-    TiltedFamily,
-    convergence_profile,
-    divergence_cost,
-    j_beta,
-    kl_difference,
-    log_partition,
-    moment,
-    natural_param,
-    tilted,
+from klgeo import checks
+from klgeo.dist import kl_divergence_finite
+from klgeo.experiments import (
+    DEFAULT_LAMBDA_GRID,
+    _toy_instance,
+    beta_mu_table,
+    run_sweep,
+    tvd_dip_diagnostic,
 )
 from klgeo.ngram import (
-    ForwardKLObjective,
-    JBetaObjective,
-    NGramPolicy,
     SequenceSpace,
-    bigram_orders,
     conditional_projection,
     full_orders,
     make_verifier_first_equals_last,
-    random_base_model,
     to_distribution,
 )
-from klgeo.optimize import (
-    OptimizerConfig,
-    ascend_j_beta,
-    verify_gradients,
-)
-from klgeo.rng import SeededRng
+from klgeo.optimize import OptimizerConfig, ascend_j_beta
 
 SEEDS = tuple(range(1, 9))
 
@@ -64,9 +43,11 @@ def _report(num: int, name: str, ok: bool, detail: str):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def _binary_family(a1: float) -> TiltedFamily:
-    base = FiniteDistribution(("v1", "v2", "i1"), (a1 / 2, a1 / 2, 1 - a1))
-    return TiltedFamily(base, BinaryVerifier((True, True, False)))
+def _report_checks(num: int, name: str, *check_names: str):
+    """Run the named checks of the registry and report them as one criterion."""
+    results = [(c, *checks.REGISTRY[c]()) for c in check_names]
+    _report(num, name, all(ok for _, ok, _ in results),
+            "; ".join(f"{c}: {detail}" for c, _, detail in results))
 
 
 @pytest.fixture(scope="session")
@@ -85,15 +66,10 @@ def warm_cold_full():
 
     Returns {seed: (fkl_cold, fkl_warm)} with fkl = KL(p*, policy).
     """
-    space = SequenceSpace(3, 3)
-    verifier = make_verifier_first_equals_last(space)
     cfg = OptimizerConfig()
     out = {}
     for seed in SEEDS:
-        base_pol = random_base_model(space, seed)
-        base = to_distribution(base_pol)
-        fam = TiltedFamily(base, verifier)
-        pstar = condition(base, verifier.mask)
+        fam, pstar, base_pol = _toy_instance(seed, "full")
         cold = ascend_j_beta(fam, base_pol, cfg, beta=1.0 / 50.0)
         first = ascend_j_beta(fam, base_pol, cfg, beta=1.0 / 3.0)
         warm = ascend_j_beta(fam, first.final_policy, cfg, beta=1.0 / 50.0)
@@ -109,77 +85,16 @@ def _rec(summary, lam):
 
 
 def test_criterion_1_closed_form_convergence():
-    worst = 0.0
-    for a1 in (0.1, 0.35, 0.5, 0.9):
-        fam = _binary_family(a1)
-        a0 = 1.0 - a1
-        pstar = condition(fam.base, (True, True, False))
-        for point in convergence_profile(fam, np.linspace(-10.0, 40.0, 51)):
-            lam = point.lam
-            tvd_cf = a0 / (a0 + a1 * math.exp(lam))
-            fkl_cf = math.log1p((a0 / a1) * math.exp(-lam))
-            p_lam = tilted(fam, lam)
-            worst = max(
-                worst,
-                abs(point.tvd_to_pstar - tvd_cf),
-                abs(total_variation(pstar, p_lam) - tvd_cf),
-                abs(point.fkl_from_pstar - fkl_cf),
-                abs(kl_divergence_finite(pstar, p_lam) - fkl_cf),
-            )
-            assert point.rkl_to_pstar == math.inf
-            assert kl_divergence(p_lam, pstar) == math.inf
-    _report(1, "closed-form-convergence", worst <= 1e-12,
-            f"max residual {worst:.3e}")
+    _report_checks(1, "closed-form-convergence", "closed-form-convergence")
 
 
 def test_criterion_2_bijection_legendre():
-    rng = SeededRng(11)
-    w = -np.log(1.0 - rng.uniform(27))
-    base = FiniteDistribution(tuple(range(27)), w / w.sum())
-    mask = np.zeros(27, dtype=bool)
-    mask[:9] = True
-    families = (
-        TiltedFamily(base, BinaryVerifier(mask)),
-        TiltedFamily(base, RewardFn(rng.uniform(27))),
-    )
-    worst_rt, worst_leg = 0.0, 0.0
-    for fam in families:
-        for lam in np.linspace(-20.0, 20.0, 41):
-            mu = moment(fam, lam)
-            worst_rt = max(worst_rt, abs(natural_param(fam, mu) - lam))
-            kappa = divergence_cost(fam, mu)
-            direct = kl_divergence_finite(tilted(fam, lam), fam.base)
-            worst_leg = max(worst_leg, abs(kappa - direct))
-        grid = np.linspace(-20.0, 20.0, 81)
-        mus = [moment(fam, l) for l in grid]
-        assert all(b > a for a, b in zip(mus, mus[1:]))
-        avals = [log_partition(fam, l) for l in grid]
-        assert np.diff(avals, 2).min() >= -1e-10
-    ok = worst_rt <= 1e-10 and worst_leg <= 1e-10
-    _report(2, "bijection-legendre", ok,
-            f"roundtrip {worst_rt:.3e}, legendre {worst_leg:.3e}")
+    _report_checks(2, "bijection-legendre", "bijection-roundtrip",
+                   "legendre-consistency", "moment-monotone-convex")
 
 
 def test_criterion_3_identity_suite():
-    rng = SeededRng(23)
-    w = -np.log(1.0 - rng.uniform(27))
-    base = FiniteDistribution(tuple(range(27)), w / w.sum())
-    fam = TiltedFamily(base, RewardFn(rng.uniform(27)))
-    worst = 0.0
-    for _ in range(100):
-        q = -np.log(1.0 - rng.uniform(27))
-        q = FiniteDistribution(tuple(range(27)), q / q.sum())
-        l1, l2 = -2.0 + 6.0 * rng.uniform(2)
-        beta = 0.05 + 2.0 * float(rng.uniform(1)[0])
-        lam = 1.0 / beta
-        lhs = j_beta(fam, q, beta)
-        rhs = beta * (log_partition(fam, lam)
-                      - kl_divergence_finite(q, tilted(fam, lam)))
-        worst = max(worst, abs(lhs - rhs))
-        direct = (kl_divergence_finite(q, tilted(fam, l2))
-                  - kl_divergence_finite(q, tilted(fam, l1)))
-        worst = max(worst, abs(kl_difference(fam, q, l1, l2) - direct))
-    _report(3, "identity-suite", worst <= 1e-10, f"max residual {worst:.3e}")
+    _report_checks(3, "identity-suite", "prop-identity", "kl-difference-identity")
 
 
 def test_criterion_4_beta_mu_table():
@@ -197,42 +112,12 @@ def test_criterion_4_beta_mu_table():
 
 
 def test_criterion_5_ordering_instance():
-    grid = [float(x) for x in np.linspace(0.5, 60.0, 120)]
-    res = ordering_illustration(grid)
-    ok = (abs(res.validities["pi3"] - 0.93) < 1e-12
-          and abs(res.validities["pi4"] - 0.98) < 1e-12)
-    lam_star = res.crossing_lambda
-    # independent prediction from the tilt identity: the KL gap is affine in
-    # lambda, crossing at (KL(pi4,a) - KL(pi3,a)) / (mu4 - mu3)
-    from klgeo.experiments import ordering_instance
-
-    fam, _, cands = ordering_instance()
-    kl3 = kl_divergence_finite(cands["pi3"], fam.base)
-    kl4 = kl_divergence_finite(cands["pi4"], fam.base)
-    pred = (kl4 - kl3) / (0.98 - 0.93)
-    ok = ok and abs(lam_star - pred) <= 1e-6 and math.isfinite(lam_star)
-    for lam, k3, k4 in zip(res.lambdas, res.curves["pi3"], res.curves["pi4"]):
-        if lam > lam_star:
-            ok = ok and k4 < k3
-    _report(5, "ordering-instance", ok,
-            f"crossing {lam_star:.4f} vs predicted {pred:.4f}")
+    _report_checks(5, "ordering-instance", "ordering-crossing")
 
 
 def test_criterion_6_gradient_verification():
-    space = SequenceSpace(3, 3)
-    base_pol = random_base_model(space, seed=1)
-    base = to_distribution(base_pol)
-    verifier = make_verifier_first_equals_last(space)
-    fam = TiltedFamily(base, verifier)
-    pstar = condition(base, verifier.mask)
-    worst = 0.0
-    for seed in (101, 102, 103):
-        pol = NGramPolicy(space, bigram_orders(space), SeededRng(seed).normal(21))
-        worst = max(worst,
-                    verify_gradients(pol, JBetaObjective(fam, beta=0.2)),
-                    verify_gradients(pol, ForwardKLObjective(pstar)))
-    _report(6, "gradient-verification", worst < 1e-7,
-            f"max relative error {worst:.3e}")
+    _report_checks(6, "gradient-verification", "gradient-j-beta",
+                   "gradient-forward-kl")
 
 
 def test_criterion_7_mode_collapse_stats(eight_seed_sweep):
@@ -309,9 +194,7 @@ def test_criterion_10_misspecification_witness(eight_seed_sweep, warm_cold_full)
     # projection), so its reachable forward KL is below any tolerance
     full_worst = 0.0
     for seed in SEEDS:
-        base = to_distribution(random_base_model(space, seed))
-        verifier = make_verifier_first_equals_last(space)
-        pstar = condition(base, verifier.mask)
+        _, pstar, _ = _toy_instance(seed, "full")
         witness = conditional_projection(pstar, space, full_orders(space))
         full_worst = max(full_worst,
                          kl_divergence_finite(pstar, to_distribution(witness)))

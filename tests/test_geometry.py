@@ -19,7 +19,6 @@ from klgeo.geometry import (
     GeometryPoint,
     TiltedFamily,
     attained_bound_limits,
-    compare,
     convergence_profile,
     divergence_cost,
     j_beta,
@@ -438,38 +437,6 @@ class TestJBeta:
 
 
 class TestCompare:
-    def test_self_comparison_zero(self):
-        fam = fig_family()
-        rep = compare(fam, fam.base, fam.base, 0.5)
-        assert rep.d_j == 0.0 and rep.d_kl_tilted == 0.0
-        assert rep.d_validity == 0.0 and rep.d_kl_base == 0.0
-
-    def test_internal_identities(self, rng):
-        fam, _ = general_family()
-        for beta in (0.2, 1.0, 4.0):
-            pi = random_dist(rng, fam.base.outcomes)
-            pi2 = random_dist(rng, fam.base.outcomes)
-            rep = compare(fam, pi, pi2, beta)
-            assert rep.d_j == pytest.approx(beta * rep.d_kl_tilted, abs=1e-10)
-            assert rep.d_j == pytest.approx(rep.d_validity - beta * rep.d_kl_base,
-                                            abs=1e-10)
-
-    def test_fully_valid_pair(self, rng):
-        # between fully valid candidates the tilted-KL gap is lambda-free
-        fam = fig_family()
-        def valid_dist():
-            w = rng.uniform(3) + 0.05
-            return FiniteDistribution(fam.base.outcomes,
-                                      np.concatenate([w / w.sum(), [0, 0]]))
-        pi, pi2 = valid_dist(), valid_dist()
-        gaps = []
-        for beta in (0.05, 0.2, 1.0):
-            rep = compare(fam, pi, pi2, beta)
-            assert rep.d_validity == pytest.approx(0.0, abs=1e-12)
-            assert rep.d_j == pytest.approx(-beta * rep.d_kl_base, abs=1e-10)
-            gaps.append(rep.d_kl_tilted)
-        assert max(gaps) - min(gaps) <= 1e-10
-
     def test_preference_crossing_exists(self):
         fam = fig_family()
         pstar = condition(fam.base, fam.reward.mask)

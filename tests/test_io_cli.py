@@ -1,4 +1,5 @@
 """Config parsing, serialization formats, SVG emission, CLI exit codes."""
+import dataclasses
 import json
 import math
 import os
@@ -402,11 +403,26 @@ class TestCliCheck:
                    for line in lines)
         assert "config error" not in captured.err
 
-    def test_unreachable_tolerance(self, tmp_path, capsys):
-        rc = main(["check", "--out", str(tmp_path / "out"),
-                   "--tolerance", "1e-14"])
-        capsys.readouterr()
+    def test_three_outcome_closed_form_fault_caught(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a TVD profile off by 1e-9 on the three-outcome families only; the
+        # 27-outcome family that closed-form-convergence also runs is untouched
+        from klgeo import geometry
+
+        real = geometry.convergence_profile
+
+        def shifted(fam, lambdas):
+            points = real(fam, lambdas)
+            if len(fam.base) == 3:
+                points = [dataclasses.replace(p, tvd_to_pstar=p.tvd_to_pstar + 1e-9)
+                          for p in points]
+            return points
+
+        monkeypatch.setattr(geometry, "convergence_profile", shifted)
+        rc = main(["check", "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().out.splitlines()
         assert rc == EXIT_CHECK
+        assert lines[-1] == "failed checks: closed-form-convergence"
 
 
 class TestCliGradcheck:
@@ -544,9 +560,7 @@ class TestCliErrors:
         ("geometry", "lambdas=1,1", "distinct and sorted ascending"),
         ("geometry", "a1_values=0.5,0.5", "a1_values must be distinct"),
         ("geometry", "mu_targets=0.9,0.9", "mu_targets must be distinct"),
-        ("check", "tolerance=-1", "tolerance"),
-        ("check", "tolerance=nan", "tolerance"),
-        ("check", "tolerance=inf", "tolerance"),
+        ("check", "tolerance=1e-7", "unknown key 'tolerance'"),
     ])
     def test_bad_value_exit_one_before_output(self, tmp_path, capsys, command,
                                               line, message):
@@ -568,6 +582,7 @@ class TestCliErrors:
         ("sweep", ["--tolerance", "5"]),
         ("geometry", ["--seeds", "3", "--warm-start", "--tolerance", "5"]),
         ("check", ["--plots"]),
+        ("check", ["--tolerance", "1e-7"]),
     ])
     def test_flag_without_key_exit_one(self, tmp_path, capsys, command, flags):
         # a tiny budget, so that a run which ignored the flag ends quickly
@@ -586,16 +601,17 @@ class TestCliErrors:
             assert main([command, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
             err = capsys.readouterr().err
             assert err.startswith("usage: klgeo ") and "invalid choice" in err
+        assert main(["sweep", "--order", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "--order: expected one argument" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-        assert main(["check", "--tolerance", "tight",
-                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert "tight" in capsys.readouterr().err
 
     def test_help_exit_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--help"])
         assert exc.value.code == 0
-        assert "--tolerance" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        # check takes no config key, so it has no flag beyond these
+        assert "--config" in out and "--out" in out and "--tolerance" not in out
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("seeds", ["1", "1,2"])
@@ -704,12 +720,6 @@ class TestCliFuzz:
         if lambdas is not None:
             values["lambdas"] = lambdas
         _run_fuzzed(tmp_path, capsys, "geometry", values)
-
-    @FUZZ
-    @given(tolerance=st.one_of(st.floats(0.0, 1e-3), ANY_FLOAT))
-    def test_check(self, tmp_path, capsys, tolerance):
-        _run_fuzzed(tmp_path, capsys, "check",
-                    {"tolerance": format(tolerance, ".17g")})
 
     @FUZZ
     @given(sigma=st.one_of(st.floats(0.0, 12.0), ANY_FLOAT),

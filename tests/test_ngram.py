@@ -21,9 +21,7 @@ from klgeo.ngram import (
     bigram_orders,
     conditional_projection,
     full_orders,
-    grad_objective,
     make_verifier_first_equals_last,
-    objective_value,
     project_policy,
     random_base_model,
     to_distribution,
@@ -79,14 +77,16 @@ class TestParameterCounts:
     def test_bigram_is_21(self):
         pol = NGramPolicy(SPACE, bigram_orders(SPACE), np.zeros(21))
         assert pol.n_params == 21
-        shapes = [b.shape for b in pol.blocks()]
-        assert shapes == [(1, 3), (3, 3), (3, 3)]
+        rows = pol.logits.reshape(-1, 3)
+        assert [rows[:1].shape, rows[1:4].shape, rows[4:].shape] == [
+            (1, 3), (3, 3), (3, 3)]
 
     def test_full_is_39(self):
         pol = NGramPolicy(SPACE, full_orders(SPACE), np.zeros(39))
         assert pol.n_params == 39
-        shapes = [b.shape for b in pol.blocks()]
-        assert shapes == [(1, 3), (3, 3), (9, 3)]
+        rows = pol.logits.reshape(-1, 3)
+        assert [rows[:1].shape, rows[1:4].shape, rows[4:].shape] == [
+            (1, 3), (3, 3), (9, 3)]
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -112,8 +112,9 @@ class TestToDistribution:
     def test_product_of_conditionals(self):
         pol = random_base_model(SPACE, seed=5)
         d = to_distribution(pol)
+        rows = pol.logits.reshape(-1, 3)
         b0, b1, b2 = [np.exp(b - np.log(np.exp(b).sum(axis=1, keepdims=True)))
-                      for b in pol.blocks()]
+                      for b in (rows[:1], rows[1:4], rows[4:])]
         for seq in ((0, 0, 0), (1, 2, 0), (2, 1, 2)):
             manual = (b0[0, seq[0]] * b1[seq[0], seq[1]]
                       * b2[seq[0] * 3 + seq[1], seq[2]])
@@ -207,7 +208,7 @@ class TestGradients:
                                           pol.logits, FD_STEP)
             # atol covers the difference's round-off (eps / FD_STEP) on the
             # components that vanish analytically
-            np.testing.assert_allclose(grad_objective(pol, obj), fd,
+            np.testing.assert_allclose(obj.grad_theta(struct, pol.logits), fd,
                                        rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("orders", [bigram_orders, full_orders],
@@ -225,7 +226,7 @@ class TestGradients:
         assert np.array_equal(ngram.central_difference(
             lambda t: obj.value_theta(struct, t), theta, FD_STEP), fd)
         # verify_gradients' error, written out on the loop's difference
-        analytic = grad_objective(pol, obj)
+        analytic = obj.grad_theta(struct, theta)
         f = obj.value_theta(struct, theta)
         round_off = max(np.finfo(float).eps * abs(f) / FD_STEP, 1e-12)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-12)
@@ -237,7 +238,7 @@ class TestGradients:
         # well-specified target: the projection is stationary
         target = to_distribution(random_base_model(SPACE, seed=8))
         proj = conditional_projection(target, SPACE, full_orders(SPACE))
-        g = grad_objective(proj, ForwardKLObjective(target))
+        g = ForwardKLObjective(target).grad_theta(proj._struct, proj.logits)
         assert np.abs(g).max() < 1e-8
 
     def test_forward_kl_convex_along_segments(self):
@@ -250,15 +251,16 @@ class TestGradients:
             pa = NGramPolicy(SPACE, bigram_orders(SPACE), a)
             pb = pa.with_logits(b)
             pm = pa.with_logits(0.5 * (a + b))
-            mid = objective_value(pm, obj)
-            avg = 0.5 * (objective_value(pa, obj) + objective_value(pb, obj))
+            mid = obj.value_theta(pm._struct, pm.logits)
+            avg = 0.5 * (obj.value_theta(pa._struct, pa.logits)
+                         + obj.value_theta(pb._struct, pb.logits))
             assert mid <= avg + 1e-10
 
     def test_space_mismatch_rejected(self):
         target = FiniteDistribution.uniform(tuple(range(8)))
         pol = NGramPolicy(SPACE, bigram_orders(SPACE), np.zeros(21))
         with pytest.raises(ValueError):
-            grad_objective(pol, ForwardKLObjective(target))
+            ForwardKLObjective(target).grad_theta(pol._struct, pol.logits)
 
 
 class TestConditionalProjection:
@@ -278,7 +280,7 @@ class TestConditionalProjection:
     def test_projection_is_forward_kl_stationary(self):
         base_pol, base, _, _, _ = toy_setup()
         proj = project_policy(base_pol, bigram_orders(SPACE))
-        g = grad_objective(proj, ForwardKLObjective(base))
+        g = ForwardKLObjective(base).grad_theta(proj._struct, proj.logits)
         assert np.abs(g).max() < 1e-10
 
     def test_zero_mass_targets_get_exact_zeros(self):
