@@ -102,7 +102,7 @@ class _Structure:
 
     def scatter(self, w: np.ndarray) -> np.ndarray:
         """(R, V) array of sum_s w_s over the sequences using each logit."""
-        return np.bincount(self.flat_index, weights=w[self.seq_of_flat],
+        return np.bincount(self.flat_index, weights=w.take(self.seq_of_flat),
                            minlength=self.n_params).reshape(self.row_shape)
 
 
@@ -210,13 +210,20 @@ class JBetaObjective:
 
     def grad_theta(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
         _check_space(struct, self._r)
-        lsm = _log_softmax(struct, theta)
-        logq = _log_probs(struct, lsm)
+        # _log_softmax, _log_probs and _grad_weighted_logprob written out for
+        # one logit vector, with the same bits: this runs once per ascent
+        # step, where the helpers' call overhead was 2 % of a bench sweep
+        z = theta.reshape(struct.row_shape)
+        zm = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+        lsm = zm - np.log(np.add.reduce(np.exp(zm), axis=-1, keepdims=True))
+        logq = np.add.reduce(lsm.take(struct.index), axis=-2)
         q = np.exp(logq)
         # d/dtheta sum_s q_s f_s with f = r - beta(log q - log base); the
         # -beta * sum q dlogq correction vanishes because sum dq = 0
         f = self._r - self.beta * (logq - self._log_base)
-        return _grad_weighted_logprob(struct, lsm, q * f)
+        sw = np.bincount(struct.flat_index, weights=(q * f).take(struct.seq_of_flat),
+                         minlength=struct.n_params).reshape(struct.row_shape)
+        return (sw - np.exp(lsm) * np.add.reduce(sw, axis=1, keepdims=True)).ravel()
 
 
 class ForwardKLObjective:

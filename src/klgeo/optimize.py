@@ -90,6 +90,9 @@ def _gradient_run(objective, pol: NGramPolicy, cfg: OptimizerConfig,
     they would report ends it, with its own diagnostic."""
     struct = pol._struct
     theta = pol.logits.copy()
+    # the per-step finiteness test in one numpy call: grad.dot(zeros) is 0
+    # for a finite gradient and nan if an entry is nan or +-inf (0 * inf is nan)
+    zeros = np.zeros_like(theta)
     sign = 1.0 if maximize else -1.0
     decay = 0.5 if halving else 1.0
     grad_theta, value_theta = objective.grad_theta, objective.value_theta
@@ -100,11 +103,12 @@ def _gradient_run(objective, pol: NGramPolicy, cfg: OptimizerConfig,
         start = time.perf_counter()
         for step in range(steps):
             grad = grad_theta(struct, theta)
-            if not np.isfinite(grad).all():
+            if grad.dot(zeros) != 0.0:
                 steps_run, diagnostic = step, f"non-finite gradient at step {step}"
                 break
-            lr = learning_rate * decay ** (step // TVD_HALVING_STEPS)
-            theta += sign * lr * grad
+            # decay ** k is a power of two, so the product's bits do not
+            # depend on the order of its factors
+            theta += sign * learning_rate * decay ** (step // TVD_HALVING_STEPS) * grad
         last = value_theta(struct, theta)
         if not diagnostic and not math.isfinite(last):
             diagnostic = f"non-finite objective at step {steps_run}"
@@ -209,20 +213,20 @@ def _closed_form_run(objective, target: FiniteDistribution, template: NGramPolic
         converged=grad_norm < CONVERGED_GRAD_NORM)
 
 
-def verify_gradients(pol: NGramPolicy, objective, h: float = FD_STEP) -> float:
+def verify_gradients(pol: NGramPolicy, objective) -> float:
     """Max elementwise relative error between analytic and central-difference
-    gradients, with the denominator guarded by max(|analytic|, |fd|, 1e-12).
+    gradients (step FD_STEP), with the denominator guarded by
+    max(|analytic|, |fd|, 1e-12).
 
     A component counts as zero, error 0, when the analytic side is below
-    1e-12 and the difference within its round-off: eps * |f| / h at the
-    policy, or 1e-12 if that is larger."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    1e-12 and the difference within its round-off: eps * |f| / FD_STEP at
+    the policy, or 1e-12 if that is larger."""
     struct = pol._struct
     analytic = objective.grad_theta(struct, pol.logits)
-    fd = central_difference(lambda t: objective.value_theta(struct, t), pol.logits, h)
+    fd = central_difference(lambda t: objective.value_theta(struct, t), pol.logits,
+                            FD_STEP)
     f = objective.value_theta(struct, pol.logits)
-    round_off = max(np.finfo(float).eps * abs(f) / h, 1e-12)
+    round_off = max(np.finfo(float).eps * abs(f) / FD_STEP, 1e-12)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-12)
     err = np.abs(analytic - fd) / denom
     err[(np.abs(analytic) < 1e-12) & (np.abs(fd) < round_off)] = 0.0

@@ -278,14 +278,17 @@ class TestTVDFit:
 
 
 class _ExplodingObjective:
-    """Stub that returns a non-finite gradient after a few calls, or (with
-    value_blows) a finite gradient and a non-finite value after the first."""
+    """Stub that puts `bad` into gradient entry `index` after a few calls, or
+    (with value_blows) returns a finite gradient and a non-finite value after
+    the first."""
 
     name = "exploding"
 
-    def __init__(self, inner, blow_at, value_blows=False):
+    def __init__(self, inner, blow_at, bad=np.nan, index=0, value_blows=False):
         self.inner = inner
         self.blow_at = blow_at
+        self.bad = bad
+        self.index = index
         self.value_blows = value_blows
         self.calls = 0
         self.value_calls = 0
@@ -301,21 +304,58 @@ class _ExplodingObjective:
         g = self.inner.grad_theta(struct, theta)
         if self.calls > self.blow_at:
             g = g.copy()
-            g[0] = np.nan
+            g[self.index] = self.bad
         return g
+
+
+class _ConstantGradient:
+    """Stub with the value 0 and a fixed gradient everywhere."""
+
+    name = "constant"
+
+    def __init__(self, grad):
+        self.grad = grad
+
+    def value_theta(self, struct, theta):
+        return 0.0
+
+    def grad_theta(self, struct, theta):
+        return self.grad
 
 
 class TestAbort:
     def test_nonfinite_gradient_aborts(self):
+        # nan, +inf and -inf in the first, a middle and the last entry: the
+        # run stops before the bad step, at the logits of 10 finite steps
         _, _, _, pstar, template = setup()
-        obj = _ExplodingObjective(ForwardKLObjective(pstar), blow_at=10)
         cfg = OptimizerConfig(learning_rate=0.05, steps=500)
-        trace = _gradient_run(obj, template, cfg, maximize=False)
-        assert trace.aborted
-        assert trace.steps_run == 10
-        assert "non-finite" in trace.diagnostic
-        assert np.isnan(trace.final_grad_norm)
-        assert obj.value_calls == 2
+        ten_steps = _gradient_run(ForwardKLObjective(pstar), template,
+                                  dataclasses.replace(cfg, steps=10), maximize=False)
+        for bad in (np.nan, np.inf, -np.inf):
+            for index in (0, 10, 20):
+                obj = _ExplodingObjective(ForwardKLObjective(pstar), blow_at=10,
+                                          bad=bad, index=index)
+                trace = _gradient_run(obj, template, cfg, maximize=False)
+                assert trace.aborted, (bad, index)
+                assert trace.steps_run == 10
+                assert trace.diagnostic == "non-finite gradient at step 10"
+                assert np.isnan(trace.final_grad_norm)
+                assert np.array_equal(trace.final_policy.logits,
+                                      ten_steps.final_policy.logits)
+                assert obj.value_calls == 2
+
+    def test_extreme_finite_gradient_does_not_abort(self):
+        # |g| up to the largest double, the smallest subnormal and -0.0 are
+        # finite: every step runs
+        grad = np.zeros(21)
+        grad[:4] = [1e308, -1e308, 5e-324, -0.0]
+        _, _, _, _, template = setup()
+        cfg = OptimizerConfig(learning_rate=1e-10, steps=3)
+        trace = _gradient_run(_ConstantGradient(grad), template, cfg, maximize=False)
+        assert not trace.aborted and trace.diagnostic == ""
+        assert trace.steps_run == 3
+        assert np.all(np.isfinite(trace.final_policy.logits))
+        assert trace.final_policy.logits[0] < -1e298 < 1e298 < trace.final_policy.logits[1]
 
     def test_nonfinite_final_value_aborts(self):
         # the value is checked once, after the last step
@@ -354,11 +394,6 @@ class TestDiverged:
 
 
 class TestVerifyGradients:
-    def test_rejects_bad_step(self):
-        _, _, _, pstar, template = setup()
-        with pytest.raises(ValueError):
-            verify_gradients(template, ForwardKLObjective(pstar), h=0.0)
-
     def test_guarded_zero_components(self):
         # at the uniform template every forward-KL gradient component is
         # tiny-but-nonzero except none; construct a symmetric case where
@@ -375,9 +410,6 @@ class TestVerifyGradients:
         _, _, _, pstar, _ = setup(1)
         pol = NGramPolicy(SPACE, full_orders(SPACE), SeededRng(5).normal(39))
         assert verify_gradients(pol, TVDObjective(pstar)) < 1e-7
-        # a step lost in the logits' round-off gives fd = 0: every nonzero
-        # analytic component fails, however large the round-off estimate
-        assert verify_gradients(pol, TVDObjective(pstar), h=1e-300) == 1.0
 
 
 class TestWarmStart:
