@@ -257,10 +257,18 @@ class TestGradients:
             assert mid <= avg + 1e-10
 
     def test_space_mismatch_rejected(self):
-        target = FiniteDistribution.uniform(tuple(range(8)))
+        # every objective built on another space's target refuses a policy
+        # of this space, from its value and from its gradient
+        other = SequenceSpace(2, 3)
+        target = FiniteDistribution.uniform(other.outcomes())
+        fam = TiltedFamily(target, make_verifier_first_equals_last(other))
         pol = NGramPolicy(SPACE, bigram_orders(SPACE), np.zeros(21))
-        with pytest.raises(ValueError):
-            ForwardKLObjective(target).grad_theta(pol._struct, pol.logits)
+        for obj in (JBetaObjective(fam, beta=0.2), ForwardKLObjective(target),
+                    TVDObjective(target)):
+            for method in (obj.value_theta, obj.grad_theta):
+                with pytest.raises(ValueError, match="^objective target does not "
+                                   "match the policy's space$"):
+                    method(pol._struct, pol.logits)
 
 
 class TestConditionalProjection:
@@ -432,6 +440,25 @@ class TestFlatKernelMatchesPerBlockReference:
             w = q * (obj._r - obj.beta * (logq - obj._log_base))
             assert np.array_equal(obj.grad_theta(struct, theta),
                                   ref.grad_weighted_logprob(theta, w))
+
+    def test_tvd_subgradient_equals_two_pass_form(self, shape, order):
+        # the written-out subgradient gives the bits of the helpers, also at
+        # -inf logits such as _polish_tvd leaves, where fit_tvd takes its
+        # final gradient norm
+        space, _, struct, _, rng = self._setup(shape, order)
+        p = rng.uniform(space.n_sequences)
+        p /= p.sum()
+        thetas = [rng.normal(struct.n_params, sigma=2.0) for _ in range(3)]
+        # one -inf per row at most, so that every row keeps some mass
+        thetas[-1][::space.vocab_size + 1] = -np.inf
+        for theta in thetas:
+            lsm = ngram._log_softmax(struct, theta)
+            q = np.exp(ngram._log_probs(struct, lsm))
+            two_pass = ngram._grad_weighted_logprob(struct, lsm,
+                                                    0.5 * np.sign(q - p) * q)
+            grad = ngram._tvd_subgradient(struct, theta, p)
+            assert np.array_equal(grad, two_pass)
+            assert np.isfinite(grad).all()
 
     def test_conditional_projection_logits(self, shape, order):
         space, orders, _, ref, rng = self._setup(shape, order)
