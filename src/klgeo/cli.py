@@ -90,10 +90,6 @@ def _sweep_settings(cfg: RunConfig) -> tuple:
     lambdas = experiments.check_lambdas(cfg["lambdas"])
     if min(cfg["seeds"]) < 0:
         raise ValueError("seeds must be non-negative")
-    if not 0 < cfg["sigma"] <= experiments.MAX_SIGMA:
-        raise ValueError(f"sigma must be in (0, {experiments.MAX_SIGMA:g}]")
-    if not 1 <= cfg["top_k"] <= experiments.TOP_K:
-        raise ValueError(f"top_k must be in 1..{experiments.TOP_K}")
     opt_cfg = optimize.OptimizerConfig(learning_rate=cfg["learning_rate"],
                                        steps=cfg["steps"])
     tvd_cfg = optimize.OptimizerConfig(steps=cfg["tvd_steps"],
@@ -119,13 +115,13 @@ def _geometry_settings(cfg: RunConfig) -> list:
 def cmd_sweep(cfg: RunConfig, out: str, settings: tuple) -> int:
     lambdas, opt_cfg, tvd_cfg = settings
     result = experiments.multi_seed(cfg["seeds"], cfg["order"], lambdas, opt_cfg,
-                                    tvd_cfg, cfg["sigma"], cfg["warm_start"])
+                                    tvd_cfg, cfg["warm_start"])
 
     rows = []
     for s in result.summaries:
         for rec in s.records:
             top = ";".join("".join(map(str, seq)) + "=" + fmt_float(p)
-                           for seq, p in rec.top_sequences[:cfg["top_k"]])
+                           for seq, p in rec.top_sequences)
             rows.append([str(s.seed), fmt_float(rec.lam), fmt_float(rec.beta)]
                         + [fmt_float(getattr(rec, m)) for m in experiments.SWEEP_METRICS]
                         + [top])

@@ -37,23 +37,13 @@ from .ngram import (
     random_base_model,
     to_distribution,
 )
-from .optimize import (
-    TVD_FIT_CONFIG,
-    OptimizerConfig,
-    ascend_j_beta,
-    fit_forward_kl,
-    fit_tvd,
-)
+from .optimize import OptimizerConfig, ascend_j_beta, fit_forward_kl, fit_tvd
 
 # Default natural-parameter grid: covers the transient-dip window, the
 # checkpoint values used in the tables, and the large-lambda statistic point.
 DEFAULT_LAMBDA_GRID = (0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0, 35.0, 50.0, 100.0)
 
 DEFAULT_SIGMA = 0.5  # std dev of base-model logits (variance 0.25)
-
-# Box-Muller normals from 53-bit uniforms have |z| < 8.6, so up to this sigma
-# every toy sequence has log-probability above -520 (full support).
-MAX_SIGMA = 10.0
 
 TOP_K = 5  # most probable sequences each SweepRecord keeps
 
@@ -93,10 +83,10 @@ class BetaMuRow:
     kappa_cost: float
 
 
-def _toy_instance(seed: int, family_order: str, sigma: float = DEFAULT_SIGMA):
+def _toy_instance(seed: int, family_order: str):
     """The seed's tilted family, its p* and the ascents' starting policy."""
     space = SequenceSpace(3, 3)
-    base_pol = random_base_model(space, seed, sigma=sigma)
+    base_pol = random_base_model(space, seed, DEFAULT_SIGMA)
     base = to_distribution(base_pol)
     verifier = make_verifier_first_equals_last(space)
     fam = TiltedFamily(base, verifier)
@@ -123,15 +113,13 @@ def make_sweep_record(fam: TiltedFamily, pstar: FiniteDistribution,
         rkl_to_tilted=kl_divergence_finite(policy_dist, p_lam),
         entropy=entropy(policy_dist),
         j_beta_value=j_beta(fam, policy_dist, beta),
-        top_sequences=top_sequences(policy_dist, TOP_K),
+        top_sequences=top_sequences(policy_dist),
     )
 
 
-def top_sequences(dist: FiniteDistribution, k: int) -> tuple:
-    """Top-k outcomes by probability, ties broken by enumeration order."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    order = sorted(range(len(dist)), key=lambda i: (-dist.probs[i], i))[:k]
+def top_sequences(dist: FiniteDistribution) -> tuple:
+    """The TOP_K most probable outcomes, ties broken by enumeration order."""
+    order = sorted(range(len(dist)), key=lambda i: (-dist.probs[i], i))[:TOP_K]
     return tuple((dist.outcomes[i], float(dist.probs[i])) for i in order)
 
 
@@ -144,11 +132,8 @@ def check_lambdas(lambdas) -> list:
     return lambdas
 
 
-def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
-              cfg: OptimizerConfig = OptimizerConfig(),
-              tvd_cfg: OptimizerConfig = TVD_FIT_CONFIG,
-              sigma: float = DEFAULT_SIGMA,
-              warm_start: bool = False) -> SeedSummary:
+def run_sweep(seed: int, family_order: str, lambdas, cfg: OptimizerConfig,
+              tvd_cfg: OptimizerConfig, warm_start: bool = False) -> SeedSummary:
     """One seed: fresh ascent per grid point plus both reference policies
     (the closed-form forward-KL projection and the best TVD fit).
 
@@ -159,7 +144,7 @@ def run_sweep(seed: int, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
     ValueError naming the seed and lambda.
     """
     lambdas = check_lambdas(lambdas)
-    fam, pstar, template = _toy_instance(seed, family_order, sigma)
+    fam, pstar, template = _toy_instance(seed, family_order)
 
     records = []
     current = template
@@ -219,16 +204,13 @@ def _mean_std(values) -> dict:
     return {"mean": float(vals.mean()), "std": float(vals.std())}
 
 
-def multi_seed(seeds, family_order: str, lambdas=DEFAULT_LAMBDA_GRID,
-               cfg: OptimizerConfig = OptimizerConfig(),
-               tvd_cfg: OptimizerConfig = TVD_FIT_CONFIG,
-               sigma: float = DEFAULT_SIGMA,
-               warm_start: bool = False) -> MultiSeedResult:
+def multi_seed(seeds, family_order: str, lambdas, cfg: OptimizerConfig,
+               tvd_cfg: OptimizerConfig, warm_start: bool = False) -> MultiSeedResult:
     """One sweep per seed, kept raw, plus the across-seed mean/std of every
     metric when there are two or more seeds."""
     lambdas = check_lambdas(lambdas)
-    summaries = [run_sweep(s, family_order, lambdas, cfg, tvd_cfg, sigma,
-                           warm_start) for s in seeds]
+    summaries = [run_sweep(s, family_order, lambdas, cfg, tvd_cfg, warm_start)
+                 for s in seeds]
     per_lambda = references = None
     if len(summaries) >= 2:
         per_lambda = {}

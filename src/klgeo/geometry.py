@@ -226,15 +226,14 @@ class ProfilePoint:
     lam: float
     tvd_to_pstar: float
     fkl_from_pstar: float
-    rkl_to_pstar: float
 
 
 def convergence_profile(fam: TiltedFamily, lambdas) -> list[ProfilePoint]:
-    """Per-lambda closed-form TVD / forward-KL / reverse-KL to the filtered model.
+    """Per-lambda closed-form TVD and forward KL to the filtered model.
 
-    tvd = A0 / (A0 + A1 e^lam), fkl = log(1 + (A0/A1) e^-lam), and the
-    reverse KL is infinite at every finite lam (support mismatch).  Both
-    are evaluated with e^-|lam|, so no lam overflows.
+    tvd = A0 / (A0 + A1 e^lam) and fkl = log(1 + (A0/A1) e^-lam), both
+    evaluated with e^-|lam|, so no lam overflows.  The reverse KL is
+    infinite at every finite lam (support mismatch), so it has no field.
     """
     if not fam.is_binary:
         raise ValueError(
@@ -249,8 +248,7 @@ def convergence_profile(fam: TiltedFamily, lambdas) -> list[ProfilePoint]:
         else:
             tvd, fkl = a0 / (a0 + a1 * e), -lam + math.log(a0 / a1) + math.log1p((a1 / a0) * e)
         points.append(ProfilePoint(lam=float(lam), tvd_to_pstar=tvd,
-                                   fkl_from_pstar=fkl,
-                                   rkl_to_pstar=math.inf))
+                                   fkl_from_pstar=fkl))
     return points
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import __version__ as LIBRARY_VERSION
-from .experiments import DEFAULT_LAMBDA_GRID, DEFAULT_SIGMA, TOP_K
+from .experiments import DEFAULT_LAMBDA_GRID
 from .optimize import TVD_FIT_CONFIG, OptimizerConfig
 from .rng import ALGORITHM
 
@@ -80,10 +80,8 @@ SCHEMAS = {
         "learning_rate": (float, OptimizerConfig().learning_rate),
         "tvd_restarts": (int, TVD_FIT_CONFIG.restarts),
         "tvd_steps": (int, TVD_FIT_CONFIG.steps),
-        "sigma": (float, DEFAULT_SIGMA),
         "warm_start": (_parse_bool, False),
         "plots": (_parse_bool, False),
-        "top_k": (int, TOP_K),
     },
     "geometry": {
         "a1_values": (_parse_float_list, [0.1, 0.35, 0.5, 0.9]),
@@ -175,10 +173,6 @@ def fmt_float(x) -> str:
     if not math.isfinite(x):
         raise ValueError(f"{x!r} has no token in the output formats")
     return format(x, ".17g")
-
-
-def parse_float_token(tok: str) -> float:
-    return float("inf") if tok == "inf" else float(tok)
 
 
 def write_csv(path, header, rows) -> None:

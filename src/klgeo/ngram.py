@@ -180,11 +180,11 @@ def _grad_weighted_logprob(struct: _Structure, lsm: np.ndarray,
     return (sw - q * np.add.reduce(sw, axis=1, keepdims=True)).ravel()
 
 
-def central_difference(f, theta: np.ndarray, h: float) -> np.ndarray:
+def central_difference(f, theta: np.ndarray) -> np.ndarray:
     """Central-difference gradient (f(theta + h e_i) - f(theta - h e_i)) / 2h
-    of f(theta) -> float."""
-    return np.array([(f(theta + e) - f(theta - e)) / (2.0 * h)
-                     for e in h * np.eye(theta.shape[0])])
+    of f(theta) -> float, at the step h = FD_STEP."""
+    return np.array([(f(theta + e) - f(theta - e)) / (2.0 * FD_STEP)
+                     for e in FD_STEP * np.eye(theta.shape[0])])
 
 
 def to_distribution(pol: NGramPolicy) -> FiniteDistribution:

@@ -223,8 +223,7 @@ def verify_gradients(pol: NGramPolicy, objective) -> float:
     the policy, or 1e-12 if that is larger."""
     struct = pol._struct
     analytic = objective.grad_theta(struct, pol.logits)
-    fd = central_difference(lambda t: objective.value_theta(struct, t), pol.logits,
-                            FD_STEP)
+    fd = central_difference(lambda t: objective.value_theta(struct, t), pol.logits)
     f = objective.value_theta(struct, pol.logits)
     round_off = max(np.finfo(float).eps * abs(f) / FD_STEP, 1e-12)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-12)

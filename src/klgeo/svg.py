@@ -18,8 +18,7 @@ def _fmt(x: float) -> str:
     return format(x, ".3f")
 
 
-def emit_svg(series, path, title: str = "", xlabel: str = "",
-             ylabel: str = "") -> None:
+def emit_svg(series, path, title: str, xlabel: str, ylabel: str) -> None:
     """Write a standalone SVG with one polyline per (name, xs, ys) series,
     on a log10 x axis.
 
@@ -80,16 +79,13 @@ def emit_svg(series, path, title: str = "", xlabel: str = "",
                  f'font-size="11">{_fmt(y_lo)}</text>')
     lines.append(f'<text x="{MARGIN_L - 52}" y="{MARGIN_T + 10}" '
                  f'font-size="11">{_fmt(y_hi)}</text>')
-    if title:
-        lines.append(f'<text x="{WIDTH // 2}" y="18" font-size="13" '
-                     f'text-anchor="middle">{title}</text>')
-    if xlabel:
-        lines.append(f'<text x="{WIDTH // 2}" y="{HEIGHT - 8}" font-size="12" '
-                     f'text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        lines.append(f'<text x="14" y="{HEIGHT // 2}" font-size="12" '
-                     f'transform="rotate(-90 14 {HEIGHT // 2})" '
-                     f'text-anchor="middle">{ylabel}</text>')
+    lines.append(f'<text x="{WIDTH // 2}" y="18" font-size="13" '
+                 f'text-anchor="middle">{title}</text>')
+    lines.append(f'<text x="{WIDTH // 2}" y="{HEIGHT - 8}" font-size="12" '
+                 f'text-anchor="middle">{xlabel}</text>')
+    lines.append(f'<text x="14" y="{HEIGHT // 2}" font-size="12" '
+                 f'transform="rotate(-90 14 {HEIGHT // 2})" '
+                 f'text-anchor="middle">{ylabel}</text>')
     for i, (name, pairs) in enumerate(cleaned):
         color = _COLORS[i % len(_COLORS)]
         if pairs:

@@ -13,6 +13,8 @@ from klgeo.dist import (
 )
 from klgeo.experiments import (
     DEFAULT_LAMBDA_GRID,
+    DEFAULT_SIGMA,
+    TOP_K,
     SweepRecord,
     _toy_instance,
     beta_mu_table,
@@ -24,6 +26,7 @@ from klgeo.experiments import (
     tvd_dip_diagnostic,
 )
 from klgeo.geometry import TiltedFamily, log_partition, moment, tilted
+from klgeo.ngram import SequenceSpace, random_base_model, to_distribution
 from klgeo.optimize import OptimizerConfig
 
 
@@ -145,22 +148,28 @@ class TestBetaMuTable:
 
 class TestTopSequences:
     def test_ties_broken_by_enumeration_order(self):
-        d = FiniteDistribution(("a", "b", "c", "d"), (0.25, 0.25, 0.25, 0.25))
-        top = top_sequences(d, 2)
-        assert top == (("a", 0.25), ("b", 0.25))
+        d = FiniteDistribution(tuple("abcdefgh"), (0.125,) * 8)
+        assert top_sequences(d) == tuple((o, 0.125) for o in "abcde")
 
     def test_k_larger_than_space(self):
         d = FiniteDistribution(("a", "b"), (0.7, 0.3))
-        assert top_sequences(d, 10) == (("a", 0.7), ("b", 0.3))
+        assert top_sequences(d) == (("a", 0.7), ("b", 0.3))
 
     def test_descending(self):
         d = FiniteDistribution(("a", "b", "c"), (0.2, 0.5, 0.3))
-        assert [o for o, _ in top_sequences(d, 3)] == ["b", "c", "a"]
+        assert [o for o, _ in top_sequences(d)] == ["b", "c", "a"]
 
-    def test_rejects_bad_k(self):
-        d = FiniteDistribution(("a", "b"), (0.7, 0.3))
-        with pytest.raises(ValueError):
-            top_sequences(d, 0)
+
+class TestToyInstance:
+    @pytest.mark.parametrize("order", ["bigram", "full"])
+    def test_base_model_drawn_at_default_sigma(self, order):
+        # the sweep's base logits have std dev DEFAULT_SIGMA, and so do the
+        # tests' draws that leave random_base_model's sigma at its default
+        base = _toy_instance(4, order)[0].base
+        space = SequenceSpace(3, 3)
+        for pol in (random_base_model(space, 4, DEFAULT_SIGMA),
+                    random_base_model(space, 4)):
+            assert np.array_equal(base.probs, to_distribution(pol).probs)
 
 
 class TestRunSweep:
@@ -176,7 +185,7 @@ class TestRunSweep:
             assert 0.0 <= rec.validity <= 1.0
             assert 0.0 <= rec.tvd_to_pstar <= 1.0
             assert rec.entropy >= 0.0
-            assert len(rec.top_sequences) == 5
+            assert len(rec.top_sequences) == TOP_K == 5
             probs = [p for _, p in rec.top_sequences]
             assert probs == sorted(probs, reverse=True)
 

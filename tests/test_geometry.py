@@ -476,7 +476,6 @@ class TestConvergenceProfile:
             total_variation(pstar, fam.base), abs=1e-14)
         assert pt.tvd_to_pstar == pytest.approx(0.5, abs=1e-14)
         assert pt.fkl_from_pstar == pytest.approx(math.log(2.0), abs=1e-14)
-        assert pt.rkl_to_pstar == math.inf
 
     def test_matches_direct_computation(self):
         fam = binary_family(0.35)

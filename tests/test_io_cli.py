@@ -20,7 +20,6 @@ from klgeo.io import (
     RunConfig,
     fmt_float,
     parse_config,
-    parse_float_token,
     read_csv,
     write_csv,
     write_json,
@@ -139,11 +138,10 @@ class TestReadmeConfigKeys:
 class TestFloatFormat:
     def test_exact_roundtrip(self):
         for x in (math.pi, 1.0 / 3.0, 1e-300, 123456.789, -0.1):
-            assert parse_float_token(fmt_float(x)) == x
+            assert float(fmt_float(x)) == x
 
     def test_inf_token(self):
         assert fmt_float(float("inf")) == "inf"
-        assert parse_float_token("inf") == float("inf")
 
     @pytest.mark.parametrize("x", [math.nan, -math.inf])
     def test_no_token_raises(self, x):
@@ -163,7 +161,7 @@ class TestCsv:
         h, back = read_csv(path)
         assert tuple(h) == header
         assert back == rows
-        assert parse_float_token(back[0][0]) == math.pi
+        assert float(back[0][0]) == math.pi
 
     def test_json_inf_as_string(self, tmp_path):
         path = tmp_path / "t.json"
@@ -195,28 +193,35 @@ class TestSvg:
     def test_deterministic_bytes(self, tmp_path):
         series = [("s", [1.0, 2.0, 3.0], [0.5, 0.2, 0.9])]
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-        emit_svg(series, p1, title="t")
-        emit_svg(series, p2, title="t")
+        emit_svg(series, p1, "t", "x", "y")
+        emit_svg(series, p2, "t", "x", "y")
         assert p1.read_bytes() == p2.read_bytes()
         assert b"<polyline" in p1.read_bytes()
+
+    def test_title_and_axis_labels_written(self, tmp_path):
+        path = tmp_path / "l.svg"
+        emit_svg([("s", [1.0, 2.0], [0.5, 0.2])], path, "T1", "X1", "Y1")
+        text = path.read_text(encoding="utf-8")
+        for label in ("T1", "X1", "Y1"):
+            assert text.count(f'text-anchor="middle">{label}</text>') == 1
 
     @pytest.mark.parametrize("y", [float("inf"), float("nan")])
     def test_non_finite_point_rejected_before_writing(self, tmp_path, y):
         path = tmp_path / "inf.svg"
         with pytest.raises(ValueError, match="non-finite y value"):
-            emit_svg([("s", [1.0, 2.0, 3.0], [0.5, y, 0.9])], path)
+            emit_svg([("s", [1.0, 2.0, 3.0], [0.5, y, 0.9])], path, "t", "x", "y")
         assert not path.exists()
 
     def test_errors(self, tmp_path):
         path = tmp_path / "x.svg"
         with pytest.raises(ValueError):
-            emit_svg([], path)
+            emit_svg([], path, "t", "x", "y")
         with pytest.raises(ValueError):
-            emit_svg([("s", [1.0, 2.0], [0.5])], path)
+            emit_svg([("s", [1.0, 2.0], [0.5])], path, "t", "x", "y")
         with pytest.raises(ValueError):
-            emit_svg([("s", [2.0, 1.0], [0.5, 0.5])], path)
+            emit_svg([("s", [2.0, 1.0], [0.5, 0.5])], path, "t", "x", "y")
         with pytest.raises(ValueError):
-            emit_svg([("s", [0.0, 1.0], [0.5, 0.5])], path)
+            emit_svg([("s", [0.0, 1.0], [0.5, 0.5])], path, "t", "x", "y")
 
 
 class TestChecksRegistry:
@@ -256,11 +261,35 @@ class TestCliSweep:
         assert header[:3] == ["seed", "lambda", "beta"]
         assert len(rows) == 2  # one seed x two lambdas
         assert rows[0][0] == "1"
-        assert parse_float_token(rows[1][1]) == 5.0
+        assert float(rows[1][1]) == 5.0
         _, ref_rows = read_csv(out / "refs.csv")
         assert len(ref_rows) == 1
         assert (out / "summary.json").exists()
         assert (out / "config.echo").read_text().startswith("command=sweep")
+
+    def test_top_sequences_cell_keeps_top_k(self, tmp_path):
+        cfgfile = tmp_path / "cfg"
+        write_tiny_sweep_config(cfgfile)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out / "sweep.csv")
+        assert header[-1] == "top_sequences"
+        for row in rows:
+            cells = [c.split("=") for c in row[-1].split(";")]
+            assert len(cells) == 5
+            assert all(len(seq) == 3 and set(seq) <= set("012") for seq, _ in cells)
+            probs = [float(p) for _, p in cells]
+            assert probs == sorted(probs, reverse=True)
+
+    def test_config_echo_lists_every_sweep_key(self, tmp_path):
+        cfgfile = tmp_path / "cfg"
+        write_tiny_sweep_config(cfgfile)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+        keys = [line.split("=", 1)[0]
+                for line in (out / "config.echo").read_text().splitlines()]
+        assert keys == ["command", "lambdas", "learning_rate", "order", "plots",
+                        "seeds", "steps", "tvd_restarts", "tvd_steps", "warm_start"]
 
     def test_flag_overrides_config(self, tmp_path):
         cfgfile = tmp_path / "cfg"
@@ -271,7 +300,7 @@ class TestCliSweep:
         assert rc == EXIT_OK
         _, rows = read_csv(out / "sweep.csv")
         assert len(rows) == 1
-        assert parse_float_token(rows[0][1]) == 2.0
+        assert float(rows[0][1]) == 2.0
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         cfgfile = tmp_path / "cfg"
@@ -309,23 +338,23 @@ class TestCliGeometry:
         assert header == ["lambda", "mu", "kappa", "tvd_pstar", "fkl_pstar"]
         # at lambda=0 with base validity 0.5 the tilted model is the base:
         # tvd to the filtered model is 0.5 and the forward KL is log 2
-        row0 = [r for r in rows if parse_float_token(r[0]) == 0.0][0]
-        assert parse_float_token(row0[1]) == pytest.approx(0.5, abs=1e-12)
-        assert parse_float_token(row0[3]) == pytest.approx(0.5, abs=1e-12)
-        assert parse_float_token(row0[4]) == pytest.approx(math.log(2), abs=1e-12)
+        row0 = [r for r in rows if float(r[0]) == 0.0][0]
+        assert float(row0[1]) == pytest.approx(0.5, abs=1e-12)
+        assert float(row0[3]) == pytest.approx(0.5, abs=1e-12)
+        assert float(row0[4]) == pytest.approx(math.log(2), abs=1e-12)
 
         bm_header, bm_rows = read_csv(out / "betamu.csv")
         assert bm_header == ["A1", "mu_target", "lambda", "beta", "kappa"]
         # the A1=0.9, mu=0.9 row needs no tilt: beta is the "inf" token
-        row = [r for r in bm_rows if parse_float_token(r[0]) == 0.9][0]
+        row = [r for r in bm_rows if float(r[0]) == 0.9][0]
         assert row[3] == "inf"
-        assert parse_float_token(row[2]) == pytest.approx(0.0, abs=1e-12)
+        assert float(row[2]) == pytest.approx(0.0, abs=1e-12)
 
         ord_header, ord_rows = read_csv(out / "ordering.csv")
         assert ord_header[0] == "lambda"
-        crossing = parse_float_token(ord_rows[0][5])
+        crossing = float(ord_rows[0][5])
         assert crossing > 0
-        assert all(parse_float_token(r[5]) == crossing for r in ord_rows)
+        assert all(float(r[5]) == crossing for r in ord_rows)
 
     def test_plots(self, tmp_path):
         out = tmp_path / "out"
@@ -340,8 +369,8 @@ class TestCliGeometry:
         assert rc == EXIT_OK
         _, rows = read_csv(out / "geometry.csv")
         assert [r[1] for r in rows] == ["0", "1"]
-        assert parse_float_token(rows[0][2]) == pytest.approx(math.log(2), rel=1e-12)
-        assert parse_float_token(rows[1][2]) == pytest.approx(math.log(2), rel=1e-10)
+        assert float(rows[0][2]) == pytest.approx(math.log(2), rel=1e-12)
+        assert float(rows[1][2]) == pytest.approx(math.log(2), rel=1e-10)
 
     def test_extreme_lambdas(self, tmp_path):
         # e^{+-1000} overflows a double; the profile takes its limits there
@@ -351,13 +380,13 @@ class TestCliGeometry:
         assert rc == EXIT_OK
         _, rows = read_csv(out / "geometry.csv")
         lo, hi = rows[0], rows[2]
-        assert parse_float_token(lo[3]) == 1.0
-        assert parse_float_token(lo[4]) == pytest.approx(1000.0, rel=1e-15)
-        assert parse_float_token(hi[3]) == 0.0
-        assert parse_float_token(hi[4]) == 0.0
+        assert float(lo[3]) == 1.0
+        assert float(lo[4]) == pytest.approx(1000.0, rel=1e-15)
+        assert float(hi[3]) == 0.0
+        assert float(hi[4]) == 0.0
         _, ord_rows = read_csv(out / "ordering.csv")
-        assert [parse_float_token(r[0]) for r in ord_rows] == [1.0, 1000.0]
-        assert all(math.isfinite(parse_float_token(c)) for r in ord_rows for c in r)
+        assert [float(r[0]) for r in ord_rows] == [1.0, 1000.0]
+        assert all(math.isfinite(float(c)) for r in ord_rows for c in r)
 
 
 class TestCliCheck:
@@ -539,12 +568,8 @@ class TestCliErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, line, message", [
-        ("sweep", "sigma=0", "sigma"),
-        ("sweep", "sigma=-0.5", "sigma"),
-        ("sweep", "sigma=nan", "sigma"),
-        ("sweep", "sigma=1000", "sigma"),
-        ("sweep", "top_k=0", "top_k"),
-        ("sweep", "top_k=6", "top_k"),
+        ("sweep", "sigma=0.5", "unknown key 'sigma'"),
+        ("sweep", "top_k=5", "unknown key 'top_k'"),
         ("sweep", "seeds=-1", "seeds"),
         ("sweep", "seeds=1,1", "seeds must be distinct"),
         ("sweep", "seeds=1..3,2", "seeds must be distinct"),
@@ -722,15 +747,14 @@ class TestCliFuzz:
         _run_fuzzed(tmp_path, capsys, "geometry", values)
 
     @FUZZ
-    @given(sigma=st.one_of(st.floats(0.0, 12.0), ANY_FLOAT),
-           top_k=st.integers(-2, 8),
+    @given(learning_rate=st.one_of(st.floats(0.0, 12.0), ANY_FLOAT),
            lambdas=_float_list(st.one_of(
                st.floats(min_value=0.0, exclude_min=True), st.floats(max_value=0.0),
                st.sampled_from([math.nan, math.inf]))))
-    def test_sweep(self, tmp_path, capsys, sigma, top_k, lambdas):
+    def test_sweep(self, tmp_path, capsys, learning_rate, lambdas):
         _run_fuzzed(tmp_path, capsys, "sweep", {
             "steps": 3, "tvd_restarts": 1, "tvd_steps": 3,
-            "sigma": format(sigma, ".17g"), "top_k": top_k, "lambdas": lambdas})
+            "learning_rate": format(learning_rate, ".17g"), "lambdas": lambdas})
 
 
 # Every value the output formats have a token for: any finite double and
@@ -750,7 +774,7 @@ class TestTokenRoundTrip:
     @FUZZ
     @given(x=TOKEN_VALUES)
     def test_fmt_float(self, x):
-        _assert_same_double(parse_float_token(fmt_float(x)), x)
+        _assert_same_double(float(fmt_float(x)), x)
 
     @FUZZ
     @given(x=TOKEN_VALUES)
@@ -758,7 +782,7 @@ class TestTokenRoundTrip:
         path = tmp_path / "t.csv"
         write_csv(path, ("x",), [[fmt_float(x)]])
         _, rows = read_csv(path)
-        _assert_same_double(parse_float_token(rows[0][0]), x)
+        _assert_same_double(float(rows[0][0]), x)
 
     @FUZZ
     @given(x=TOKEN_VALUES)
@@ -767,4 +791,4 @@ class TestTokenRoundTrip:
         write_json(path, {"x": x})
         with open(path, encoding="utf-8") as fh:
             back = json.load(fh)["x"]
-        _assert_same_double(parse_float_token(back) if back == "inf" else back, x)
+        _assert_same_double(float(back), x)

@@ -205,7 +205,7 @@ class TestGradients:
             assert np.abs(q - pstar.probs)[pstar.probs > 0].min() > 1e-3
             obj, struct = TVDObjective(pstar), pol._struct
             fd = ngram.central_difference(lambda t: obj.value_theta(struct, t),
-                                          pol.logits, FD_STEP)
+                                          pol.logits)
             # atol covers the difference's round-off (eps / FD_STEP) on the
             # components that vanish analytically
             np.testing.assert_allclose(obj.grad_theta(struct, pol.logits), fd,
@@ -224,7 +224,7 @@ class TestGradients:
         struct, theta = pol._struct, pol.logits
         fd = loop_central_difference(obj, struct, theta, FD_STEP)
         assert np.array_equal(ngram.central_difference(
-            lambda t: obj.value_theta(struct, t), theta, FD_STEP), fd)
+            lambda t: obj.value_theta(struct, t), theta), fd)
         # verify_gradients' error, written out on the loop's difference
         analytic = obj.grad_theta(struct, theta)
         f = obj.value_theta(struct, theta)
@@ -233,6 +233,23 @@ class TestGradients:
         err = np.abs(analytic - fd) / denom
         err[(np.abs(analytic) < 1e-12) & (np.abs(fd) < round_off)] = 0.0
         assert verify_gradients(pol, obj) == float(err.max())
+
+    def test_central_difference_steps_by_fd_step(self):
+        theta = np.array([0.3, -1.2, 2.0])
+        points = []
+
+        def f(t):
+            points.append(t.copy())
+            return float(t @ t)
+
+        fd = ngram.central_difference(f, theta)
+        assert len(points) == 2 * theta.shape[0]
+        for i in range(theta.shape[0]):
+            e = np.zeros_like(theta)
+            e[i] = FD_STEP
+            assert np.array_equal(points[2 * i], theta + e)
+            assert np.array_equal(points[2 * i + 1], theta - e)
+        np.testing.assert_allclose(fd, 2.0 * theta, rtol=1e-9)
 
     def test_forward_kl_zero_gradient_at_optimum(self):
         # well-specified target: the projection is stationary
