@@ -13,6 +13,7 @@ import numpy as np
 
 from . import dist, geometry, ngram, optimize
 from .experiments import (
+    TABLE_A1,
     _toy_instance,
     ordering_illustration,
     ordering_instance,
@@ -132,8 +133,7 @@ def check_closed_form_convergence():
     """TVD and forward KL to the filtered model: the profile, the direct
     values and A0/(A0 + A1 e^lam), log1p((A0/A1) e^-lam) agree; the
     reverse KL is infinite."""
-    fams = [_toy_family()[0]] + [three_outcome_family(a1)
-                                 for a1 in (0.1, 0.35, 0.5, 0.9)]
+    fams = [_toy_family()[0]] + [three_outcome_family(a1) for a1 in TABLE_A1]
     worst = 0.0
     for fam in fams:
         a0, a1 = fam.A0, fam.A1

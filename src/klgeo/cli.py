@@ -7,7 +7,6 @@ Exit codes: 0 ok, 1 config error, 2 I/O error, 3 check failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -97,21 +96,6 @@ def _sweep_settings(cfg: RunConfig) -> tuple:
     return lambdas, opt_cfg, tvd_cfg
 
 
-def _geometry_settings(cfg: RunConfig) -> list:
-    """Checks a geometry run's values; returns its lambda grid."""
-    for a1 in (*cfg["a1_values"], cfg["profile_a1"]):
-        experiments.three_outcome_family(a1)  # raises unless a usable A1
-    if not all(0 < mu < 1 for mu in cfg["mu_targets"]):
-        raise ValueError("mu targets must be in (0, 1)")
-    for key in ("a1_values", "mu_targets"):
-        if len(set(cfg[key])) != len(cfg[key]):
-            raise ValueError(f"{key} must be distinct")
-    lambdas = cfg["lambdas"]
-    if not all(map(math.isfinite, lambdas)) or lambdas != sorted(set(lambdas)):
-        raise ValueError("lambdas must be finite, distinct and sorted ascending")
-    return lambdas
-
-
 def cmd_sweep(cfg: RunConfig, out: str, settings: tuple) -> int:
     lambdas, opt_cfg, tvd_cfg = settings
     result = experiments.multi_seed(cfg["seeds"], cfg["order"], lambdas, opt_cfg,
@@ -149,8 +133,9 @@ def cmd_sweep(cfg: RunConfig, out: str, settings: tuple) -> int:
     return EXIT_OK
 
 
-def cmd_geometry(cfg: RunConfig, out: str, lambdas: list) -> int:
-    fam = experiments.three_outcome_family(cfg["profile_a1"])
+def cmd_geometry(cfg: RunConfig, out: str, settings: None) -> int:
+    lambdas = experiments.GEOMETRY_LAMBDAS
+    fam = experiments.three_outcome_family(experiments.PROFILE_A1)
     points = [geometry.GeometryPoint.at_lambda(fam, lam) for lam in lambdas]
     rows = [[fmt_float(v) for v in (pt.lam, pt.mu, pt.kappa, prof.tvd_to_pstar,
                                     prof.fkl_from_pstar)]
@@ -161,12 +146,12 @@ def cmd_geometry(cfg: RunConfig, out: str, lambdas: list) -> int:
     bm_rows = [[fmt_float(row.A1), fmt_float(row.mu_target),
                 fmt_float(row.lambda_required), fmt_float(row.beta_required),
                 fmt_float(row.kappa_cost)]
-               for row in experiments.beta_mu_table(cfg["a1_values"], cfg["mu_targets"])]
+               for row in experiments.beta_mu_table(experiments.TABLE_A1,
+                                                   experiments.TABLE_MU)]
     write_csv(os.path.join(out, "betamu.csv"),
               ("A1", "mu_target", "lambda", "beta", "kappa"), bm_rows)
 
-    sweep_lams = [l for l in (lambdas if max(lambdas) > 0 else [1.0]) if l > 0]
-    ordering = experiments.ordering_illustration(sweep_lams)
+    ordering = experiments.ordering_illustration([l for l in lambdas if l > 0])
     ord_rows = [[fmt_float(lam)]
                 + [fmt_float(ordering.curves[name][i]) for name in ("pi1", "pi2", "pi3", "pi4")]
                 + [fmt_float(ordering.crossing_lambda)]
@@ -202,15 +187,13 @@ def cmd_check(cfg: RunConfig, out: str, settings: None) -> int:
 # command -> (value checks, run before any output and returning the
 # handler's settings; handler)
 COMMANDS = {"sweep": (_sweep_settings, cmd_sweep),
-            "geometry": (_geometry_settings, cmd_geometry),
+            "geometry": (lambda cfg: None, cmd_geometry),
             "check": (lambda cfg: None, cmd_check)}
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "sweep" and args.seeds is None:
-            args.seeds = os.environ.get("KLGEO_SEED")
         cfg = _load_config(args)
         check, handler = COMMANDS[args.command]
         settings = check(cfg)  # bad values end here, before any output

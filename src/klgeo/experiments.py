@@ -290,6 +290,15 @@ def three_outcome_family(a1: float) -> TiltedFamily:
     return TiltedFamily(base, BinaryVerifier((True, True, False)))
 
 
+# The fixed instance of `klgeo geometry`: the beta/mu table's base and target
+# validities, the profile's base validity, and the lambda grid of the profile
+# (whose positive values also give the ordering curves)
+TABLE_A1 = (0.1, 0.35, 0.5, 0.9)
+TABLE_MU = (0.9,)
+PROFILE_A1 = 0.5
+GEOMETRY_LAMBDAS = (-10.0, -5.0, -2.0, 0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 40.0)
+
+
 def beta_mu_table(A1_values, mu_targets) -> list:
     """Rows relating base validity and target validity to the natural
     parameter, its inverse temperature, and the KL cost."""

@@ -84,11 +84,6 @@ SCHEMAS = {
         "plots": (_parse_bool, False),
     },
     "geometry": {
-        "a1_values": (_parse_float_list, [0.1, 0.35, 0.5, 0.9]),
-        "mu_targets": (_parse_float_list, [0.9]),
-        "profile_a1": (float, 0.5),
-        "lambdas": (_parse_float_list, [-10.0, -5.0, -2.0, 0.0, 0.5, 1.0, 2.0,
-                                        3.0, 5.0, 10.0, 20.0, 40.0]),
         "plots": (_parse_bool, False),
     },
     "check": {},

@@ -382,7 +382,7 @@ def make_verifier_first_equals_last(space: SequenceSpace) -> BinaryVerifier:
     return BinaryVerifier(mask)
 
 
-def random_base_model(space: SequenceSpace, seed: int, sigma: float = 0.5) -> NGramPolicy:
+def random_base_model(space: SequenceSpace, seed: int, sigma: float) -> NGramPolicy:
     """A full-order policy with i.i.d. Gaussian logits (sigma is the std dev)."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")

@@ -146,7 +146,7 @@ def fit_forward_kl(target: FiniteDistribution, template: NGramPolicy) -> RunTrac
 
 
 def fit_tvd(target: FiniteDistribution, template: NGramPolicy,
-            cfg: OptimizerConfig = TVD_FIT_CONFIG) -> RunTrace:
+            cfg: OptimizerConfig) -> RunTrace:
     """Minimization of TVD(pi, target) over the template's family.
 
     In the full-order family the target lies in the family's closure, so the

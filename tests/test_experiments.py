@@ -163,13 +163,10 @@ class TestTopSequences:
 class TestToyInstance:
     @pytest.mark.parametrize("order", ["bigram", "full"])
     def test_base_model_drawn_at_default_sigma(self, order):
-        # the sweep's base logits have std dev DEFAULT_SIGMA, and so do the
-        # tests' draws that leave random_base_model's sigma at its default
+        # the sweep's base logits have std dev DEFAULT_SIGMA
         base = _toy_instance(4, order)[0].base
-        space = SequenceSpace(3, 3)
-        for pol in (random_base_model(space, 4, DEFAULT_SIGMA),
-                    random_base_model(space, 4)):
-            assert np.array_equal(base.probs, to_distribution(pol).probs)
+        pol = random_base_model(SequenceSpace(3, 3), 4, DEFAULT_SIGMA)
+        assert np.array_equal(base.probs, to_distribution(pol).probs)
 
 
 class TestRunSweep:

@@ -10,6 +10,7 @@ from klgeo.dist import (
     kl_divergence_finite,
     total_variation,
 )
+from klgeo.experiments import DEFAULT_SIGMA
 from klgeo.geometry import TiltedFamily
 from klgeo.ngram import (
     FD_STEP,
@@ -33,7 +34,7 @@ SPACE = SequenceSpace(3, 3)
 
 
 def toy_setup(seed=1):
-    base_pol = random_base_model(SPACE, seed)
+    base_pol = random_base_model(SPACE, seed, DEFAULT_SIGMA)
     base = to_distribution(base_pol)
     verifier = make_verifier_first_equals_last(SPACE)
     fam = TiltedFamily(base, verifier)
@@ -110,7 +111,7 @@ class TestToDistribution:
             assert to_distribution(pol).probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_product_of_conditionals(self):
-        pol = random_base_model(SPACE, seed=5)
+        pol = random_base_model(SPACE, 5, DEFAULT_SIGMA)
         d = to_distribution(pol)
         rows = pol.logits.reshape(-1, 3)
         b0, b1, b2 = [np.exp(b - np.log(np.exp(b).sum(axis=1, keepdims=True)))
@@ -153,8 +154,8 @@ class TestVerifier:
 
 class TestRandomBaseModel:
     def test_deterministic(self):
-        a = random_base_model(SPACE, seed=7)
-        b = random_base_model(SPACE, seed=7)
+        a = random_base_model(SPACE, 7, DEFAULT_SIGMA)
+        b = random_base_model(SPACE, 7, DEFAULT_SIGMA)
         assert np.array_equal(a.logits, b.logits)
 
     def test_small_sigma_near_uniform(self):
@@ -166,7 +167,7 @@ class TestRandomBaseModel:
     def test_a1_band_across_seeds(self):
         v = make_verifier_first_equals_last(SPACE)
         for seed in range(1, 9):
-            d = to_distribution(random_base_model(SPACE, seed))
+            d = to_distribution(random_base_model(SPACE, seed, DEFAULT_SIGMA))
             a1 = float(d.probs @ v.values)
             assert 0.20 <= a1 <= 0.47
 
@@ -253,7 +254,7 @@ class TestGradients:
 
     def test_forward_kl_zero_gradient_at_optimum(self):
         # well-specified target: the projection is stationary
-        target = to_distribution(random_base_model(SPACE, seed=8))
+        target = to_distribution(random_base_model(SPACE, 8, DEFAULT_SIGMA))
         proj = conditional_projection(target, SPACE, full_orders(SPACE))
         g = ForwardKLObjective(target).grad_theta(proj._struct, proj.logits)
         assert np.abs(g).max() < 1e-8
@@ -290,7 +291,7 @@ class TestGradients:
 
 class TestConditionalProjection:
     def test_full_order_reproduces_strictly_positive_target(self):
-        target = to_distribution(random_base_model(SPACE, seed=6))
+        target = to_distribution(random_base_model(SPACE, 6, DEFAULT_SIGMA))
         proj = conditional_projection(target, SPACE, full_orders(SPACE))
         assert total_variation(to_distribution(proj), target) < 1e-12
 

@@ -19,7 +19,7 @@ from klgeo.ngram import (
     random_base_model,
     to_distribution,
 )
-from klgeo.experiments import _toy_instance
+from klgeo.experiments import DEFAULT_SIGMA, _toy_instance
 from klgeo.optimize import (
     CONVERGED_GRAD_NORM,
     OptimizerConfig,
@@ -35,7 +35,7 @@ SPACE = SequenceSpace(3, 3)
 
 
 def setup(seed=1):
-    base_pol = random_base_model(SPACE, seed)
+    base_pol = random_base_model(SPACE, seed, DEFAULT_SIGMA)
     base = to_distribution(base_pol)
     verifier = make_verifier_first_equals_last(SPACE)
     fam = TiltedFamily(base, verifier)
