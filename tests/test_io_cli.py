@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from klgeo import checks
 from klgeo.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from klgeo.experiments import GEOMETRY_LAMBDAS, PROFILE_A1, TABLE_A1, TABLE_MU
 from klgeo.io import (
     SCHEMAS,
     ConfigError,
@@ -315,6 +316,37 @@ class TestCliSweep:
         _, rows = read_csv(out / "sweep.csv")
         assert [r[0] for r in rows] == ["1"]
 
+    def test_malformed_seed_environment_variable_ignored(self, tmp_path,
+                                                          monkeypatch):
+        # a value that --seeds would refuse leaves the run untouched
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(
+            "command=sweep\nlambdas=1\nsteps=20\n"
+            "tvd_restarts=1\ntvd_steps=20\n")
+        out = tmp_path / "out"
+        monkeypatch.setenv("KLGEO_SEED", "2,1..3")
+        rc = main(["sweep", "--config", str(cfgfile), "--out", str(out)])
+        assert rc == EXIT_OK
+        _, rows = read_csv(out / "sweep.csv")
+        assert [r[0] for r in rows] == ["1"]
+
+    def test_env_seed_ignored_by_other_commands(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("KLGEO_SEED", "3")
+        assert main(["geometry", "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    @pytest.mark.parametrize("flags, seed", [([], "2"), (["--seeds", "1"], "1")])
+    def test_seed_sources(self, tmp_path, flags, seed):
+        # the config file's seeds, unless --seeds overrides them
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(
+            "command=sweep\nseeds=2\nlambdas=1\nsteps=20\n"
+            "tvd_restarts=1\ntvd_steps=20\n")
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", str(cfgfile), "--out", str(out), *flags])
+        assert rc == EXIT_OK
+        _, rows = read_csv(out / "sweep.csv")
+        assert [r[0] for r in rows] == [seed]
+
     def test_plots_emitted(self, tmp_path):
         cfgfile = tmp_path / "cfg"
         write_tiny_sweep_config(cfgfile)
@@ -358,6 +390,35 @@ class TestCliGeometry:
         rc = main(["geometry", "--out", str(out), "--plots"])
         assert rc == EXIT_OK
         assert (out / "ordering.svg").exists()
+
+    def test_no_svg_without_plots(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["geometry", "--out", str(out)]) == EXIT_OK
+        assert not (out / "ordering.svg").exists()
+
+    def test_profile_on_fixed_grid(self, tmp_path):
+        # the profile is at A1 = PROFILE_A1, one row per point of the grid
+        out = tmp_path / "out"
+        assert main(["geometry", "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out / "geometry.csv")
+        assert [float(r[0]) for r in rows] == list(GEOMETRY_LAMBDAS)
+        mus = [float(r[1]) for r in rows]
+        assert mus[GEOMETRY_LAMBDAS.index(0.0)] == pytest.approx(PROFILE_A1, abs=1e-12)
+        assert mus == sorted(mus)
+
+    def test_betamu_rows_cover_fixed_table(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["geometry", "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out / "betamu.csv")
+        assert [(float(r[0]), float(r[1])) for r in rows] == \
+            [(a1, mu) for a1 in TABLE_A1 for mu in TABLE_MU]
+
+    def test_ordering_on_positive_grid(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["geometry", "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out / "ordering.csv")
+        assert [float(r[0]) for r in rows] == [l for l in GEOMETRY_LAMBDAS if l > 0]
+        assert all(math.isfinite(float(c)) for r in rows for c in r)
 
 
 class TestCliCheck:
@@ -546,6 +607,7 @@ class TestCliErrors:
         ("geometry", "mu_targets=0.9", "unknown key 'mu_targets'"),
         ("geometry", "profile_a1=0.5", "unknown key 'profile_a1'"),
         ("geometry", "lambdas=1,2", "unknown key 'lambdas'"),
+        ("geometry", "plots=yes", "expected true/false"),
         ("check", "tolerance=1e-7", "unknown key 'tolerance'"),
     ])
     def test_bad_value_exit_one_before_output(self, tmp_path, capsys, command,
@@ -687,10 +749,23 @@ def _run_fuzzed(tmp_path, capsys, command, values):
     rc = main([command, "--config", str(cfgfile), "--out", str(run_dir / "out")])
     capsys.readouterr()
     assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_CHECK)
+    return rc
 
 
 class TestCliFuzz:
     """cli.main ends every fuzzed run with an exit code and never raises."""
+
+    @FUZZ
+    @given(plots=st.one_of(st.sampled_from(["true", "false"]),
+                           st.text("truefals01 ", max_size=6)),
+           removed=st.lists(st.sampled_from(
+               ["a1_values", "mu_targets", "profile_a1", "lambdas"]),
+               max_size=2, unique=True))
+    def test_geometry(self, tmp_path, capsys, plots, removed):
+        # only a true/false plots value runs; a removed table key exits 1
+        values = {"plots": plots, **{key: "0.5" for key in removed}}
+        rc = _run_fuzzed(tmp_path, capsys, "geometry", values)
+        assert (rc == EXIT_OK) == (plots.strip() in ("true", "false") and not removed)
 
     @FUZZ
     @given(learning_rate=st.one_of(st.floats(0.0, 12.0), ANY_FLOAT),
