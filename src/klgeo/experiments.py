@@ -154,14 +154,14 @@ def run_sweep(seed: int, family_order: str, lambdas, cfg: OptimizerConfig,
         if trace.aborted:
             raise ValueError(f"seed {seed}: the ascent at lambda {lam!r} "
                              f"aborted: {trace.diagnostic}")
+        if trace.diagnostic:  # it ended worse than its start
+            raise ValueError(f"seed {seed}: the ascent at lambda {lam!r} "
+                             f"diverged: {trace.diagnostic}")
         current = trace.final_policy
         try:
             records.append(make_sweep_record(fam, pstar, to_distribution(current), lam))
         except ValueError as exc:  # a metric with no finite value
             raise ValueError(f"seed {seed}, lambda {lam!r}: {exc}") from exc
-        if trace.diagnostic:  # it ended worse than its start
-            raise ValueError(f"seed {seed}: the ascent at lambda {lam!r} "
-                             f"diverged: {trace.diagnostic}")
 
     fkl_trace = fit_forward_kl(pstar, template)
     fkl_dist = to_distribution(fkl_trace.final_policy)

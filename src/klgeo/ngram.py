@@ -94,6 +94,9 @@ class _Structure:
             self.index[t] = (first_row[t] + ctx) * V + seqs[:, t]
         self.flat_index = self.index.ravel()
         self.seq_of_flat = np.tile(np.arange(self.n_sequences), T)
+        # the first flat logit of each row, and the row of each flat logit
+        self.row_start = np.arange(0, self.n_params, V)
+        self.row_of_flat = np.repeat(np.arange(self.row_shape[0]), V)
 
     @classmethod
     def get(cls, space: SequenceSpace, context_lengths: tuple) -> "_Structure":
@@ -140,9 +143,19 @@ class NGramPolicy:
 # gather with the array's own take, not the np.take wrapper, and reduce
 # with ufunc methods, which .max and .sum forward to through Python.  The
 # two descent gradients, JBetaObjective.grad_theta and _tvd_subgradient,
-# write these helpers out in one body with the same ops in the same order,
-# so with the same bits; the flat-kernel oracle tests pin them to the
-# helpers.
+# write these helpers out in one body on the flat logit vector, with the
+# ufunc methods bound once below.  They do not broadcast an (R, 1) column
+# against the (R, V) rows, which costs more than twice a same-shape op at
+# this size: each row's max comes from maximum.reduceat and each row value
+# is spread back by take(row_of_flat).  Their bits are the helpers': every
+# element pairs the same two operands, a max is exact in any grouping, and
+# row sums stay on add.reduce over (R, V) rows.  add.reduceat must not sum
+# a row, since it adds a0 + (a1 + a2), not (a0 + a1) + a2.  The flat-kernel
+# oracle tests pin both bodies to the helpers.
+
+_max_reduceat = np.maximum.reduceat
+_add_reduce = np.add.reduce
+_exp, _log, _sign, _bincount = np.exp, np.log, np.sign, np.bincount
 
 
 def _log_softmax(struct: _Structure, theta: np.ndarray) -> np.ndarray:
@@ -219,21 +232,19 @@ class JBetaObjective:
 
     def grad_theta(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
         _check_space(struct, self._r)
-        # _log_softmax, _log_probs and _grad_weighted_logprob written out for
-        # one logit vector, with the same bits, as in _tvd_subgradient: this
-        # runs once per ascent step, where the helpers' call overhead was
-        # 2 % of a bench sweep
-        z = theta.reshape(struct.row_shape)
-        zm = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-        lsm = zm - np.log(np.add.reduce(np.exp(zm), axis=-1, keepdims=True))
-        logq = np.add.reduce(lsm.take(struct.index), axis=-2)
-        q = np.exp(logq)
+        # _log_softmax, _log_probs and _grad_weighted_logprob written out on
+        # the flat vector, with the same bits, as in _tvd_subgradient
+        row_shape, row_of_flat = struct.row_shape, struct.row_of_flat
+        zm = theta - _max_reduceat(theta, struct.row_start).take(row_of_flat)
+        lsm = zm - _log(_add_reduce(_exp(zm).reshape(row_shape), 1)).take(row_of_flat)
+        logq = _add_reduce(lsm.take(struct.index), -2)
+        q = _exp(logq)
         # d/dtheta sum_s q_s f_s with f = r - beta(log q - log base); the
         # -beta * sum q dlogq correction vanishes because sum dq = 0
         f = self._r - self.beta * (logq - self._log_base)
-        sw = np.bincount(struct.flat_index, weights=(q * f).take(struct.seq_of_flat),
-                         minlength=struct.n_params).reshape(struct.row_shape)
-        return (sw - np.exp(lsm) * np.add.reduce(sw, axis=1, keepdims=True)).ravel()
+        sw = _bincount(struct.flat_index, (q * f).take(struct.seq_of_flat),
+                       struct.n_params)
+        return sw - _exp(lsm) * _add_reduce(sw.reshape(row_shape), 1).take(row_of_flat)
 
 
 class ForwardKLObjective:
@@ -279,17 +290,15 @@ def _tvd(struct: _Structure, lsm: np.ndarray, p: np.ndarray) -> float:
 def _tvd_subgradient(struct: _Structure, theta: np.ndarray,
                      p: np.ndarray) -> np.ndarray:
     """A subgradient of TVD(pi, p) in the logits: dq_s = q_s dlog q_s."""
-    # the helpers written out for one logit vector, with the same bits, as in
-    # JBetaObjective.grad_theta: this runs once per TVD descent step, where
-    # their call overhead was about 4 % of the bench's TVD refit
-    z = theta.reshape(struct.row_shape)
-    zm = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    lsm = zm - np.log(np.add.reduce(np.exp(zm), axis=-1, keepdims=True))
-    q = np.exp(np.add.reduce(lsm.take(struct.index), axis=-2))
-    sw = np.bincount(struct.flat_index,
-                     weights=(0.5 * np.sign(q - p) * q).take(struct.seq_of_flat),
-                     minlength=struct.n_params).reshape(struct.row_shape)
-    return (sw - np.exp(lsm) * np.add.reduce(sw, axis=1, keepdims=True)).ravel()
+    # the helpers written out on the flat vector, with the same bits, as in
+    # JBetaObjective.grad_theta
+    row_shape, row_of_flat = struct.row_shape, struct.row_of_flat
+    zm = theta - _max_reduceat(theta, struct.row_start).take(row_of_flat)
+    lsm = zm - _log(_add_reduce(_exp(zm).reshape(row_shape), 1)).take(row_of_flat)
+    q = _exp(_add_reduce(lsm.take(struct.index), -2))
+    sw = _bincount(struct.flat_index, (0.5 * _sign(q - p) * q).take(struct.seq_of_flat),
+                   struct.n_params)
+    return sw - _exp(lsm) * _add_reduce(sw.reshape(row_shape), 1).take(row_of_flat)
 
 
 def _row_tvd_argmin(c: np.ndarray, p: np.ndarray, tok: np.ndarray,

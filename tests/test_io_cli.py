@@ -680,44 +680,54 @@ class TestCliErrors:
         assert (out / "config.echo").exists()
         assert not (out / "sweep.csv").exists()
 
-    # arguments -> exit code: the fixed step 0.1 makes the ascent fall from
-    # J_beta -2.381 to -54.1 at lambda 0.01; at 0.05 the optimum it reaches
-    # has J_beta < 0; the second ascent, at the double after 0.5, starts at
-    # its optimum to round-off and ends 1.7e-16 below it, within round-off
-    ASCENTS = {"--seeds 1 --lambdas 0.01": EXIT_CONFIG,
-               "--seeds 1 --lambdas 0.05": EXIT_OK,
-               "--order full --warm-start --seeds 2 --lambdas 0.5,0.5000000000000001":
-               EXIT_OK}
+    # (config lines, arguments) -> the grid point whose ascent diverged and
+    # the value it ended at, or None for exit 0.  The fixed step 0.1 makes
+    # the ascent fall from J_beta -2.381 to -54.1 at lambda 0.01 and from
+    # -2710 to -3.1e5 at 1e-05; the 1e10 step at lambda 0.5 falls from 0.275
+    # to -4.52, and the ascent at 1e-20 from -2.7e18 to -2.8e20.  The last
+    # three also end where a KL metric is infinite: the fall is what exit 1
+    # names.  At 0.05 the optimum it reaches has J_beta < 0; the second
+    # ascent, at the double after 0.5, starts at its optimum to round-off and
+    # ends 1.7e-16 below it, within round-off
+    ASCENTS = {
+        ("", "--seeds 1 --lambdas 0.01"): ("0.01", "-54.10008947433906"),
+        ("", "--seeds 1 --lambdas 0.00001"): ("1e-05", "-310987.12268035027"),
+        ("steps=3 learning_rate=1e10", ""): ("0.5", "-4.521887669025527"),
+        ("steps=3 lambdas=1e-20", ""): ("1e-20", "-2.7639966221388543e+20"),
+        ("", "--seeds 1 --lambdas 0.05"): None,
+        ("", "--order full --warm-start --seeds 2 --lambdas 0.5,0.5000000000000001"):
+        None,
+    }
 
-    @pytest.mark.parametrize("args", list(ASCENTS))
-    def test_diverged_ascent_exit_one(self, tmp_path, capsys, args):
+    @pytest.mark.parametrize("config, args", list(ASCENTS),
+                             ids=[" ".join(key).strip() for key in ASCENTS])
+    def test_diverged_ascent_exit_one(self, tmp_path, capsys, config, args):
         cfgfile = tmp_path / "cfg"
-        cfgfile.write_text("command=sweep\ntvd_restarts=1\ntvd_steps=10\n")
+        cfgfile.write_text("command=sweep\ntvd_restarts=1\ntvd_steps=10\n"
+                           + "".join(f"{line}\n" for line in config.split()))
         out = tmp_path / "out"
         rc = main(["sweep", "--config", str(cfgfile), *args.split(),
                    "--out", str(out)])
-        assert rc == self.ASCENTS[args]
         err = capsys.readouterr().err
-        if rc == EXIT_CONFIG:
-            assert "seed 1: the ascent at lambda 0.01 diverged" in err
-            assert "-54.1000894743390" in err
-            assert not (out / "sweep.csv").exists()
+        if self.ASCENTS[config, args] is None:
+            assert rc == EXIT_OK and err == "" and (out / "sweep.csv").exists()
         else:
-            assert err == "" and (out / "sweep.csv").exists()
+            lam, final = self.ASCENTS[config, args]
+            assert rc == EXIT_CONFIG
+            assert f"seed 1: the ascent at lambda {lam} diverged" in err
+            assert f"ended at {final}," in err
+            assert not (out / "sweep.csv").exists()
 
-    # config line -> the grid point whose metrics have no finite value
-    UNCOMPUTABLE = {"learning_rate=1e10": 0.5, "lambdas=1e-20": 1e-20,
-                    "lambdas=750": 750.0}
-
-    @pytest.mark.parametrize("line", list(UNCOMPUTABLE))
-    def test_uncomputable_value_exit_one(self, tmp_path, capsys, line):
+    def test_uncomputable_value_exit_one(self, tmp_path, capsys):
+        # at lambda 750 the ascent does not fall, but the tilt p_750 puts
+        # no mass on the invalid sequences, to round-off, and the policy does
         cfgfile = tmp_path / "cfg"
-        cfgfile.write_text(f"command=sweep\nsteps=3\ntvd_restarts=1\n"
-                           f"tvd_steps=3\n{line}\n")
+        cfgfile.write_text("command=sweep\nsteps=3\ntvd_restarts=1\n"
+                           "tvd_steps=3\nlambdas=750\n")
         out = tmp_path / "out"
         rc = main(["sweep", "--config", str(cfgfile), "--out", str(out)])
         assert rc == EXIT_CONFIG
-        assert (f"config error: seed 1, lambda {self.UNCOMPUTABLE[line]!r}: "
+        assert ("config error: seed 1, lambda 750.0: "
                 "KL divergence is infinite") in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 

@@ -478,6 +478,38 @@ class TestFlatKernelMatchesPerBlockReference:
             assert np.array_equal(grad, two_pass)
             assert np.isfinite(grad).all()
 
+    def test_descent_gradients_at_large_and_non_finite_logits(self, shape, order):
+        # logits of sizes 1 to 1e3, where summing a row in another order
+        # changes its last bits, and with a nan, a +inf and a -inf entry:
+        # _gradient_run aborts on a non-finite gradient, so a nan or +inf
+        # logit must give one; both written-out bodies give the helpers'
+        # bits, sign bits included
+        space, _, struct, _, rng = self._setup(shape, order)
+        n = struct.n_params
+        w = rng.uniform(space.n_sequences) + 0.1
+        base = FiniteDistribution(space.outcomes(), w / w.sum())
+        obj = JBetaObjective(TiltedFamily(base, RewardFn(rng.uniform(space.n_sequences))), 0.3)
+        p = rng.uniform(space.n_sequences)
+        p /= p.sum()
+        thetas = [size * (2.0 * rng.uniform(n) - 1.0)
+                  for size in (1.0, 10.0, 100.0, 1e3, 3.0, 3.0, 3.0)]
+        for theta, bad in zip(thetas[4:], ((np.nan,), (np.inf,), (np.nan, np.inf, -np.inf))):
+            theta[(3 * np.arange(len(bad)) + 1) % n] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            for theta in thetas:
+                lsm = ngram._log_softmax(struct, theta)
+                logq = ngram._log_probs(struct, lsm)
+                q = np.exp(logq)
+                f = obj._r - obj.beta * (logq - obj._log_base)
+                aborts = np.isnan(theta).any() or np.isposinf(theta).any()
+                for grad, weights in ((obj.grad_theta(struct, theta), q * f),
+                                      (ngram._tvd_subgradient(struct, theta, p),
+                                       0.5 * np.sign(q - p) * q)):
+                    two_pass = ngram._grad_weighted_logprob(struct, lsm, weights)
+                    assert np.array_equal(grad, two_pass, equal_nan=True)
+                    assert np.array_equal(np.signbit(grad), np.signbit(two_pass))
+                    assert np.isfinite(grad).all() != aborts
+
     def test_conditional_projection_logits(self, shape, order):
         space, orders, _, ref, rng = self._setup(shape, order)
         p = rng.uniform(space.n_sequences)
