@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -520,6 +522,37 @@ class TestCliGradcheck:
         assert lines[-1] == "failed checks: gradient-forward-kl"
         line, = (l for l in lines if l.startswith("gradient-forward-kl"))
         assert "FAIL" in line and ", full " in line
+
+
+# numpy first, as a host program loads it; then the thread count before and
+# after klgeo.cli, and a product large enough to restart OpenBLAS's pool
+BLAS_PROBE = """
+import os, numpy
+before = len(os.listdir("/proc/self/task"))
+import klgeo.cli
+after = len(os.listdir("/proc/self/task"))
+a = numpy.arange(90000.0).reshape(300, 300) / 9e4
+assert numpy.allclose(a @ a, numpy.einsum("ij,jk->ik", a, a))
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    openblas = any("openblas" in line.rsplit("/", 1)[-1] for line in fh)
+print(before, after, int(openblas))
+"""
+
+
+class TestBlasThreads:
+    def test_cli_import_stops_idle_openblas_workers(self):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc to count threads in")
+        env = dict(os.environ)
+        src = str(Path(main.__code__.co_filename).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        before, after, openblas = map(int, proc.stdout.split())
+        if not openblas or before == 1:
+            pytest.skip("numpy's BLAS is not OpenBLAS with a thread pool")
+        assert after == 1
 
 
 class TestCliErrors:
