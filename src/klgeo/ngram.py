@@ -69,6 +69,9 @@ class _Structure:
     V^c_t rows).  index[t, s] is the flat logit that sequence s uses at
     position t; flat_index is index.ravel() and seq_of_flat[k] the sequence
     behind flat_index[k], so a scatter needs no per-call index work.
+    row_of_flat[k] is the row of flat logit k.  The two descent gradients
+    also key their sums by these maps: bincount over row_of_flat sums each
+    row, and over seq_of_flat each sequence's T log-probabilities.
     """
 
     _cache: dict = {}
@@ -84,8 +87,9 @@ class _Structure:
         self.space = space
         self.context_lengths = tuple(context_lengths)
         first_row = np.cumsum([0] + [V ** c for c in context_lengths])
-        self.row_shape = (int(first_row[-1]), V)
-        self.n_params = self.row_shape[0] * V
+        self.n_rows = int(first_row[-1])
+        self.row_shape = (self.n_rows, V)
+        self.n_params = self.n_rows * V
         # stored, not read through space's property on every objective call
         self.n_sequences = space.n_sequences
         self.index = np.empty((T, self.n_sequences), dtype=np.intp)
@@ -96,7 +100,7 @@ class _Structure:
         self.seq_of_flat = np.tile(np.arange(self.n_sequences), T)
         # the first flat logit of each row, and the row of each flat logit
         self.row_start = np.arange(0, self.n_params, V)
-        self.row_of_flat = np.repeat(np.arange(self.row_shape[0]), V)
+        self.row_of_flat = np.repeat(np.arange(self.n_rows), V)
 
     @classmethod
     def get(cls, space: SequenceSpace, context_lengths: tuple) -> "_Structure":
@@ -144,17 +148,22 @@ class NGramPolicy:
 # with ufunc methods, which .max and .sum forward to through Python.  The
 # two descent gradients, JBetaObjective.grad_theta and _tvd_subgradient,
 # write these helpers out in one body on the flat logit vector, with the
-# ufunc methods bound once below.  They do not broadcast an (R, 1) column
+# numpy functions bound once below.  They do not broadcast an (R, 1) column
 # against the (R, V) rows, which costs more than twice a same-shape op at
-# this size: each row's max comes from maximum.reduceat and each row value
-# is spread back by take(row_of_flat).  Their bits are the helpers': every
-# element pairs the same two operands, a max is exact in any grouping, and
-# row sums stay on add.reduce over (R, V) rows.  add.reduceat must not sum
-# a row, since it adds a0 + (a1 + a2), not (a0 + a1) + a2.  The flat-kernel
-# oracle tests pin both bodies to the helpers.
+# this size: each row's max comes from maximum.reduceat, each row value is
+# spread back by take(row_of_flat), and each row sum and each sequence's
+# log-probability is a bincount keyed by row_of_flat or seq_of_flat.
+# Their bits are the helpers': every element pairs the same two operands, a
+# max is exact in any grouping, and bincount adds each bin's entries in
+# index order starting from 0.0, which is the order add.reduce uses on rows
+# of fewer than 8 entries and along the T axis.  From 8 entries on,
+# add.reduce sums a row pairwise, so at V >= 8 the bodies would differ from
+# the helpers in the last bits; add.reduceat must not sum a row at any V,
+# since it adds a0 + (a1 + a2), not (a0 + a1) + a2.  The flat-kernel
+# oracle tests pin both bodies to the helpers, and
+# test_bincount_sums_in_add_reduce_order the numpy property itself.
 
 _max_reduceat = np.maximum.reduceat
-_add_reduce = np.add.reduce
 _exp, _log, _sign, _bincount = np.exp, np.log, np.sign, np.bincount
 
 
@@ -234,17 +243,17 @@ class JBetaObjective:
         _check_space(struct, self._r)
         # _log_softmax, _log_probs and _grad_weighted_logprob written out on
         # the flat vector, with the same bits, as in _tvd_subgradient
-        row_shape, row_of_flat = struct.row_shape, struct.row_of_flat
+        row_of_flat, n_rows = struct.row_of_flat, struct.n_rows
+        seq_of_flat = struct.seq_of_flat
         zm = theta - _max_reduceat(theta, struct.row_start).take(row_of_flat)
-        lsm = zm - _log(_add_reduce(_exp(zm).reshape(row_shape), 1)).take(row_of_flat)
-        logq = _add_reduce(lsm.take(struct.index), -2)
+        lsm = zm - _log(_bincount(row_of_flat, _exp(zm), n_rows)).take(row_of_flat)
+        logq = _bincount(seq_of_flat, lsm.take(struct.flat_index), struct.n_sequences)
         q = _exp(logq)
         # d/dtheta sum_s q_s f_s with f = r - beta(log q - log base); the
         # -beta * sum q dlogq correction vanishes because sum dq = 0
         f = self._r - self.beta * (logq - self._log_base)
-        sw = _bincount(struct.flat_index, (q * f).take(struct.seq_of_flat),
-                       struct.n_params)
-        return sw - _exp(lsm) * _add_reduce(sw.reshape(row_shape), 1).take(row_of_flat)
+        sw = _bincount(struct.flat_index, (q * f).take(seq_of_flat), struct.n_params)
+        return sw - _exp(lsm) * _bincount(row_of_flat, sw, n_rows).take(row_of_flat)
 
 
 class ForwardKLObjective:
@@ -292,13 +301,14 @@ def _tvd_subgradient(struct: _Structure, theta: np.ndarray,
     """A subgradient of TVD(pi, p) in the logits: dq_s = q_s dlog q_s."""
     # the helpers written out on the flat vector, with the same bits, as in
     # JBetaObjective.grad_theta
-    row_shape, row_of_flat = struct.row_shape, struct.row_of_flat
+    row_of_flat, n_rows = struct.row_of_flat, struct.n_rows
+    seq_of_flat = struct.seq_of_flat
     zm = theta - _max_reduceat(theta, struct.row_start).take(row_of_flat)
-    lsm = zm - _log(_add_reduce(_exp(zm).reshape(row_shape), 1)).take(row_of_flat)
-    q = _exp(_add_reduce(lsm.take(struct.index), -2))
-    sw = _bincount(struct.flat_index, (0.5 * _sign(q - p) * q).take(struct.seq_of_flat),
+    lsm = zm - _log(_bincount(row_of_flat, _exp(zm), n_rows)).take(row_of_flat)
+    q = _exp(_bincount(seq_of_flat, lsm.take(struct.flat_index), struct.n_sequences))
+    sw = _bincount(struct.flat_index, (0.5 * _sign(q - p) * q).take(seq_of_flat),
                    struct.n_params)
-    return sw - _exp(lsm) * _add_reduce(sw.reshape(row_shape), 1).take(row_of_flat)
+    return sw - _exp(lsm) * _bincount(row_of_flat, sw, n_rows).take(row_of_flat)
 
 
 def _row_tvd_argmin(c: np.ndarray, p: np.ndarray, tok: np.ndarray,

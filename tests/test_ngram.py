@@ -411,11 +411,13 @@ ORACLE_ORDERS = {
     "bigram": bigram_orders,
     "full": full_orders,
 }
+# (V, T) of the oracle spaces; 7 is the widest row that add.reduce sums in
+# index order, the order of the written-out gradients' bincount sums
+ORACLE_SHAPES = [(3, 3), (2, 4), (4, 2), (7, 2), (3, 4)]
 
 
 @pytest.mark.parametrize("order", sorted(ORACLE_ORDERS))
-@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2)],
-                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 class TestFlatKernelMatchesPerBlockReference:
     """The flat kernel is bit-identical to the per-position loops it replaced."""
 
@@ -532,6 +534,70 @@ class TestFlatKernelMatchesPerBlockReference:
                                   ref.tvd_grad(theta, target.probs))
 
 
+def _wide_range_values(rng, n):
+    """n values of both signs and magnitudes 1e-300 to 1e300, with some
+    signed zeros, nan and +-inf entries."""
+    x = 10.0 ** (600.0 * rng.uniform(n) - 300.0) * np.sign(rng.uniform(n) - 0.5)
+    pick = rng.uniform(n)
+    for lo, value in enumerate((np.nan, np.inf, -np.inf, 0.0, -0.0)):
+        x[(pick >= 0.01 * lo) & (pick < 0.01 * (lo + 1))] = value
+    return x
+
+
+@pytest.mark.parametrize("length", [2, 3, 4])
+@pytest.mark.parametrize("vocab_size", [2, 3, 4, 5, 6, 7])
+def test_bincount_sums_in_add_reduce_order(vocab_size, length):
+    # the written-out descent gradients sum rows and sequences with
+    # bincount and keep the helpers' bits only because numpy's bincount and
+    # add.reduce add in the same order here: each bin's entries in index
+    # order from 0.0, on rows of fewer than 8 entries and along the T axis
+    rng = SeededRng(100 * vocab_size + length)
+    n_rows, n_seqs = 50, 40
+    row_of_flat = np.repeat(np.arange(n_rows), vocab_size)
+    seq_of_flat = np.tile(np.arange(n_seqs), length)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(100):
+            x = _wide_range_values(rng, n_rows * vocab_size)
+            y = _wide_range_values(rng, length * n_seqs)
+            for want, got in ((np.add.reduce(x.reshape(n_rows, vocab_size), 1),
+                               np.bincount(row_of_flat, x, n_rows)),
+                              (np.add.reduce(y.reshape(length, n_seqs), -2),
+                               np.bincount(seq_of_flat, y, n_seqs))):
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("order", sorted(ORACLE_ORDERS))
+def test_descent_gradients_at_vocab_8_match_helpers_to_round_off(order):
+    # from 8 entries on, add.reduce sums a row pairwise while bincount adds
+    # it in index order, so at V = 8 the written-out gradients' row sums can
+    # differ from the helpers' in the last bits; no program path has V != 3
+    space = SequenceSpace(8, 2)
+    struct = ngram._Structure.get(space, ORACLE_ORDERS[order](space))
+    rng = SeededRng(31)
+    n = space.n_sequences
+    w = rng.uniform(n) + 0.1
+    base = FiniteDistribution(space.outcomes(), w / w.sum())
+    obj = JBetaObjective(TiltedFamily(base, RewardFn(rng.uniform(n))), 0.3)
+    p = rng.uniform(n)
+    p /= p.sum()
+    bit_equal = []
+    for _ in range(5):
+        theta = rng.normal(struct.n_params, sigma=2.0)
+        lsm = ngram._log_softmax(struct, theta)
+        logq = ngram._log_probs(struct, lsm)
+        q = np.exp(logq)
+        for grad, weights in ((obj.grad_theta(struct, theta),
+                               q * (obj._r - obj.beta * (logq - obj._log_base))),
+                              (ngram._tvd_subgradient(struct, theta, p),
+                               0.5 * np.sign(q - p) * q)):
+            two_pass = ngram._grad_weighted_logprob(struct, lsm, weights)
+            assert np.allclose(grad, two_pass, rtol=0.0,
+                               atol=1e-13 * np.abs(two_pass).max())
+            bit_equal.append(np.array_equal(grad, two_pass))
+    assert not all(bit_equal)
+
+
 # The kernels as spelled before the structure held its scatter map and the
 # reductions were called as ufunc methods, kept as the lean path's oracle:
 # the same arithmetic, so the same bits.
@@ -599,8 +665,7 @@ def old_polish_tvd(struct, theta, p):
 
 
 @pytest.mark.parametrize("order", sorted(ORACLE_ORDERS))
-@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2)],
-                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_lean_kernel_matches_old_spelling(shape, order):
     space = SequenceSpace(*shape)
     struct = ngram._Structure.get(space, ORACLE_ORDERS[order](space))
