@@ -16,7 +16,6 @@ from .dist import (
     expected_reward,
     kl_divergence,
     kl_divergence_finite,
-    support,
     total_variation,
 )
 from .geometry import (

@@ -186,8 +186,3 @@ def condition(p: FiniteDistribution, mask) -> FiniteDistribution:
         raise ValueError("conditioning on null set")
     probs = np.where(mask, p.probs / total, 0.0)
     return FiniteDistribution(p.outcomes, probs)
-
-
-def support(p: FiniteDistribution):
-    """Outcomes with strictly positive probability (no epsilon thresholding)."""
-    return tuple(o for o, pr in zip(p.outcomes, p.probs) if pr > 0)

@@ -68,10 +68,10 @@ class _Structure:
     whose rows are the blocks' contexts stacked by position (block t holds
     V^c_t rows).  index[t, s] is the flat logit that sequence s uses at
     position t; flat_index is index.ravel() and seq_of_flat[k] the sequence
-    behind flat_index[k], so a scatter needs no per-call index work.
-    row_of_flat[k] is the row of flat logit k.  The two descent gradients
-    also key their sums by these maps: bincount over row_of_flat sums each
-    row, and over seq_of_flat each sequence's T log-probabilities.
+    behind flat_index[k], and row_of_flat[k] is the row of flat logit k.
+    The kernel keys its sums by these maps: bincount over row_of_flat sums
+    each row, over seq_of_flat each sequence's T log-probabilities, and
+    over flat_index the sequences using each logit.
     """
 
     _cache: dict = {}
@@ -88,7 +88,6 @@ class _Structure:
         self.context_lengths = tuple(context_lengths)
         first_row = np.cumsum([0] + [V ** c for c in context_lengths])
         self.n_rows = int(first_row[-1])
-        self.row_shape = (self.n_rows, V)
         self.n_params = self.n_rows * V
         # stored, not read through space's property on every objective call
         self.n_sequences = space.n_sequences
@@ -108,11 +107,6 @@ class _Structure:
         if key not in cls._cache:
             cls._cache[key] = cls(space, context_lengths)
         return cls._cache[key]
-
-    def scatter(self, w: np.ndarray) -> np.ndarray:
-        """(R, V) array of sum_s w_s over the sequences using each logit."""
-        return np.bincount(self.flat_index, weights=w.take(self.seq_of_flat),
-                           minlength=self.n_params).reshape(self.row_shape)
 
 
 class NGramPolicy:
@@ -142,48 +136,31 @@ class NGramPolicy:
         return NGramPolicy(self.space, self.context_lengths, logits)
 
 
-# The kernels below run once or twice per solver step on a few dozen
-# numbers, where a numpy call's overhead outweighs its arithmetic: they
-# gather with the array's own take, not the np.take wrapper, and reduce
-# with ufunc methods, which .max and .sum forward to through Python.  The
-# two descent gradients, JBetaObjective.grad_theta and _tvd_subgradient,
-# write these helpers out in one body on the flat logit vector, with the
-# numpy functions bound once below.  They do not broadcast an (R, 1) column
-# against the (R, V) rows, which costs more than twice a same-shape op at
-# this size: each row's max comes from maximum.reduceat, each row value is
-# spread back by take(row_of_flat), and each row sum and each sequence's
-# log-probability is a bincount keyed by row_of_flat or seq_of_flat.
-# Their bits are the helpers': every element pairs the same two operands, a
-# max is exact in any grouping, and bincount adds each bin's entries in
-# index order starting from 0.0, which is the order add.reduce uses on rows
-# of fewer than 8 entries and along the T axis.  From 8 entries on,
-# add.reduce sums a row pairwise, so at V >= 8 the bodies would differ from
-# the helpers in the last bits; add.reduceat must not sum a row at any V,
-# since it adds a0 + (a1 + a2), not (a0 + a1) + a2.  The flat-kernel
-# oracle tests pin both bodies to the helpers, and
-# test_bincount_sums_in_add_reduce_order the numpy property itself.
+# The kernel below runs once or twice per solver step on a few dozen
+# numbers, where a numpy call's overhead outweighs its arithmetic, so it
+# works on the flat logit vector with the numpy functions bound once here.
+# It gathers with the array's own take, and spreads a row value back by
+# take(row_of_flat) rather than broadcasting an (R, 1) column against the
+# (R, V) rows, which costs more than twice a same-shape op at this size.
+# Each row sum and each sequence's log-probability is a bincount, which
+# adds a bin's entries in index order from 0.0 (add.reduce does the same
+# on rows of fewer than 8 entries, and sums pairwise from 8 on).  Never sum
+# a row with add.reduceat: it adds a0 + (a1 + a2), not (a0 + a1) + a2.
 
 _max_reduceat = np.maximum.reduceat
 _exp, _log, _sign, _bincount = np.exp, np.log, np.sign, np.bincount
 
 
 def _log_softmax(struct: _Structure, theta: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of a logit vector or a (B, n_params) batch."""
-    return _log_softmax_rows(theta.reshape(theta.shape[:-1] + struct.row_shape)
-                             ).reshape(theta.shape)
-
-
-def _log_softmax_rows(z: np.ndarray) -> np.ndarray:
-    """log-softmax along the last axis; each row's bits depend on that row only."""
-    zm = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    return zm - np.log(np.add.reduce(np.exp(zm), axis=-1, keepdims=True))
+    """Row-wise log-softmax of the flat logit vector theta."""
+    row_of_flat = struct.row_of_flat
+    zm = theta - _max_reduceat(theta, struct.row_start).take(row_of_flat)
+    return zm - _log(_bincount(row_of_flat, _exp(zm), struct.n_rows)).take(row_of_flat)
 
 
 def _log_probs(struct: _Structure, lsm: np.ndarray) -> np.ndarray:
     """log q_s of every sequence, from the row log-softmax lsm."""
-    # take keeps the (..., N) result C-contiguous; fancy indexing would not,
-    # and sums over that result depend on its memory order
-    return np.add.reduce(lsm.take(struct.index, axis=-1), axis=-2)
+    return _bincount(struct.seq_of_flat, lsm.take(struct.flat_index), struct.n_sequences)
 
 
 def _probs(struct: _Structure, theta: np.ndarray) -> np.ndarray:
@@ -193,13 +170,10 @@ def _probs(struct: _Structure, theta: np.ndarray) -> np.ndarray:
 def _grad_weighted_logprob(struct: _Structure, lsm: np.ndarray,
                            w: np.ndarray) -> np.ndarray:
     """Gradient of sum_s w_s * log q_s in the logits, for fixed weights w,
-    given the row log-softmax lsm of those logits.
-
-    Its callers are the forward-KL gradient and the tests; the J_beta and
-    TVD gradients write it out inline."""
-    sw = struct.scatter(w)
-    q = np.exp(lsm).reshape(struct.row_shape)
-    return (sw - q * np.add.reduce(sw, axis=1, keepdims=True)).ravel()
+    given the row log-softmax lsm of those logits."""
+    row_of_flat = struct.row_of_flat
+    sw = _bincount(struct.flat_index, w.take(struct.seq_of_flat), struct.n_params)
+    return sw - _exp(lsm) * _bincount(row_of_flat, sw, struct.n_rows).take(row_of_flat)
 
 
 def central_difference(f, theta: np.ndarray) -> np.ndarray:
@@ -241,19 +215,12 @@ class JBetaObjective:
 
     def grad_theta(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
         _check_space(struct, self._r)
-        # _log_softmax, _log_probs and _grad_weighted_logprob written out on
-        # the flat vector, with the same bits, as in _tvd_subgradient
-        row_of_flat, n_rows = struct.row_of_flat, struct.n_rows
-        seq_of_flat = struct.seq_of_flat
-        zm = theta - _max_reduceat(theta, struct.row_start).take(row_of_flat)
-        lsm = zm - _log(_bincount(row_of_flat, _exp(zm), n_rows)).take(row_of_flat)
-        logq = _bincount(seq_of_flat, lsm.take(struct.flat_index), struct.n_sequences)
-        q = _exp(logq)
+        lsm = _log_softmax(struct, theta)
+        logq = _log_probs(struct, lsm)
         # d/dtheta sum_s q_s f_s with f = r - beta(log q - log base); the
         # -beta * sum q dlogq correction vanishes because sum dq = 0
-        f = self._r - self.beta * (logq - self._log_base)
-        sw = _bincount(struct.flat_index, (q * f).take(seq_of_flat), struct.n_params)
-        return sw - _exp(lsm) * _bincount(row_of_flat, sw, n_rows).take(row_of_flat)
+        return _grad_weighted_logprob(
+            struct, lsm, _exp(logq) * (self._r - self.beta * (logq - self._log_base)))
 
 
 class ForwardKLObjective:
@@ -299,16 +266,9 @@ def _tvd(struct: _Structure, lsm: np.ndarray, p: np.ndarray) -> float:
 def _tvd_subgradient(struct: _Structure, theta: np.ndarray,
                      p: np.ndarray) -> np.ndarray:
     """A subgradient of TVD(pi, p) in the logits: dq_s = q_s dlog q_s."""
-    # the helpers written out on the flat vector, with the same bits, as in
-    # JBetaObjective.grad_theta
-    row_of_flat, n_rows = struct.row_of_flat, struct.n_rows
-    seq_of_flat = struct.seq_of_flat
-    zm = theta - _max_reduceat(theta, struct.row_start).take(row_of_flat)
-    lsm = zm - _log(_bincount(row_of_flat, _exp(zm), n_rows)).take(row_of_flat)
-    q = _exp(_bincount(seq_of_flat, lsm.take(struct.flat_index), struct.n_sequences))
-    sw = _bincount(struct.flat_index, (0.5 * _sign(q - p) * q).take(seq_of_flat),
-                   struct.n_params)
-    return sw - _exp(lsm) * _bincount(row_of_flat, sw, n_rows).take(row_of_flat)
+    lsm = _log_softmax(struct, theta)
+    q = _exp(_log_probs(struct, lsm))
+    return _grad_weighted_logprob(struct, lsm, 0.5 * _sign(q - p) * q)
 
 
 def _row_tvd_argmin(c: np.ndarray, p: np.ndarray, tok: np.ndarray,
@@ -362,10 +322,8 @@ def _polish_tvd(struct: _Structure, theta: np.ndarray, p: np.ndarray):
             uses = np.flatnonzero(row_of[t] == r)
             row_data.append((r, p[uses], struct.index[t, uses] % V, others[:, uses]))
     theta = theta.copy()
-    rows = theta.reshape(struct.row_shape)  # a view: row updates write into theta
-    # the row log-softmax of theta, kept in step with it one row at a time
+    rows = theta.reshape(-1, V)  # a view: row updates write into theta
     lsm = _log_softmax(struct, theta)
-    lsm_rows = lsm.reshape(struct.row_shape)
     value = _tvd(struct, lsm, p)
     for sweep in range(1, POLISH_MAX_SWEEPS + 1):
         start_value = value
@@ -375,15 +333,15 @@ def _polish_tvd(struct: _Structure, theta: np.ndarray, p: np.ndarray):
             if not live.any():  # TVD does not depend on this row
                 continue
             x = _row_tvd_argmin(c[live], p_r[live], tok[live], V)
-            old_row, old_lsm_row = rows[r].copy(), lsm_rows[r].copy()
+            old_row = rows[r].copy()
             with np.errstate(divide="ignore"):
                 rows[r] = np.log(x)
-            lsm_rows[r] = _log_softmax_rows(rows[r])
-            new_value = _tvd(struct, lsm, p)
+            new_lsm = _log_softmax(struct, theta)
+            new_value = _tvd(struct, new_lsm, p)
             if new_value <= value:
-                value = new_value
+                value, lsm = new_value, new_lsm
             else:
-                rows[r], lsm_rows[r] = old_row, old_lsm_row
+                rows[r] = old_row
         if start_value - value <= POLISH_TOL:
             return theta, value, sweep, False
     return theta, value, POLISH_MAX_SWEEPS, True
@@ -423,12 +381,13 @@ def conditional_projection(target: FiniteDistribution, space: SequenceSpace,
     struct = _Structure.get(space, tuple(context_lengths))
     if len(target) != space.n_sequences:
         raise ValueError("target does not match the sequence space")
-    joint = struct.scatter(target.probs)
-    row = joint.sum(axis=1, keepdims=True)
+    row_of_flat = struct.row_of_flat
+    joint = _bincount(struct.flat_index, target.probs.take(struct.seq_of_flat),
+                      struct.n_params)
+    row = _bincount(row_of_flat, joint, struct.n_rows).take(row_of_flat)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(row > 0, joint / np.where(row > 0, row, 1.0),
-                        1.0 / space.vocab_size)
-        logits = np.log(cond).ravel()
+        logits = np.log(np.where(row > 0, joint / np.where(row > 0, row, 1.0),
+                                 1.0 / space.vocab_size))
     return NGramPolicy(space, context_lengths, logits)
 
 

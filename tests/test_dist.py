@@ -13,7 +13,6 @@ from klgeo.dist import (
     expected_reward,
     kl_divergence,
     kl_divergence_finite,
-    support,
     total_variation,
 )
 from klgeo.experiments import ordering_instance
@@ -234,20 +233,6 @@ class TestCondition:
         assert c.probs.sum() == pytest.approx(1.0, abs=1e-12)
         ratios = c.probs[mask] / p.probs[mask]
         assert ratios.max() - ratios.min() <= 1e-12
-
-
-class TestSupport:
-    def test_dirac(self):
-        assert support(FiniteDistribution.dirac(("a", "b"), "a")) == ("a",)
-
-    def test_filtered_support_is_valid_set(self):
-        base, verifier = five_point()
-        pstar = condition(base, verifier.mask)
-        assert support(pstar) == ("y1", "y2", "y3")
-
-    def test_strictly_positive_only(self):
-        p = FiniteDistribution(("a", "b", "c"), (0.5, 0.5, 0.0))
-        assert support(p) == ("a", "b")
 
 
 class TestRewardTypes:

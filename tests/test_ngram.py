@@ -370,17 +370,6 @@ class _PerBlockReference:
             logq += lsm[t][self.ctx[t], self.tok[t]]
         return np.exp(logq)
 
-    def batched_probs(self, thetas):
-        B = thetas.shape[0]
-        logq = np.zeros((B, len(self.tok[0])))
-        for t, (nc, V) in enumerate(self.block_shapes):
-            z = thetas[:, self.offsets[t]:self.offsets[t + 1]].reshape(B, nc, V)
-            m = z.max(axis=2, keepdims=True)
-            e = np.exp(z - m)
-            lsm = (z - m) - np.log(e.sum(axis=2, keepdims=True))
-            logq += lsm[:, self.ctx[t], self.tok[t]]
-        return np.exp(logq)
-
     def grad_weighted_logprob(self, theta, w):
         lsm = self.log_softmax_blocks(theta)
         grad = np.empty(self.n_params)
@@ -412,7 +401,7 @@ ORACLE_ORDERS = {
     "full": full_orders,
 }
 # (V, T) of the oracle spaces; 7 is the widest row that add.reduce sums in
-# index order, the order of the written-out gradients' bincount sums
+# index order, the order of the flat kernel's bincount sums
 ORACLE_SHAPES = [(3, 3), (2, 4), (4, 2), (7, 2), (3, 4)]
 
 
@@ -429,13 +418,11 @@ class TestFlatKernelMatchesPerBlockReference:
         assert struct.n_params == ref.n_params
         return space, orders, struct, ref, SeededRng(31 + sum(orders))
 
-    def test_probs_single_and_batched(self, shape, order):
+    def test_probs(self, shape, order):
         _, _, struct, ref, rng = self._setup(shape, order)
         for _ in range(5):
             theta = rng.normal(struct.n_params, sigma=2.0)
             assert np.array_equal(ngram._probs(struct, theta), ref.probs(theta))
-        thetas = rng.normal(7 * struct.n_params, sigma=2.0).reshape(7, -1)
-        assert np.array_equal(ngram._probs(struct, thetas), ref.batched_probs(thetas))
 
     def test_grad_weighted_logprob(self, shape, order):
         space, _, struct, ref, rng = self._setup(shape, order)
@@ -462,8 +449,8 @@ class TestFlatKernelMatchesPerBlockReference:
                                   ref.grad_weighted_logprob(theta, w))
 
     def test_tvd_subgradient_equals_two_pass_form(self, shape, order):
-        # the written-out subgradient gives the bits of the helpers, also at
-        # -inf logits such as _polish_tvd leaves, where fit_tvd takes its
+        # the subgradient gives the bits of the helpers' two-pass form, also
+        # at -inf logits such as _polish_tvd leaves, where fit_tvd takes its
         # final gradient norm
         space, _, struct, _, rng = self._setup(shape, order)
         p = rng.uniform(space.n_sequences)
@@ -484,8 +471,8 @@ class TestFlatKernelMatchesPerBlockReference:
         # logits of sizes 1 to 1e3, where summing a row in another order
         # changes its last bits, and with a nan, a +inf and a -inf entry:
         # _gradient_run aborts on a non-finite gradient, so a nan or +inf
-        # logit must give one; both written-out bodies give the helpers'
-        # bits, sign bits included
+        # logit must give one; both descent gradients give the bits of the
+        # helpers' two-pass form, sign bits included
         space, _, struct, _, rng = self._setup(shape, order)
         n = struct.n_params
         w = rng.uniform(space.n_sequences) + 0.1
@@ -547,10 +534,11 @@ def _wide_range_values(rng, n):
 @pytest.mark.parametrize("length", [2, 3, 4])
 @pytest.mark.parametrize("vocab_size", [2, 3, 4, 5, 6, 7])
 def test_bincount_sums_in_add_reduce_order(vocab_size, length):
-    # the written-out descent gradients sum rows and sequences with
-    # bincount and keep the helpers' bits only because numpy's bincount and
-    # add.reduce add in the same order here: each bin's entries in index
-    # order from 0.0, on rows of fewer than 8 entries and along the T axis
+    # the flat kernel sums rows and sequences with bincount, and keeps the
+    # bits of the per-block and old-spelling oracles, which sum with
+    # add.reduce, only because the two add in the same order here: each
+    # bin's entries in index order from 0.0, on rows of fewer than 8
+    # entries and along the T axis
     rng = SeededRng(100 * vocab_size + length)
     n_rows, n_seqs = 50, 40
     row_of_flat = np.repeat(np.arange(n_rows), vocab_size)
@@ -570,10 +558,13 @@ def test_bincount_sums_in_add_reduce_order(vocab_size, length):
 @pytest.mark.parametrize("order", sorted(ORACLE_ORDERS))
 def test_descent_gradients_at_vocab_8_match_helpers_to_round_off(order):
     # from 8 entries on, add.reduce sums a row pairwise while bincount adds
-    # it in index order, so at V = 8 the written-out gradients' row sums can
-    # differ from the helpers' in the last bits; no program path has V != 3
+    # it in index order, so at V = 8 the flat kernel's row sums can differ
+    # from the per-block oracle's in the last bits; no program path has
+    # V != 3.  Both descent gradients are still the helpers' composition.
     space = SequenceSpace(8, 2)
-    struct = ngram._Structure.get(space, ORACLE_ORDERS[order](space))
+    orders = ORACLE_ORDERS[order](space)
+    struct = ngram._Structure.get(space, orders)
+    ref = _PerBlockReference(space, orders)
     rng = SeededRng(31)
     n = space.n_sequences
     w = rng.uniform(n) + 0.1
@@ -591,16 +582,17 @@ def test_descent_gradients_at_vocab_8_match_helpers_to_round_off(order):
                                q * (obj._r - obj.beta * (logq - obj._log_base))),
                               (ngram._tvd_subgradient(struct, theta, p),
                                0.5 * np.sign(q - p) * q)):
-            two_pass = ngram._grad_weighted_logprob(struct, lsm, weights)
-            assert np.allclose(grad, two_pass, rtol=0.0,
-                               atol=1e-13 * np.abs(two_pass).max())
-            bit_equal.append(np.array_equal(grad, two_pass))
+            assert np.array_equal(grad, ngram._grad_weighted_logprob(struct, lsm, weights))
+            per_block = ref.grad_weighted_logprob(theta, weights)
+            assert np.allclose(grad, per_block, rtol=0.0,
+                               atol=1e-13 * np.abs(per_block).max())
+            bit_equal.append(np.array_equal(grad, per_block))
     assert not all(bit_equal)
 
 
-# The kernels as spelled before the structure held its scatter map and the
-# reductions were called as ufunc methods, kept as the lean path's oracle:
-# the same arithmetic, so the same bits.
+# The kernels as first spelled on the (R, V) array, with np.tile, reshapes
+# and .sum reductions, kept as the flat kernel's oracle: the same arithmetic
+# in the same order at V <= 7, so the same bits.
 
 
 def old_scatter(struct, w):
@@ -675,14 +667,9 @@ def test_lean_kernel_matches_old_spelling(shape, order):
         w = rng.normal(space.n_sequences)
         lsm = ngram._log_softmax(struct, theta)
         assert np.array_equal(lsm, old_log_softmax(struct, theta))
-        assert np.array_equal(struct.scatter(w), old_scatter(struct, w))
         assert np.array_equal(ngram._log_probs(struct, lsm), old_log_probs(struct, lsm))
         assert np.array_equal(ngram._grad_weighted_logprob(struct, lsm, w),
                               old_grad_weighted_logprob(struct, lsm, w))
-    thetas = rng.normal(4 * struct.n_params, sigma=2.0).reshape(4, -1)
-    lsm = ngram._log_softmax(struct, thetas)
-    assert np.array_equal(lsm, old_log_softmax(struct, thetas))
-    assert np.array_equal(ngram._log_probs(struct, lsm), old_log_probs(struct, lsm))
 
 
 class TestSolversMatchOldSpelling:
