@@ -590,6 +590,31 @@ def test_descent_gradients_at_vocab_8_match_helpers_to_round_off(order):
     assert not all(bit_equal)
 
 
+@pytest.mark.parametrize("order", sorted(ORACLE_ORDERS))
+def test_probs_and_projection_at_vocab_8_match_per_block_to_round_off(order):
+    # the flat log-softmax and conditional_projection also sum each row in
+    # index order, where the per-block oracle sums a row of 8 pairwise; the
+    # probabilities and the projection's logits stay within round-off of it
+    # and keep its -inf logits exactly
+    space = SequenceSpace(8, 2)
+    orders = ORACLE_ORDERS[order](space)
+    struct = ngram._Structure.get(space, orders)
+    ref = _PerBlockReference(space, orders)
+    rng = SeededRng(37)
+    for _ in range(5):
+        theta = rng.normal(struct.n_params, sigma=2.0)
+        assert np.allclose(ngram._probs(struct, theta), ref.probs(theta),
+                           rtol=1e-13, atol=0.0)
+    p = rng.uniform(space.n_sequences)
+    p[:space.n_sequences // space.vocab_size] = 0.0
+    target = FiniteDistribution(space.outcomes(), p / p.sum())
+    logits = conditional_projection(target, space, orders).logits
+    want = ref.projection_logits(target.probs)
+    assert np.array_equal(np.isneginf(logits), np.isneginf(want))
+    finite = np.isfinite(want)
+    assert np.allclose(logits[finite], want[finite], rtol=0.0, atol=1e-13)
+
+
 # The kernels as first spelled on the (R, V) array, with np.tile, reshapes
 # and .sum reductions, kept as the flat kernel's oracle: the same arithmetic
 # in the same order at V <= 7, so the same bits.
