@@ -146,9 +146,16 @@ class NGramPolicy:
 # adds a bin's entries in index order from 0.0 (add.reduce does the same
 # on rows of fewer than 8 entries, and sums pairwise from 8 on).  Never sum
 # a row with add.reduceat: it adds a0 + (a1 + a2), not (a0 + a1) + a2.
+# bincount is bound below numpy's __array_function__ dispatcher, to the C
+# function it forwards to, with the same input checks: 0.22 µs a call
+# against 0.32 µs.  A constant operand of a per-step op is a 0-d array,
+# never a Python float (0.41 µs an op, against 0.28 µs) and never a (1,)
+# array (0.54 µs, a broadcast); timeit, 27 entries.
 
 _max_reduceat = np.maximum.reduceat
-_exp, _log, _sign, _bincount = np.exp, np.log, np.sign, np.bincount
+_exp, _log, _sign = np.exp, np.log, np.sign
+_bincount = np.bincount._implementation
+_HALF = np.array(0.5)
 
 
 def _log_softmax(struct: _Structure, theta: np.ndarray) -> np.ndarray:
@@ -204,6 +211,9 @@ class JBetaObjective:
         if beta <= 0:
             raise ValueError("beta must be positive")
         self.beta = float(beta)
+        # the gradient's read-only 0-d copy of beta (see the kernel's notes)
+        self._beta = np.array(self.beta)
+        self._beta.setflags(write=False)
         self._r = fam.reward.values
         self._log_base = fam._log_base
 
@@ -220,7 +230,7 @@ class JBetaObjective:
         # d/dtheta sum_s q_s f_s with f = r - beta(log q - log base); the
         # -beta * sum q dlogq correction vanishes because sum dq = 0
         return _grad_weighted_logprob(
-            struct, lsm, _exp(logq) * (self._r - self.beta * (logq - self._log_base)))
+            struct, lsm, _exp(logq) * (self._r - self._beta * (logq - self._log_base)))
 
 
 class ForwardKLObjective:
@@ -268,7 +278,7 @@ def _tvd_subgradient(struct: _Structure, theta: np.ndarray,
     """A subgradient of TVD(pi, p) in the logits: dq_s = q_s dlog q_s."""
     lsm = _log_softmax(struct, theta)
     q = _exp(_log_probs(struct, lsm))
-    return _grad_weighted_logprob(struct, lsm, 0.5 * _sign(q - p) * q)
+    return _grad_weighted_logprob(struct, lsm, _HALF * _sign(q - p) * q)
 
 
 def _row_tvd_argmin(c: np.ndarray, p: np.ndarray, tok: np.ndarray,

@@ -556,6 +556,54 @@ def test_bincount_sums_in_add_reduce_order(vocab_size, length):
 
 
 @pytest.mark.parametrize("order", sorted(ORACLE_ORDERS))
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_undispatched_bincount_matches_bincount(shape, order):
+    # the kernel calls bincount's C function, below numpy's dispatcher; on
+    # each of the kernel's maps it gives np.bincount's bits, nan and +-inf
+    # weights included, and still rejects a negative index
+    assert ngram._bincount is not np.bincount
+    space = SequenceSpace(*shape)
+    struct = ngram._Structure.get(space, ORACLE_ORDERS[order](space))
+    rng = SeededRng(41 + struct.n_params)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for keys, n_bins in ((struct.row_of_flat, struct.n_rows),
+                             (struct.seq_of_flat, struct.n_sequences),
+                             (struct.flat_index, struct.n_params)):
+            for i in range(10):
+                w = _wide_range_values(rng, keys.shape[0])
+                w[[i % w.shape[0], (i + 1) % w.shape[0], (i + 2) % w.shape[0]]] = (
+                    np.nan, np.inf, -np.inf)
+                got = ngram._bincount(keys, w, n_bins)
+                want = np.bincount(keys, w, n_bins)
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+    with pytest.raises(ValueError):
+        ngram._bincount(np.array([0, -1]), None, 2)
+
+
+@pytest.mark.parametrize("orders", [bigram_orders, full_orders], ids=["bigram", "full"])
+@pytest.mark.parametrize("beta", [1e-3, 0.2, 7.0, 1e3])
+def test_j_beta_gradient_keeps_the_float_beta_bits(beta, orders):
+    # the gradient multiplies by the 0-d array obj._beta; it is read-only
+    # and gives the bits of the composition written with the float obj.beta
+    _, _, _, fam, _ = toy_setup()
+    obj = JBetaObjective(fam, beta)
+    assert type(obj.beta) is float and obj._beta.shape == ()
+    assert obj._beta == obj.beta and not obj._beta.flags.writeable
+    with pytest.raises(ValueError):
+        obj._beta[()] = 1.0
+    struct = ngram._Structure.get(SPACE, orders(SPACE))
+    rng = SeededRng(43)
+    for _ in range(5):
+        theta = rng.normal(struct.n_params, sigma=2.0)
+        lsm = ngram._log_softmax(struct, theta)
+        logq = ngram._log_probs(struct, lsm)
+        weights = np.exp(logq) * (obj._r - obj.beta * (logq - obj._log_base))
+        assert np.array_equal(obj.grad_theta(struct, theta),
+                              ngram._grad_weighted_logprob(struct, lsm, weights))
+
+
+@pytest.mark.parametrize("order", sorted(ORACLE_ORDERS))
 def test_descent_gradients_at_vocab_8_match_helpers_to_round_off(order):
     # from 8 entries on, add.reduce sums a row pairwise while bincount adds
     # it in index order, so at V = 8 the flat kernel's row sums can differ

@@ -371,6 +371,33 @@ class TestAbort:
         assert obj.value_calls == 2
 
 
+class TestStepSize:
+    def test_halving_refreshes_the_step_at_each_boundary(self, monkeypatch):
+        # with a halving every 7 steps, 30 steps cross 4 boundaries; the run
+        # is the hand loop with the step size written out at every step
+        _, _, fam, pstar, template = setup()
+        monkeypatch.setattr(optimize, "TVD_HALVING_STEPS", 7)
+        struct = template._struct
+        start = SeededRng(5).normal(template.n_params)
+        obj = TVDObjective(pstar)
+        trace = _gradient_run(obj, template.with_logits(start),
+                              OptimizerConfig(steps=30), maximize=False, halving=True)
+        theta = start
+        for k in range(30):
+            theta = theta - 0.1 * 0.5 ** (k // 7) * obj.grad_theta(struct, theta)
+        assert trace.steps_run == 30 and not trace.aborted
+        assert np.array_equal(trace.final_policy.logits, theta)
+        # an ascent without halving keeps its step across the boundaries
+        obj = ngram.JBetaObjective(fam, 0.2)
+        trace = _gradient_run(obj, template.with_logits(start),
+                              OptimizerConfig(learning_rate=0.3, steps=30),
+                              maximize=True)
+        theta = start
+        for _ in range(30):
+            theta = theta + 0.3 * obj.grad_theta(struct, theta)
+        assert np.array_equal(trace.final_policy.logits, theta)
+
+
 class TestDiverged:
     def test_ascent_worse_than_start_fails(self):
         # the fixed step 0.1 is unstable at beta = 100: J_beta falls from
