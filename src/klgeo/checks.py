@@ -132,7 +132,9 @@ def check_legendre_consistency():
 def check_closed_form_convergence():
     """TVD and forward KL to the filtered model: the profile, the direct
     values and A0/(A0 + A1 e^lam), log1p((A0/A1) e^-lam) agree; the
-    reverse KL is infinite."""
+    reverse KL is infinite.  At lam in {1e3, 1e17, 1e300}, kl_to_tilted
+    matches log1p((A0/A1) e^-lam) and log_partition (relative to
+    max(1, |A|)) matches lam + log A1 + log1p((A0/A1) e^-lam)."""
     fams = [_toy_family()[0]] + [three_outcome_family(a1) for a1 in TABLE_A1]
     worst = 0.0
     for fam in fams:
@@ -147,6 +149,11 @@ def check_closed_form_convergence():
             worst = max(worst, max(tvds) - min(tvds), max(fkls) - min(fkls))
             if dist.kl_divergence(p_lam, pstar) != math.inf:
                 return False, "reverse KL unexpectedly finite"
+        for lam in (1e3, 1e17, 1e300):
+            fkl = math.log1p((a0 / a1) * math.exp(-lam))
+            log_z = lam + math.log(a1) + fkl
+            a_err = abs(geometry.log_partition(fam, lam) - log_z) / max(1.0, abs(log_z))
+            worst = max(worst, abs(geometry.kl_to_tilted(fam, pstar, lam) - fkl), a_err)
     return worst <= 1e-12, f"max residual {worst:.3e}"
 
 

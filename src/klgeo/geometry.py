@@ -4,8 +4,7 @@ The family is generated by a full-support base distribution and a bounded
 reward: p_lam(y) = base(y) * exp(lam * r(y) - A(lam)).  For binary rewards
 every quantity of interest has a closed elementary form in terms of the
 base mass on the valid set; for general bounded rewards the same maps exist
-and are computed numerically (the moment map is inverted by safeguarded
-Newton iteration).
+and are computed numerically (the moment map is inverted by bisection).
 """
 from __future__ import annotations
 
@@ -26,8 +25,6 @@ from .dist import (
 # doubles until it brackets the moment, up to _MAX_LAMBDA.
 _LAMBDA_BRACKET = 60.0
 _MAX_LAMBDA = 1e300
-_MOMENT_TOL = 1e-12
-_MAX_NEWTON_ITERS = 200
 
 
 class TiltedFamily:
@@ -78,19 +75,22 @@ class GeometryPoint:
 
 
 def _shifted_log_weights(fam: TiltedFamily, lam: float):
-    """For z = log base + lam r: m = max z, z - m, e^(z - m) and its sum s,
-    so that A(lam) = m + log s and log p_lam = z - m - log s."""
-    z = fam._log_base + lam * fam.reward.values
-    m = z.max()
-    z -= m
+    """For the reward bound b (M if lam >= 0, else m): the shift c = lam b,
+    z = log base + lam (r - b) <= log base, w = e^z and its sum s, so that
+    A(lam) = c + log s and log p_lam = z - log s.  The outcomes attaining b
+    keep z = log base at every lam, so s never underflows and log base is
+    never absorbed into a large lam r."""
+    r = fam.reward
+    bound = r.M if lam >= 0 else r.m
+    z = fam._log_base + lam * (r.values - bound)
     w = np.exp(z)
-    return m, z, w, w.sum()
+    return lam * bound, z, w, w.sum()
 
 
 def log_partition(fam: TiltedFamily, lam: float) -> float:
-    """A(lam) = log sum_y base(y) exp(lam r(y)), via max-shifted log-sum-exp."""
-    m, _, _, s = _shifted_log_weights(fam, lam)
-    return float(m + np.log(s))
+    """A(lam) = log sum_y base(y) exp(lam r(y)), via bound-shifted log-sum-exp."""
+    c, _, _, s = _shifted_log_weights(fam, lam)
+    return float(c + np.log(s))
 
 
 def tilted(fam: TiltedFamily, lam: float) -> FiniteDistribution:
@@ -121,19 +121,18 @@ def moment(fam: TiltedFamily, lam: float):
         a0, a1 = np.longdouble(fam.A0), np.longdouble(fam.A1)
         e = np.exp(-np.longdouble(abs(lam)))
         return a1 / (a1 + a0 * e) if lam >= 0 else a1 * e / (a0 + a1 * e)
-    return expected_reward(tilted(fam, lam), fam.reward)
+    _, _, w, s = _shifted_log_weights(fam, lam)
+    return float(w @ fam.reward.values / s)
 
 
 def natural_param(fam: TiltedFamily, mu: float) -> float:
     """The unique lam with moment(lam) = mu, for mu strictly inside (m, M).
 
     Binary rewards use the closed form log(mu/(1-mu)) + log(A0/A1).  The
-    general case runs bisection refined by Newton steps with derivative
-    Var_{p_lam}(r), stopping on a 1e-12 moment residual or on a bracket
-    four ulps of lam wide.  The bracket starts at [-60, 60] and each end
-    doubles until the moment there brackets mu.  It raises ValueError when
-    neither stop is reached (for instance when mu is so near a reward bound
-    that no |lam| <= 1e300 brackets it).
+    general case starts from the bracket [-60, 60] and doubles each end
+    until the moment there brackets mu, then bisects until the bracket is
+    four ulps of lam wide and returns its midpoint.  It raises ValueError
+    when no |lam| <= 1e300 brackets mu (mu within round-off of a bound).
     """
     if not (fam.reward.m < mu < fam.reward.M):
         raise ValueError("unattainable moment")
@@ -144,37 +143,22 @@ def natural_param(fam: TiltedFamily, mu: float) -> float:
         lam += np.log(np.longdouble(fam.A0) / np.longdouble(fam.A1))
         return float(lam)
     mu = float(mu)
-    r = fam.reward.values
     lo, hi = -_LAMBDA_BRACKET, _LAMBDA_BRACKET
-    while hi < _MAX_LAMBDA and moment(fam, hi) < mu:
+    while moment(fam, hi) < mu:
+        if hi >= _MAX_LAMBDA:
+            raise ValueError(f"no lambda up to {_MAX_LAMBDA:g} reaches mu={mu!r}")
         hi *= 2.0
-    while lo > -_MAX_LAMBDA and moment(fam, lo) > mu:
+    while moment(fam, lo) > mu:
+        if lo <= -_MAX_LAMBDA:
+            raise ValueError(f"no lambda down to {-_MAX_LAMBDA:g} reaches mu={mu!r}")
         lo *= 2.0
-    lam = 0.0
-    for _ in range(_MAX_NEWTON_ITERS):
-        p = tilted(fam, lam).probs
-        mu_lam = float(p @ r)
-        resid = mu_lam - mu
-        var = float(p @ (r - mu_lam) ** 2)
-        # residual alone is not enough near the reward bounds, where the
-        # moment map is nearly flat; require the Newton step to be tiny too
-        if abs(resid) <= _MOMENT_TOL and (var == 0.0 or abs(resid / var) <= 1e-11):
-            return lam
-        if resid > 0:
-            hi = lam
+    while hi - lo > 4.0 * np.spacing(max(abs(lo), abs(hi))):
+        mid = 0.5 * (lo + hi)
+        if moment(fam, mid) < mu:
+            lo = mid
         else:
-            lo = lam
-        # at the moment's round-off floor the residual may never pass the
-        # test above; a bracket a few ulps wide pins lam all the same
-        if hi - lo <= 4.0 * np.spacing(max(abs(lo), abs(hi))):
-            return lam
-        step = lam - resid / var if var > 0 else None
-        if step is not None and lo < step < hi:
-            lam = step
-        else:
-            lam = 0.5 * (lo + hi)
-    raise ValueError(f"natural_param did not converge for mu={mu!r}; "
-                     f"last moment residual {resid:.3e}")
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def divergence_cost(fam: TiltedFamily, mu: float) -> float:

@@ -9,7 +9,6 @@ the eight-seed mode-collapse study with its reference policies.  Criteria 1,
 """
 import math
 
-import numpy as np
 import pytest
 
 from klgeo import checks
@@ -18,7 +17,7 @@ from klgeo.experiments import (
     DEFAULT_LAMBDA_GRID,
     _toy_instance,
     beta_mu_table,
-    run_sweep,
+    multi_seed,
     tvd_dip_diagnostic,
 )
 from klgeo.ngram import (
@@ -52,12 +51,10 @@ def _report_checks(num: int, name: str, *check_names: str):
 
 @pytest.fixture(scope="session")
 def eight_seed_sweep():
-    """One full sweep per seed: bigram family, default grid and optimizer."""
-    return {
-        seed: run_sweep(seed, "bigram", DEFAULT_LAMBDA_GRID,
-                        OptimizerConfig(), ACCEPT_TVD_CFG)
-        for seed in SEEDS
-    }
+    """One full sweep per seed, bigram family, default grid and optimizer,
+    with the across-seed means of every metric."""
+    return multi_seed(SEEDS, "bigram", DEFAULT_LAMBDA_GRID,
+                      OptimizerConfig(), ACCEPT_TVD_CFG)
 
 
 @pytest.fixture(scope="session")
@@ -121,19 +118,17 @@ def test_criterion_6_gradient_verification():
 
 
 def test_criterion_7_mode_collapse_stats(eight_seed_sweep):
-    recs50 = {s: _rec(summ, 50.0) for s, summ in eight_seed_sweep.items()}
-    mean = lambda vals: float(np.mean(list(vals)))
-    m_val = mean(r.validity for r in recs50.values())
-    m_tvd = mean(r.tvd_to_pstar for r in recs50.values())
-    m_ent = mean(r.entropy for r in recs50.values())
-    m_fkl = mean(r.fkl_from_pstar for r in recs50.values())
-    m_fklref = mean(s.fkl_ref_kl for s in eight_seed_sweep.values())
-    m_tvdref = mean(s.tvd_ref_tvd for s in eight_seed_sweep.values())
-    m_refval = mean(s.fkl_ref_validity for s in eight_seed_sweep.values())
+    at50 = eight_seed_sweep.lambdas.index(50.0)
+    per_lambda, refs = eight_seed_sweep.per_lambda, eight_seed_sweep.references
+    m_val, m_tvd, m_ent, m_fkl = (
+        per_lambda[metric]["mean"][at50]
+        for metric in ("validity", "tvd_to_pstar", "entropy", "fkl_from_pstar"))
+    m_fklref, m_tvdref, m_refval = (
+        refs[metric]["mean"]
+        for metric in ("fkl_ref_kl", "tvd_ref_tvd", "fkl_ref_validity"))
     dominance = all(
-        recs50[s].fkl_from_pstar > summ.fkl_ref_kl
-        and recs50[s].tvd_to_pstar > summ.tvd_ref_tvd
-        for s, summ in eight_seed_sweep.items())
+        rec.fkl_from_pstar > summ.fkl_ref_kl and rec.tvd_to_pstar > summ.tvd_ref_tvd
+        for summ in eight_seed_sweep.summaries for rec in [_rec(summ, 50.0)])
     ok = (0.985 <= m_val <= 1.0 and 0.45 <= m_tvd <= 0.90 and m_ent < 0.6
           and 4.0 <= m_fkl <= 8.0 and 0.6 <= m_fklref <= 1.4
           and 0.25 <= m_tvdref <= 0.50 and 0.3 <= m_refval <= 0.6
@@ -150,7 +145,7 @@ def test_criterion_8_collapse_checkpoints(eight_seed_sweep):
     valid = {seq for seq, m in zip(space.outcomes(), verifier.mask) if m}
     # moderate tilt: per seed, mass concentrates on few *valid* sequences
     moderate_ok = True
-    for s, summ in eight_seed_sweep.items():
+    for summ in eight_seed_sweep.summaries:
         r = _rec(summ, 5.0)
         top_seq = r.top_sequences[0][0]
         moderate_ok = moderate_ok and (r.validity >= 0.85
@@ -158,7 +153,7 @@ def test_criterion_8_collapse_checkpoints(eight_seed_sweep):
                                        and tuple(top_seq) in valid)
     # deep tilt: a single sequence dominates on most seeds
     top1 = [_rec(summ, 100.0).top_sequences[0][1]
-            for summ in eight_seed_sweep.values()]
+            for summ in eight_seed_sweep.summaries]
     n_collapsed = sum(1 for p in top1 if p >= 0.95)
     ok = moderate_ok and n_collapsed >= 6
     _report(8, "collapse-checkpoints", ok,
@@ -171,7 +166,7 @@ def test_criterion_9_tvd_dip(eight_seed_sweep):
     # lambda) while the forward KL shows no comparable dip and grows strongly
     dips = 0
     fkl_ok = True
-    for summ in eight_seed_sweep.values():
+    for summ in eight_seed_sweep.summaries:
         diag = tvd_dip_diagnostic(summ)
         if diag.dip_present and 1.0 <= diag.argmin_lambda <= 8.0:
             dips += 1
@@ -189,7 +184,7 @@ def test_criterion_9_tvd_dip(eight_seed_sweep):
 
 def test_criterion_10_misspecification_witness(eight_seed_sweep, warm_cold_full):
     space = SequenceSpace(3, 3)
-    bigram_ok = all(s.fkl_ref_kl > 0.3 for s in eight_seed_sweep.values())
+    bigram_ok = all(s.fkl_ref_kl > 0.3 for s in eight_seed_sweep.summaries)
     # the full family attains the forward-KL optimum exactly (conditional
     # projection), so its reachable forward KL is below any tolerance
     full_worst = 0.0

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from klgeo import checks, geometry
+from klgeo import checks
 from klgeo.dist import (
     BinaryVerifier,
     FiniteDistribution,
@@ -15,6 +15,7 @@ from klgeo.dist import (
     kl_divergence_finite,
     total_variation,
 )
+from klgeo.experiments import _toy_instance
 from klgeo.geometry import (
     GeometryPoint,
     TiltedFamily,
@@ -31,7 +32,9 @@ from klgeo.geometry import (
 )
 from klgeo.rng import SeededRng
 
-from conftest import random_dist, random_simplex
+from conftest import FUZZ, random_dist, random_simplex
+from hypothesis import given
+from hypothesis import strategies as st
 
 
 def binary_family(a1=0.5):
@@ -186,18 +189,9 @@ class TestNaturalParam:
             with pytest.raises(ValueError, match="unattainable"):
                 natural_param(fam, mu)
 
-    @pytest.mark.parametrize("mu", [1 - 1e-15, 1e-15])
-    def test_general_solver_unconverged_raises(self, mu, monkeypatch):
-        # out of iterations, the solver raises; the last iterate is not an answer
-        monkeypatch.setattr(geometry, "_MAX_NEWTON_ITERS", 1)
-        fam = TiltedFamily(FiniteDistribution(range(3), (0.2, 0.3, 0.5)),
-                           RewardFn((0.0, 0.5, 1.0)))
-        with pytest.raises(ValueError, match="did not converge"):
-            natural_param(fam, mu)
-
     def test_general_solver_grows_its_bracket(self):
         # lam beyond the starting bracket [-60, 60] (about 66.5 and -68.5 for
-        # the first family) is still found to a 1e-12 moment residual
+        # the first family) is still found to a round-off moment residual
         small = TiltedFamily(FiniteDistribution(range(3), (0.2, 0.3, 0.5)),
                              RewardFn((0.0, 0.5, 1.0)))
         fam, _ = general_family()
@@ -208,7 +202,7 @@ class TestNaturalParam:
         lams = []
         for f, mu in cases:
             lam = natural_param(f, mu)
-            assert abs(float(moment(f, lam)) - mu) <= 1e-12
+            assert abs(moment(f, lam) - mu) <= 1e-15
             lams.append(lam)
         assert lams[0] > 60 and lams[1] < -60
         assert max(lams) > 150 and min(lams) < -600
@@ -217,16 +211,53 @@ class TestNaturalParam:
         fam, _ = general_family()
         for mu in (0.2, 0.5, 0.9):
             lam = natural_param(fam, mu)
-            assert abs(float(moment(fam, lam)) - mu) <= 1e-12
+            assert abs(moment(fam, lam) - mu) <= 1e-15
 
     def test_stops_at_the_ulp_floor(self):
-        # Var_{p_lam}(r) is below 1e-5 here, so a residual at the 1-ulp floor
-        # never passes the Newton-step test; the few-ulp bracket ends the search
+        # Var_{p_lam}(r) is below 1e-5 here, so the moment map is flat to
+        # round-off over many ulps of lam; the search still ends, on a
+        # bracket four ulps wide, with the moment at its round-off floor
         fam = checks._general_family(seed=3)[0]
         mu = 0.9314613831772881
         lam = natural_param(fam, mu)
         assert 120 < lam < 240
-        assert abs(float(moment(fam, lam)) - mu) <= 1e-12
+        assert abs(moment(fam, lam) - mu) <= 1e-15
+
+    @pytest.mark.parametrize("side, seed", [("upper", 15), ("lower", 204)])
+    def test_raises_where_no_lambda_brackets_mu(self, side, seed):
+        # seven outcomes share the bound b, and their moment rounds two ulps
+        # inside b however large |lam| is, so mu one ulp inside b is never
+        # bracketed: the search raises rather than bisect without a bracket
+        rng = SeededRng(seed)
+        probs = random_simplex(rng, 8)
+        b = float(rng.uniform(1)[0])
+        other, toward, lam = (0.0, 0.0, 1e300) if side == "upper" else (1.0, 1.0, -1e300)
+        fam = TiltedFamily(FiniteDistribution(range(8), probs),
+                           RewardFn((other,) + (b,) * 7))
+        mu = float(np.nextafter(b, toward))
+        assert abs(moment(fam, lam) - b) == 2 * np.spacing(b)
+        with pytest.raises(ValueError, match="reaches mu"):
+            natural_param(fam, mu)
+
+    @FUZZ
+    @given(seed=st.integers(0, 2**32 - 1),
+           where=st.one_of(st.floats(1e-3, 1.0 - 1e-3),
+                           st.tuples(st.sampled_from(("lower", "upper")),
+                                     st.floats(3.0, 9.0))))
+    def test_inverts_the_moment_to_round_off(self, seed, where):
+        # mu across (m, M), also 1e-3 to 1e-9 of the range from either bound;
+        # the moment is not monotone at round-off, so no fixed-ulp crossing
+        # of lam is asserted, only the moment's residual
+        fam, _ = general_family(seed)
+        m, M = fam.reward.m, fam.reward.M
+        if isinstance(where, float):
+            mu = m + where * (M - m)
+        else:
+            side, digits = where
+            gap = 10.0 ** -digits * (M - m)
+            mu = m + gap if side == "lower" else M - gap
+        lam = natural_param(fam, mu)
+        assert abs(moment(fam, lam) - mu) <= 1e-15 * max(1.0, M - m)
 
 
 class TestDivergenceCost:
@@ -286,7 +317,7 @@ class TestGeometryPoint:
             assert pt.kappa >= -1e-15
             assert fam.reward.m < pt.mu < fam.reward.M
 
-    def test_general_reward_outside_newton_bracket(self):
+    def test_general_reward_outside_starting_bracket(self):
         # kappa comes from divergence_cost, whose solver grows its bracket
         # past the starting [-60, 60]
         fam, _ = general_family()
@@ -372,6 +403,36 @@ class TestIdentities:
         assert max(gaps) - min(gaps) <= 1e-10
 
 
+def sweep_families():
+    """The sweep's tilted family and its p* for seeds 1-8."""
+    return [_toy_instance(seed, "bigram")[:2] for seed in range(1, 9)]
+
+
+def test_log_partition_matches_closed_form_at_every_scale():
+    # A(lam) = lam + log A1 + log1p((A0/A1) e^-lam) and its mirror
+    # A(-lam) = log A0 + log1p((A1/A0) e^-lam), lam >= 0, to a few ulps of
+    # max(1, |A|); the e^-lam forms overflow at no lam
+    fams = [fam for fam, _ in sweep_families()]
+    fams += [binary_family(a1) for a1 in (0.1, 0.35, 0.9)]
+    for fam in fams:
+        a0, a1 = fam.A0, fam.A1
+        for lam in (0.0, 0.5, 1.0, 3.0, 40.0, 50.0, 1e3, 1e13, 1e17, 1e300):
+            e = math.exp(-lam)
+            upper = lam + math.log(a1) + math.log1p((a0 / a1) * e)
+            lower = math.log(a0) + math.log1p((a1 / a0) * e)
+            for got, want in ((log_partition(fam, lam), upper),
+                              (log_partition(fam, -lam), lower)):
+                assert abs(got - want) <= 4 * np.spacing(max(1.0, abs(want)))
+
+
+def test_kl_to_tilted_vanishes_at_large_lambda():
+    # KL(p*, p_lam) = log1p((A0/A1) e^-lam) is 0 to double precision from
+    # lam = 50 on; the tilt keeps log base out of lam r, so it reads 0 there
+    for fam, pstar in sweep_families():
+        for lam in (50.0, 1e3, 1e13, 1e17, 1e300):
+            assert abs(kl_to_tilted(fam, pstar, lam)) <= 1e-15
+
+
 def old_log_partition(fam, lam):
     z = fam._log_base + lam * fam.reward.values
     m = z.max()
@@ -394,20 +455,25 @@ def old_kl_to_tilted(fam, q, lam):
 
 
 @pytest.mark.parametrize("family", ["binary", "general"])
-def test_shifted_log_sum_exp_matches_old_spellings(family):
-    # log_partition, tilted and kl_to_tilted share one shifted log-sum-exp;
-    # each still gives the bits of the spelling it used to write out
+def test_bound_shift_matches_max_shift_at_moderate_lambda(family):
+    # at |lam| <= 50 the max-shifted spelling is accurate too: A and the KLs
+    # agree to 1e-14 relative, a value near 0 (A(0), a KL at p*) to the max
+    # shift's round-off, 1e-15 absolute
     fam = binary_family(0.35) if family == "binary" else general_family()[0]
     rng = SeededRng(5)
     qs = [fam.base, random_dist(rng, fam.base.outcomes),
           condition(fam.base, fam.reward.values == fam.reward.M)]
-    for lam in (-800.0, -1.0, 0.0, 0.5, 50.0, 800.0):
-        assert (np.float64(log_partition(fam, lam)).tobytes()
-                == np.float64(old_log_partition(fam, lam)).tobytes())
-        assert tilted(fam, lam).probs.tobytes() == old_tilted_probs(fam, lam).tobytes()
+    for lam in (-50.0, -1.0, 0.0, 0.5, 50.0):
+        assert log_partition(fam, lam) == pytest.approx(
+            old_log_partition(fam, lam), rel=1e-14, abs=1e-15)
+        # a mass e^z inherits the round-off of the terms of z, a few ulps
+        # of 1 + |lam| (M - m) - log base
+        new, old = tilted(fam, lam).probs, old_tilted_probs(fam, lam)
+        scale = 1.0 + abs(lam) * (fam.reward.M - fam.reward.m) - fam._log_base
+        assert np.all(np.abs(new / old - 1) <= 4 * np.finfo(float).eps * scale)
         for q in qs:
-            assert (np.float64(kl_to_tilted(fam, q, lam)).tobytes()
-                    == np.float64(old_kl_to_tilted(fam, q, lam)).tobytes())
+            assert kl_to_tilted(fam, q, lam) == pytest.approx(
+                old_kl_to_tilted(fam, q, lam), rel=1e-14, abs=1e-15)
 
 
 class TestJBeta:
