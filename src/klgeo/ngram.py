@@ -12,7 +12,10 @@ V^T sequences; there is no sampling anywhere.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -101,6 +104,26 @@ class _Structure:
         self.row_start = np.arange(0, self.n_params, V)
         self.row_of_flat = np.repeat(np.arange(self.n_rows), V)
 
+    @cached_property
+    def polish_rows(self) -> list:
+        """The rows in the TVD polish's order, by position and then row, each
+        as (row, uses, others, bounds): uses are the sequences through the
+        row, stably grouped by their token there, with token v's at
+        uses[bounds[v]:bounds[v + 1]], and others[:, j] the flat logits that
+        sequence uses[j] uses at every other position."""
+        V = self.space.vocab_size
+        row_of = self.index // V
+        rows = []
+        for t in range(self.space.length):
+            others = np.delete(self.index, t, axis=0)
+            for r in range(row_of[t].min(), row_of[t].max() + 1):
+                uses = np.flatnonzero(row_of[t] == r)
+                tok = self.index[t, uses] % V
+                uses = uses[np.argsort(tok, kind="stable")]
+                bounds = (0, *np.cumsum(np.bincount(tok, minlength=V)).tolist())
+                rows.append((r, uses, others[:, uses], bounds))
+        return rows
+
     @classmethod
     def get(cls, space: SequenceSpace, context_lengths: tuple) -> "_Structure":
         key = (space.vocab_size, space.length, tuple(context_lengths))
@@ -153,6 +176,7 @@ class NGramPolicy:
 # array (0.54 µs, a broadcast); timeit, 27 entries.
 
 _max_reduceat = np.maximum.reduceat
+_add_reduce = np.add.reduce
 _exp, _log, _sign = np.exp, np.log, np.sign
 _bincount = np.bincount._implementation
 _HALF = np.array(0.5)
@@ -281,27 +305,41 @@ def _tvd_subgradient(struct: _Structure, theta: np.ndarray,
     return _grad_weighted_logprob(struct, lsm, _HALF * _sign(q - p) * q)
 
 
-def _row_tvd_argmin(c: np.ndarray, p: np.ndarray, tok: np.ndarray,
-                    vocab_size: int) -> np.ndarray:
-    """The x on the simplex minimizing sum_s |c_s x[tok_s] - p_s|, c_s > 0.
+_kink = itemgetter(0)
+_slope_token = itemgetter(0, 1)
 
-    The sum is separable across tokens; each token's part is convex and
-    piecewise linear with kinks at p_s / c_s.  Filling the segments in order
-    of slope, ties broken by token, spends the unit budget optimally.
+
+def _row_tvd_argmin(c: np.ndarray, p: np.ndarray, bounds: tuple) -> list:
+    """The x on the simplex minimizing sum_s |c_s x[tok_s] - p_s|, c_s >= 0.
+
+    The terms come grouped by token: token v's are c[bounds[v]:bounds[v + 1]]
+    and the same slice of p.  Terms with c_s = 0 do not depend on x and are
+    left out.  The sum is separable across tokens; each token's part is
+    convex and piecewise linear with kinks at p_s / c_s.  Filling the
+    segments in order of slope, ties broken by token, spends the unit budget
+    optimally.  The work is on Python floats, which round as numpy's
+    float64 does; each token's starting slope stays numpy's sum, which adds
+    8 or more entries pairwise, not left to right.
     """
     segments = []  # (slope, token, length)
-    for v in range(vocab_size):
-        on = tok == v
-        kinks = p[on] / c[on]
-        order = np.argsort(kinks, kind="stable")
-        slope, left = -c[on].sum(), 0.0
-        for kink, weight in zip(kinks[order], c[on][order]):
+    for v, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        cv, pv = c[lo:hi], p[lo:hi]
+        weights = cv.tolist()
+        if 0.0 in weights:
+            live = cv > 0.0
+            cv, pv = cv[live], pv[live]
+            weights = cv.tolist()
+        slope, left = -float(_add_reduce(cv)), 0.0
+        kinks = [ps / cs for ps, cs in zip(pv.tolist(), weights)]
+        # sorted is stable, so tied kinks keep their order in the row
+        for kink, weight in sorted(zip(kinks, weights), key=_kink):
             segments.append((slope, v, kink - left))
             slope, left = slope + 2.0 * weight, kink
-        segments.append((slope, v, np.inf))
-    x = np.zeros(vocab_size)
+        segments.append((slope, v, math.inf))
+    segments.sort(key=_slope_token)
+    x = [0.0] * (len(bounds) - 1)
     budget = 1.0
-    for _, v, length in sorted(segments, key=lambda seg: seg[:2]):
+    for _, v, length in segments:
         take = min(length, budget)
         x[v] += take
         budget -= take
@@ -321,39 +359,30 @@ def _polish_tvd(struct: _Structure, theta: np.ndarray, p: np.ndarray):
 
     Returns (logits, TVD there, sweeps run, whether the sweep cap stopped it).
     """
-    V = struct.space.vocab_size
-    # per row: the sequences through it, their tokens there, and the logits
-    # they use at every other position
-    row_data = []
-    row_of = struct.index // V
-    for t in range(struct.space.length):
-        others = np.delete(struct.index, t, axis=0)
-        for r in range(row_of[t].min(), row_of[t].max() + 1):
-            uses = np.flatnonzero(row_of[t] == r)
-            row_data.append((r, p[uses], struct.index[t, uses] % V, others[:, uses]))
+    row_data = [(r, others, bounds, p.take(uses))
+                for r, uses, others, bounds in struct.polish_rows]
     theta = theta.copy()
-    rows = theta.reshape(-1, V)  # a view: row updates write into theta
+    rows = theta.reshape(-1, struct.space.vocab_size)  # a view into theta
     lsm = _log_softmax(struct, theta)
     value = _tvd(struct, lsm, p)
-    for sweep in range(1, POLISH_MAX_SWEEPS + 1):
-        start_value = value
-        for r, p_r, tok, others in row_data:
-            c = np.exp(np.add.reduce(lsm.take(others), axis=0))
-            live = c > 0.0
-            if not live.any():  # TVD does not depend on this row
-                continue
-            x = _row_tvd_argmin(c[live], p_r[live], tok[live], V)
-            old_row = rows[r].copy()
-            with np.errstate(divide="ignore"):
-                rows[r] = np.log(x)
-            new_lsm = _log_softmax(struct, theta)
-            new_value = _tvd(struct, new_lsm, p)
-            if new_value <= value:
-                value, lsm = new_value, new_lsm
-            else:
-                rows[r] = old_row
-        if start_value - value <= POLISH_TOL:
-            return theta, value, sweep, False
+    # a zero conditional's log is -inf; no other op here divides
+    with np.errstate(divide="ignore"):
+        for sweep in range(1, POLISH_MAX_SWEEPS + 1):
+            start_value = value
+            for r, others, bounds, p_r in row_data:
+                c = _exp(_add_reduce(lsm.take(others), 0))
+                if not c.any():  # TVD does not depend on this row
+                    continue
+                old_row = rows[r].copy()
+                rows[r] = _log(_row_tvd_argmin(c, p_r, bounds))
+                new_lsm = _log_softmax(struct, theta)
+                new_value = _tvd(struct, new_lsm, p)
+                if new_value <= value:
+                    value, lsm = new_value, new_lsm
+                else:
+                    rows[r] = old_row
+            if start_value - value <= POLISH_TOL:
+                return theta, value, sweep, False
     return theta, value, POLISH_MAX_SWEEPS, True
 
 

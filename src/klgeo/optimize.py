@@ -79,6 +79,28 @@ class RunTrace:
     polish_sweeps: int = 0
 
 
+def _descend(grad_theta, struct, theta: np.ndarray, steps: int, rate: float,
+             decay: float, check: bool) -> int:
+    """Run theta += scale * grad_theta(struct, theta) in place for steps steps,
+    with scale = rate * decay ** (step // TVD_HALVING_STEPS).  With check,
+    stop before the first step whose gradient is not finite.  Returns the
+    number of steps taken."""
+    # the finiteness test in one numpy call: grad.dot(zeros) is 0 for a
+    # finite gradient and nan if an entry is nan or +-inf (0 * inf is nan)
+    zeros = np.zeros_like(theta)
+    for step in range(steps):
+        grad = grad_theta(struct, theta)
+        if check and grad.dot(zeros):  # nan is true, 0.0 and -0.0 are false
+            return step
+        # the step size changes only at a halving, so it is made there, as a
+        # 0-d array with the Python float's bits: a float operand would cost
+        # about 0.13 µs more per step (see the notes on ngram's kernel)
+        if step % TVD_HALVING_STEPS == 0:
+            scale = np.array(rate * decay ** (step // TVD_HALVING_STEPS))
+        theta += scale * grad
+    return steps
+
+
 def _gradient_run(objective, pol: NGramPolicy, cfg: OptimizerConfig,
                   maximize: bool, halving: bool = False) -> RunTrace:
     """Gradient steps from pol, of constant size or (halving) halved every
@@ -86,39 +108,36 @@ def _gradient_run(objective, pol: NGramPolicy, cfg: OptimizerConfig,
     A run that ends worse than its start (see DIVERGED_TOL) is not aborted
     but has not converged, and its diagnostic names both values.
 
+    The steps test no gradient: nan and +-inf carry through theta += step,
+    so a non-finite gradient leaves the final logits non-finite, and one
+    test of them after the last step finds it.  Only then is the run made
+    again from its start, testing each gradient, to stop before the first
+    non-finite one.  That re-run retraces the first exactly because the
+    objective's value_theta and grad_theta must be pure functions of
+    (struct, theta).
+
     numpy's overflow and invalid-value warnings are off for the run: what
     they would report ends it, with its own diagnostic."""
     struct = pol._struct
     theta = pol.logits.copy()
-    # the per-step finiteness test in one numpy call: grad.dot(zeros) is 0
-    # for a finite gradient and nan if an entry is nan or +-inf (0 * inf is nan)
-    zeros = np.zeros_like(theta)
     sign = 1.0 if maximize else -1.0
-    decay = 0.5 if halving else 1.0
-    grad_theta, value_theta = objective.grad_theta, objective.value_theta
-    learning_rate, steps = cfg.learning_rate, cfg.steps
-    steps_run, diagnostic = steps, ""
+    descent = (objective.grad_theta, struct, theta, cfg.steps,
+               sign * cfg.learning_rate, 0.5 if halving else 1.0)
+    value_theta = objective.value_theta
     with np.errstate(over="ignore", invalid="ignore"):
         first = value_theta(struct, theta)
         start = time.perf_counter()
-        for step in range(steps):
-            grad = grad_theta(struct, theta)
-            if grad.dot(zeros):  # nan is true, 0.0 and -0.0 are false
-                steps_run, diagnostic = step, f"non-finite gradient at step {step}"
-                break
-            # the signed step size changes only at a halving, so it is made
-            # there, as a 0-d array with the Python float's bits: a float
-            # operand would cost about 0.13 µs more per step (see the notes
-            # on ngram's kernel)
-            if step % TVD_HALVING_STEPS == 0:
-                scale = np.array(
-                    sign * learning_rate * decay ** (step // TVD_HALVING_STEPS))
-            theta += scale * grad
+        steps_run = _descend(*descent, check=False)
+        if theta.dot(np.zeros_like(theta)):  # nan unless every entry is finite
+            theta[:] = pol.logits
+            steps_run = _descend(*descent, check=True)
+        diagnostic = ("" if steps_run == cfg.steps
+                      else f"non-finite gradient at step {steps_run}")
         last = value_theta(struct, theta)
         if not diagnostic and not math.isfinite(last):
             diagnostic = f"non-finite objective at step {steps_run}"
         grad_norm = (float("nan") if diagnostic else
-                     float(np.linalg.norm(grad_theta(struct, theta))))
+                     float(np.linalg.norm(objective.grad_theta(struct, theta))))
     aborted = bool(diagnostic)
     if not aborted and sign * (last - first) < -DIVERGED_TOL * max(1.0, abs(first)):
         diagnostic = f"the objective ended at {last!r}, worse than its start {first!r}"

@@ -30,6 +30,10 @@ from klgeo.ngram import (
 from klgeo.optimize import OptimizerConfig, ascend_j_beta, fit_tvd, verify_gradients
 from klgeo.rng import SeededRng
 
+from conftest import FUZZ
+from hypothesis import given
+from hypothesis import strategies as st
+
 SPACE = SequenceSpace(3, 3)
 
 
@@ -694,6 +698,38 @@ def old_tvd(struct, theta, p):
     return 0.5 * np.abs(q - p).sum()
 
 
+def old_row_tvd_argmin(c, p, tok, vocab_size):
+    """The row minimizer as first written on numpy arrays, terms in any token
+    order, c_s > 0."""
+    segments = []  # (slope, token, length)
+    for v in range(vocab_size):
+        on = tok == v
+        kinks = p[on] / c[on]
+        order = np.argsort(kinks, kind="stable")
+        slope, left = -c[on].sum(), 0.0
+        for kink, weight in zip(kinks[order], c[on][order]):
+            segments.append((slope, v, kink - left))
+            slope, left = slope + 2.0 * weight, kink
+        segments.append((slope, v, np.inf))
+    x = np.zeros(vocab_size)
+    budget = 1.0
+    for _, v, length in sorted(segments, key=lambda seg: seg[:2]):
+        take = min(length, budget)
+        x[v] += take
+        budget -= take
+        if budget <= 0.0:
+            break
+    return x
+
+
+def row_argmin(c, p, tok, vocab_size):
+    """ngram._row_tvd_argmin on terms in any token order, grouped stably by
+    token first, as an array."""
+    order = np.argsort(tok, kind="stable")
+    bounds = tuple(np.cumsum([0] + np.bincount(tok, minlength=vocab_size).tolist()))
+    return np.array(ngram._row_tvd_argmin(c[order], p[order], bounds))
+
+
 def old_polish_tvd(struct, theta, p):
     """The row polish that recomputed every row's log-softmax for each row
     update and each TVD value; returns (logits, TVD there)."""
@@ -715,7 +751,7 @@ def old_polish_tvd(struct, theta, p):
             live = c > 0.0
             if not live.any():
                 continue
-            x = ngram._row_tvd_argmin(c[live], p_r[live], tok[live], V)
+            x = old_row_tvd_argmin(c[live], p_r[live], tok[live], V)
             old_row = rows[r].copy()
             with np.errstate(divide="ignore"):
                 rows[r] = np.log(x)
@@ -762,14 +798,16 @@ class TestSolversMatchOldSpelling:
         trace = ascend_j_beta(fam, template, OptimizerConfig(steps=300), beta=0.2)
         assert np.array_equal(trace.final_policy.logits, theta)
 
-    def test_fit_tvd_with_polish(self):
-        _, _, _, _, pstar = toy_setup()
-        template = NGramPolicy(SPACE, bigram_orders(SPACE), np.zeros(21))
+    @staticmethod
+    def _old_fit_tvd(pstar, template, restarts, steps):
+        """(TVD, restart index, logits) of the best restart, each a descent
+        through the old kernels then old_polish_tvd; steps <= 1000, so no
+        halving."""
         struct, p = template._struct, pstar.probs
         best = None
-        for i in range(3):
+        for i in range(restarts):
             theta = SeededRng(0).spawn(i).normal(template.n_params)
-            for _ in range(400):
+            for _ in range(steps):
                 lsm = old_log_softmax(struct, theta)
                 q = np.exp(old_log_probs(struct, lsm))
                 theta -= 0.1 * old_grad_weighted_logprob(struct, lsm,
@@ -777,9 +815,26 @@ class TestSolversMatchOldSpelling:
             theta, value = old_polish_tvd(struct, theta, p)
             if best is None or value < best[0]:
                 best = (value, i, theta)
+        return best
+
+    def test_fit_tvd_with_polish(self):
+        _, _, _, _, pstar = toy_setup()
+        template = NGramPolicy(SPACE, bigram_orders(SPACE), np.zeros(21))
+        best = self._old_fit_tvd(pstar, template, restarts=3, steps=400)
         trace = fit_tvd(pstar, template, OptimizerConfig(steps=400, restarts=3))
         assert (trace.final_value, trace.restart_index) == best[:2]
         assert np.array_equal(trace.final_policy.logits, best[2])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_fit_tvd_at_the_refit_budget(self, seed):
+        # the 16 restarts of 1000 steps the tvd_refit benchmark workload runs
+        _, _, _, _, pstar = toy_setup(seed)
+        template = NGramPolicy(SPACE, bigram_orders(SPACE), np.zeros(21))
+        value, index, theta = self._old_fit_tvd(pstar, template, restarts=16, steps=1000)
+        trace = fit_tvd(pstar, template, OptimizerConfig(steps=1000, restarts=16))
+        assert (trace.final_value, trace.restart_index) == (value, index)
+        assert np.array_equal(trace.final_policy.logits, theta)
+        assert np.array_equal(np.signbit(trace.final_policy.logits), np.signbit(theta))
 
 
 class TestTVDPolish:
@@ -800,10 +855,61 @@ class TestTVDPolish:
             c = rng.uniform(m) + 0.05
             p = rng.uniform(m) * (rng.uniform(m) > 0.2)
             tok = np.arange(m) % 3
-            x = ngram._row_tvd_argmin(c, p, tok, 3)
+            x = row_argmin(c, p, tok, 3)
             assert np.all(x >= 0.0) and x.sum() == pytest.approx(1.0, abs=1e-15)
             cost = lambda xs: np.abs(c * xs[..., tok] - p).sum(axis=-1)
             assert cost(x) <= cost(grid).min() + 1e-12
+
+    @staticmethod
+    @st.composite
+    def _row_terms(draw):
+        """(c, p, tok, V) of one row: V from 2 to 5 and 1 to 40 terms, drawn
+        from a pool of at most 6 (c, p) pairs, so that kinks tie, with
+        c from 1e-300 to 1e3 or 0 and p = 0 or in (0, 1]; at least one c > 0."""
+        vocab_size = draw(st.integers(2, 5))
+        pool = draw(st.lists(st.tuples(
+            st.one_of(st.just(0.0), st.floats(1e-300, 1e3)),
+            st.one_of(st.just(0.0), st.floats(1e-300, 1.0))), min_size=1, max_size=6))
+        n = draw(st.integers(1, 40))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        tok = draw(st.lists(st.integers(0, vocab_size - 1), min_size=n, max_size=n))
+        c, p = np.array([pool[i] for i in picks]).T
+        c[draw(st.integers(0, n - 1))] = draw(st.floats(1e-300, 1e3))
+        return c, p, np.array(tok), vocab_size
+
+    @FUZZ
+    @given(terms=_row_terms())
+    def test_row_argmin_matches_old_argmin(self, terms):
+        # the same bits, sign bits included, as the numpy argmin on the
+        # terms with c > 0; tokens with 8 or more terms are common at 40
+        c, p, tok, vocab_size = terms
+        live = c > 0.0
+        want = old_row_tvd_argmin(c[live], p[live], tok[live], vocab_size)
+        got = row_argmin(c, p, tok, vocab_size)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_row_argmin_matches_old_argmin_on_permuted_tokens(self):
+        # every token holds the same 9 terms in its own order, 9 as on bigram
+        # row 0, where numpy sums a token's starting slope pairwise: exact
+        # arithmetic would tie every token, so the fill follows the rounding
+        # of each sum and the tie rules.  Kinks tie (p = 0), and c = 1e-300
+        # leaves a slope unchanged, so segments of one token tie too (its
+        # p is scaled with it, so that its kink is not at the far end).
+        rng = SeededRng(29)
+        for trial in range(300):
+            vocab_size = 2 + trial % 4
+            c = 10.0 ** (rng.uniform(9) * 6.0 - 3.0)
+            p = rng.uniform(9) * (rng.uniform(9) > 0.3)
+            c[trial % 9], p[trial % 9] = 1e-300, 1e-300 * p[trial % 9]
+            perms = [np.argsort(rng.uniform(9)) for _ in range(vocab_size)]
+            cs = np.concatenate([c[perm] for perm in perms])
+            ps = np.concatenate([p[perm] for perm in perms])
+            tok = np.repeat(np.arange(vocab_size), 9)
+            want = old_row_tvd_argmin(cs, ps, tok, vocab_size)
+            got = row_argmin(cs, ps, tok, vocab_size)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_row_update_is_exact_for_the_full_tvd(self):
         # with every other row fixed, the polish's update of one row gives the
@@ -817,7 +923,7 @@ class TestTVDPolish:
             uses = np.flatnonzero(struct.index[t] // V == r)
             others = np.delete(struct.index, t, axis=0)[:, uses]
             c = np.exp(np.take(ngram._log_softmax(struct, theta), others).sum(axis=0))
-            x = ngram._row_tvd_argmin(c, pstar.probs[uses], struct.index[t, uses] % V, V)
+            x = row_argmin(c, pstar.probs[uses], struct.index[t, uses] % V, V)
 
             def tvd_with_row(cond):
                 th = theta.copy()

@@ -23,6 +23,7 @@ from klgeo.experiments import DEFAULT_SIGMA, _toy_instance
 from klgeo.optimize import (
     CONVERGED_GRAD_NORM,
     OptimizerConfig,
+    RunTrace,
     _gradient_run,
     ascend_j_beta,
     fit_forward_kl,
@@ -278,13 +279,14 @@ class TestTVDFit:
 
 
 class _ExplodingObjective:
-    """Stub that puts `bad` into gradient entry `index` after a few calls, or
-    (with value_blows) returns a finite gradient and a non-finite value after
-    the first."""
+    """Stub that puts `bad` into gradient entry `index` at the logits
+    `blow_at`, or (with value_blows) returns a non-finite value at any logits
+    but zeros.  Both are pure functions of theta, as _gradient_run requires;
+    calls and value_calls count the calls."""
 
     name = "exploding"
 
-    def __init__(self, inner, blow_at, bad=np.nan, index=0, value_blows=False):
+    def __init__(self, inner, blow_at=None, bad=np.nan, index=0, value_blows=False):
         self.inner = inner
         self.blow_at = blow_at
         self.bad = bad
@@ -295,29 +297,31 @@ class _ExplodingObjective:
 
     def value_theta(self, struct, theta):
         self.value_calls += 1
-        if self.value_blows and self.value_calls > 1:
+        if self.value_blows and theta.any():
             return float("nan")
         return self.inner.value_theta(struct, theta)
 
     def grad_theta(self, struct, theta):
         self.calls += 1
         g = self.inner.grad_theta(struct, theta)
-        if self.calls > self.blow_at:
+        if self.blow_at is not None and np.array_equal(theta, self.blow_at):
             g = g.copy()
             g[self.index] = self.bad
         return g
 
 
 class _ConstantGradient:
-    """Stub with the value 0 and a fixed gradient everywhere."""
+    """Stub with a fixed gradient everywhere, and the value 0 or, given
+    value_of, that objective's value."""
 
     name = "constant"
 
-    def __init__(self, grad):
+    def __init__(self, grad, value_of=None):
         self.grad = grad
+        self.value_of = value_of
 
     def value_theta(self, struct, theta):
-        return 0.0
+        return 0.0 if self.value_of is None else self.value_of.value_theta(struct, theta)
 
     def grad_theta(self, struct, theta):
         return self.grad
@@ -333,7 +337,8 @@ class TestAbort:
                                   dataclasses.replace(cfg, steps=10), maximize=False)
         for bad in (np.nan, np.inf, -np.inf):
             for index in (0, 10, 20):
-                obj = _ExplodingObjective(ForwardKLObjective(pstar), blow_at=10,
+                obj = _ExplodingObjective(ForwardKLObjective(pstar),
+                                          blow_at=ten_steps.final_policy.logits,
                                           bad=bad, index=index)
                 trace = _gradient_run(obj, template, cfg, maximize=False)
                 assert trace.aborted, (bad, index)
@@ -360,8 +365,7 @@ class TestAbort:
     def test_nonfinite_final_value_aborts(self):
         # the value is checked once, after the last step
         _, _, _, pstar, template = setup()
-        obj = _ExplodingObjective(ForwardKLObjective(pstar), blow_at=10**9,
-                                  value_blows=True)
+        obj = _ExplodingObjective(ForwardKLObjective(pstar), value_blows=True)
         cfg = OptimizerConfig(learning_rate=0.05, steps=500)
         trace = _gradient_run(obj, template, cfg, maximize=False)
         assert trace.aborted and not trace.converged
@@ -369,6 +373,117 @@ class TestAbort:
         assert trace.diagnostic == "non-finite objective at step 500"
         assert np.isnan(trace.final_value) and np.isnan(trace.final_grad_norm)
         assert obj.value_calls == 2
+
+
+def checked_gradient_run(objective, pol, cfg, maximize, halving=False):
+    """_gradient_run's loop with every gradient tested for finiteness before
+    its step, as it ran before the single test per run: the oracle of that
+    test and its exact re-run (the diverged-run diagnostic left out)."""
+    struct = pol._struct
+    theta = pol.logits.copy()
+    zeros = np.zeros_like(theta)
+    sign = 1.0 if maximize else -1.0
+    decay = 0.5 if halving else 1.0
+    steps_run, diagnostic = cfg.steps, ""
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = objective.value_theta(struct, theta)
+        for step in range(cfg.steps):
+            grad = objective.grad_theta(struct, theta)
+            if grad.dot(zeros):
+                steps_run, diagnostic = step, f"non-finite gradient at step {step}"
+                break
+            if step % optimize.TVD_HALVING_STEPS == 0:
+                scale = np.array(sign * cfg.learning_rate
+                                 * decay ** (step // optimize.TVD_HALVING_STEPS))
+            theta += scale * grad
+        last = objective.value_theta(struct, theta)
+        if not diagnostic and not np.isfinite(last):
+            diagnostic = f"non-finite objective at step {steps_run}"
+        grad_norm = (float("nan") if diagnostic else
+                     float(np.linalg.norm(objective.grad_theta(struct, theta))))
+    return RunTrace(start_value=first, final_value=last,
+                    final_policy=pol.with_logits(theta), final_grad_norm=grad_norm,
+                    wall_time=0.0, steps_run=steps_run, aborted=bool(diagnostic),
+                    diagnostic=diagnostic)
+
+
+def assert_same_run(trace, want):
+    """The same logits to the bit, sign bits and nan included, and the same
+    values, step count and diagnostic."""
+    got_logits, want_logits = trace.final_policy.logits, want.final_policy.logits
+    assert np.array_equal(got_logits, want_logits, equal_nan=True)
+    assert np.array_equal(np.signbit(got_logits), np.signbit(want_logits))
+    for field in ("start_value", "final_value", "final_grad_norm"):
+        assert repr(getattr(trace, field)) == repr(getattr(want, field)), field
+    assert (trace.steps_run, trace.aborted, trace.diagnostic) == (
+        want.steps_run, want.aborted, want.diagnostic)
+
+
+class TestRerun:
+    """A run tests its logits once, after the last step; when they are not
+    finite it is made again from its start with every gradient tested.  It
+    ends as the run that tests every gradient ends."""
+
+    @staticmethod
+    def _both(make_objective, pol, cfg, **kwargs):
+        """(trace, objective) of _gradient_run, then of the oracle, each on
+        an objective of its own."""
+        runs = []
+        for run in (_gradient_run, checked_gradient_run):
+            obj = make_objective()
+            runs.append((run(obj, pol, cfg, **kwargs), obj))
+        return runs
+
+    def test_nonfinite_gradient_in_a_later_halving_segment(self, monkeypatch):
+        # with a halving every 7 steps, the gradient at the logits of 10
+        # steps, in the second segment, is bad: the run stops before step 10
+        _, _, _, pstar, template = setup()
+        monkeypatch.setattr(optimize, "TVD_HALVING_STEPS", 7)
+        start = template.with_logits(SeededRng(5).normal(template.n_params))
+        cfg = OptimizerConfig(steps=30)
+        ten_steps = _gradient_run(TVDObjective(pstar), start,
+                                  dataclasses.replace(cfg, steps=10),
+                                  maximize=False, halving=True)
+        for bad in (np.nan, np.inf, -np.inf):
+            (trace, obj), (want, want_obj) = self._both(
+                lambda: _ExplodingObjective(TVDObjective(pstar),
+                                            blow_at=ten_steps.final_policy.logits,
+                                            bad=bad, index=7),
+                start, cfg, maximize=False, halving=True)
+            assert_same_run(trace, want)
+            assert trace.diagnostic == "non-finite gradient at step 10"
+            assert obj.value_calls == want_obj.value_calls == 2
+            # 30 steps, then 11 gradients up to the bad one
+            assert (obj.calls, want_obj.calls) == (41, 11)
+
+    def test_overflow_on_the_last_step(self):
+        # finite gradients, but the third step of 0.6 * 1e308 takes logit 0
+        # past the largest double: the run ends with a non-finite objective
+        _, _, _, pstar, template = setup()
+        grad = np.zeros(template.n_params)
+        grad[0] = 1e308
+        (trace, obj), (want, _) = self._both(
+            lambda: _ExplodingObjective(_ConstantGradient(grad, ForwardKLObjective(pstar))),
+            template, OptimizerConfig(learning_rate=0.6, steps=3), maximize=False)
+        assert_same_run(trace, want)
+        assert trace.diagnostic == "non-finite objective at step 3"
+        assert trace.final_policy.logits[0] == -np.inf
+        assert obj.value_calls == 2
+
+    def test_descent_from_minus_inf_logits(self):
+        # a -inf logit stays -inf under finite steps: the TVD descent is made
+        # twice, every gradient of it finite, and ends as the oracle does
+        _, _, _, pstar, template = setup()
+        start = SeededRng(5).normal(template.n_params)
+        start[[0, 4, 8, 13]] = -np.inf
+        (trace, obj), (want, want_obj) = self._both(
+            lambda: _ExplodingObjective(TVDObjective(pstar)),
+            template.with_logits(start), OptimizerConfig(steps=300),
+            maximize=False, halving=True)
+        assert_same_run(trace, want)
+        assert not trace.aborted and trace.steps_run == 300
+        assert np.isneginf(trace.final_policy.logits).sum() == 4
+        assert (obj.calls, want_obj.calls) == (601, 301)
 
 
 class TestStepSize:
