@@ -39,9 +39,6 @@ CONVERGED_GRAD_NORM = 1e-6
 # that starts at its optimum.
 DIVERGED_TOL = 1e-12
 
-# fit_tvd halves its step size every TVD_HALVING_STEPS steps.
-TVD_HALVING_STEPS = 1000
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -79,12 +76,11 @@ class RunTrace:
     polish_sweeps: int = 0
 
 
-def _descend(grad_theta, struct, theta: np.ndarray, steps: int, rate: float,
-             decay: float, check: bool) -> int:
-    """Run theta += scale * grad_theta(struct, theta) in place for steps steps,
-    with scale = rate * decay ** (step // TVD_HALVING_STEPS).  With check,
-    stop before the first step whose gradient is not finite.  Returns the
-    number of steps taken."""
+def _descend(grad_theta, struct, theta: np.ndarray, steps: int,
+             scale: np.ndarray, check: bool) -> int:
+    """Run theta += scale * grad_theta(struct, theta) in place for steps
+    steps.  With check, stop before the first step whose gradient is not
+    finite.  Returns the number of steps taken."""
     # the finiteness test in one numpy call: grad.dot(zeros) is 0 for a
     # finite gradient and nan if an entry is nan or +-inf (0 * inf is nan)
     zeros = np.zeros_like(theta)
@@ -92,21 +88,16 @@ def _descend(grad_theta, struct, theta: np.ndarray, steps: int, rate: float,
         grad = grad_theta(struct, theta)
         if check and grad.dot(zeros):  # nan is true, 0.0 and -0.0 are false
             return step
-        # the step size changes only at a halving, so it is made there, as a
-        # 0-d array with the Python float's bits: a float operand would cost
-        # about 0.13 µs more per step (see the notes on ngram's kernel)
-        if step % TVD_HALVING_STEPS == 0:
-            scale = np.array(rate * decay ** (step // TVD_HALVING_STEPS))
         theta += scale * grad
     return steps
 
 
 def _gradient_run(objective, pol: NGramPolicy, cfg: OptimizerConfig,
-                  maximize: bool, halving: bool = False) -> RunTrace:
-    """Gradient steps from pol, of constant size or (halving) halved every
-    TVD_HALVING_STEPS steps; a non-finite gradient or final value aborts the run.
-    A run that ends worse than its start (see DIVERGED_TOL) is not aborted
-    but has not converged, and its diagnostic names both values.
+                  maximize: bool) -> RunTrace:
+    """Gradient steps of the constant size cfg.learning_rate from pol; a
+    non-finite gradient or final value aborts the run.  A run that ends
+    worse than its start (see DIVERGED_TOL) is not aborted but has not
+    converged, and its diagnostic names both values.
 
     The steps test no gradient: nan and +-inf carry through theta += step,
     so a non-finite gradient leaves the final logits non-finite, and one
@@ -121,8 +112,11 @@ def _gradient_run(objective, pol: NGramPolicy, cfg: OptimizerConfig,
     struct = pol._struct
     theta = pol.logits.copy()
     sign = 1.0 if maximize else -1.0
+    # the signed step as a 0-d array with the Python float's bits: a float
+    # operand would cost about 0.13 µs more per step (see the notes on
+    # ngram's kernel)
     descent = (objective.grad_theta, struct, theta, cfg.steps,
-               sign * cfg.learning_rate, 0.5 if halving else 1.0)
+               np.array(sign * cfg.learning_rate))
     value_theta = objective.value_theta
     with np.errstate(over="ignore", invalid="ignore"):
         first = value_theta(struct, theta)
@@ -179,8 +173,8 @@ def fit_tvd(target: FiniteDistribution, template: NGramPolicy,
     unless it aborted, by the exact row polish of ngram._polish_tvd.  The
     polished run counts as converged when the polish stopped before its
     sweep cap, and its gradient norm is that of the analytic subgradient.
-    Restart i starts from SeededRng(0).spawn(i).normal(n_params) and halves
-    its step every TVD_HALVING_STEPS steps, so it depends only on i.
+    Restart i starts from SeededRng(0).spawn(i).normal(n_params) and takes
+    the constant step cfg.learning_rate, so it depends only on i.
     Returns the first restart lowest in (aborted, TVD): the lowest TVD after
     its polish among the restarts that did not abort.  The objective is
     non-convex in the logits, so no global optimality is claimed there.
@@ -195,8 +189,7 @@ def fit_tvd(target: FiniteDistribution, template: NGramPolicy,
     best = None
     for i in range(cfg.restarts):
         start_pol = template.with_logits(rng.spawn(i).normal(template.n_params))
-        trace = _gradient_run(objective, start_pol, cfg, maximize=False,
-                              halving=True)
+        trace = _gradient_run(objective, start_pol, cfg, maximize=False)
         if not trace.aborted:
             start, pol = time.perf_counter(), trace.final_policy
             theta, value, sweeps, capped = _polish_tvd(pol._struct, pol.logits, p)

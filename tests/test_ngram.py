@@ -801,8 +801,7 @@ class TestSolversMatchOldSpelling:
     @staticmethod
     def _old_fit_tvd(pstar, template, restarts, steps):
         """(TVD, restart index, logits) of the best restart, each a descent
-        through the old kernels then old_polish_tvd; steps <= 1000, so no
-        halving."""
+        through the old kernels then old_polish_tvd."""
         struct, p = template._struct, pstar.probs
         best = None
         for i in range(restarts):

@@ -195,8 +195,8 @@ class TestTVDFit:
 
     def test_matches_hand_written_descent_and_polish(self):
         # oracle: each restart as a plain loop from its SeededRng(0).spawn(i)
-        # start on the subgradient written out, with the step halved every
-        # 1000 steps, then the row polish; the fit is the better restart
+        # start on the subgradient written out, with the constant step 0.1,
+        # then the row polish; the fit is the better restart
         _, _, _, pstar, template = setup()
         struct, p = template._struct, pstar.probs
         finals = []
@@ -206,7 +206,7 @@ class TestTVDFit:
                 lsm = ngram._log_softmax(struct, theta)
                 q = np.exp(ngram._log_probs(struct, lsm))
                 grad = ngram._grad_weighted_logprob(struct, lsm, 0.5 * np.sign(q - p) * q)
-                theta = theta - 0.1 * 0.5 ** (k // 1000) * grad
+                theta = theta - 0.1 * grad
             theta, value, sweeps, capped = ngram._polish_tvd(struct, theta, p)
             assert not capped
             finals.append((value, i, theta, sweeps))
@@ -228,7 +228,7 @@ class TestTVDFit:
             trace = fit_tvd(pstar, template, cfg)
             start = SeededRng(0).spawn(trace.restart_index).normal(template.n_params)
             descent = _gradient_run(TVDObjective(pstar), template.with_logits(start),
-                                    cfg, maximize=False, halving=True)
+                                    cfg, maximize=False)
             assert trace.start_value == descent.start_value
             assert trace.final_value < descent.final_value
             assert trace.final_value == pytest.approx(
@@ -375,15 +375,14 @@ class TestAbort:
         assert obj.value_calls == 2
 
 
-def checked_gradient_run(objective, pol, cfg, maximize, halving=False):
+def checked_gradient_run(objective, pol, cfg, maximize):
     """_gradient_run's loop with every gradient tested for finiteness before
     its step, as it ran before the single test per run: the oracle of that
     test and its exact re-run (the diverged-run diagnostic left out)."""
     struct = pol._struct
     theta = pol.logits.copy()
     zeros = np.zeros_like(theta)
-    sign = 1.0 if maximize else -1.0
-    decay = 0.5 if halving else 1.0
+    scale = np.array((1.0 if maximize else -1.0) * cfg.learning_rate)
     steps_run, diagnostic = cfg.steps, ""
     with np.errstate(over="ignore", invalid="ignore"):
         first = objective.value_theta(struct, theta)
@@ -392,9 +391,6 @@ def checked_gradient_run(objective, pol, cfg, maximize, halving=False):
             if grad.dot(zeros):
                 steps_run, diagnostic = step, f"non-finite gradient at step {step}"
                 break
-            if step % optimize.TVD_HALVING_STEPS == 0:
-                scale = np.array(sign * cfg.learning_rate
-                                 * decay ** (step // optimize.TVD_HALVING_STEPS))
             theta += scale * grad
         last = objective.value_theta(struct, theta)
         if not diagnostic and not np.isfinite(last):
@@ -434,22 +430,21 @@ class TestRerun:
             runs.append((run(obj, pol, cfg, **kwargs), obj))
         return runs
 
-    def test_nonfinite_gradient_in_a_later_halving_segment(self, monkeypatch):
-        # with a halving every 7 steps, the gradient at the logits of 10
-        # steps, in the second segment, is bad: the run stops before step 10
+    def test_nonfinite_gradient_mid_run(self):
+        # the gradient at the logits of 10 of 30 steps is bad: the run stops
+        # before step 10
         _, _, _, pstar, template = setup()
-        monkeypatch.setattr(optimize, "TVD_HALVING_STEPS", 7)
         start = template.with_logits(SeededRng(5).normal(template.n_params))
         cfg = OptimizerConfig(steps=30)
         ten_steps = _gradient_run(TVDObjective(pstar), start,
                                   dataclasses.replace(cfg, steps=10),
-                                  maximize=False, halving=True)
+                                  maximize=False)
         for bad in (np.nan, np.inf, -np.inf):
             (trace, obj), (want, want_obj) = self._both(
                 lambda: _ExplodingObjective(TVDObjective(pstar),
                                             blow_at=ten_steps.final_policy.logits,
                                             bad=bad, index=7),
-                start, cfg, maximize=False, halving=True)
+                start, cfg, maximize=False)
             assert_same_run(trace, want)
             assert trace.diagnostic == "non-finite gradient at step 10"
             assert obj.value_calls == want_obj.value_calls == 2
@@ -479,7 +474,7 @@ class TestRerun:
         (trace, obj), (want, want_obj) = self._both(
             lambda: _ExplodingObjective(TVDObjective(pstar)),
             template.with_logits(start), OptimizerConfig(steps=300),
-            maximize=False, halving=True)
+            maximize=False)
         assert_same_run(trace, want)
         assert not trace.aborted and trace.steps_run == 300
         assert np.isneginf(trace.final_policy.logits).sum() == 4
@@ -487,22 +482,11 @@ class TestRerun:
 
 
 class TestStepSize:
-    def test_halving_refreshes_the_step_at_each_boundary(self, monkeypatch):
-        # with a halving every 7 steps, 30 steps cross 4 boundaries; the run
-        # is the hand loop with the step size written out at every step
-        _, _, fam, pstar, template = setup()
-        monkeypatch.setattr(optimize, "TVD_HALVING_STEPS", 7)
+    def test_ascent_takes_a_constant_step(self):
+        # the run is the hand loop with the step size written out at every step
+        _, _, fam, _, template = setup()
         struct = template._struct
         start = SeededRng(5).normal(template.n_params)
-        obj = TVDObjective(pstar)
-        trace = _gradient_run(obj, template.with_logits(start),
-                              OptimizerConfig(steps=30), maximize=False, halving=True)
-        theta = start
-        for k in range(30):
-            theta = theta - 0.1 * 0.5 ** (k // 7) * obj.grad_theta(struct, theta)
-        assert trace.steps_run == 30 and not trace.aborted
-        assert np.array_equal(trace.final_policy.logits, theta)
-        # an ascent without halving keeps its step across the boundaries
         obj = ngram.JBetaObjective(fam, 0.2)
         trace = _gradient_run(obj, template.with_logits(start),
                               OptimizerConfig(learning_rate=0.3, steps=30),
@@ -510,6 +494,7 @@ class TestStepSize:
         theta = start
         for _ in range(30):
             theta = theta + 0.3 * obj.grad_theta(struct, theta)
+        assert trace.steps_run == 30 and not trace.aborted
         assert np.array_equal(trace.final_policy.logits, theta)
 
 
