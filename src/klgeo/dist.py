@@ -133,18 +133,23 @@ def _check_aligned(p: FiniteDistribution, q: FiniteDistribution):
         raise ValueError("distributions are over different outcome spaces")
 
 
-def kl_divergence(p: FiniteDistribution, q: FiniteDistribution) -> float:
-    """KL(p || q), summing only over the support of p.
+def _kl_sum(pm: np.ndarray, log_qm: np.ndarray) -> float:
+    """sum pm (log pm - log_qm) for pm > 0: no ratio pm / qm, which
+    overflows where qm is subnormal.  A negative sum is round-off of a KL
+    below the sum's absolute error and returns 0.0; nan passes through."""
+    kl = float(np.sum(pm * (np.log(pm) - log_qm)))
+    return 0.0 if kl < 0.0 else kl
 
-    Returns math.inf when some outcome has p > 0, q = 0.
-    """
+
+def kl_divergence(p: FiniteDistribution, q: FiniteDistribution) -> float:
+    """KL(p || q), summing only over the support of p (see _kl_sum);
+    math.inf when some outcome has p > 0, q = 0."""
     _check_aligned(p, q)
     mask = p.probs > 0
     qm = q.probs[mask]
     if np.any(qm == 0.0):
         return math.inf
-    pm = p.probs[mask]
-    return float(np.sum(pm * np.log(pm / qm)))
+    return _kl_sum(p.probs[mask], np.log(qm))
 
 
 def kl_divergence_finite(p: FiniteDistribution, q: FiniteDistribution) -> float:

@@ -16,6 +16,7 @@ import numpy as np
 from .dist import (
     FiniteDistribution,
     RewardFn,
+    _kl_sum,
     condition,
     expected_reward,
     kl_divergence_finite,
@@ -101,11 +102,10 @@ def tilted(fam: TiltedFamily, lam: float) -> FiniteDistribution:
 
 def kl_to_tilted(fam: TiltedFamily, q: FiniteDistribution, lam: float) -> float:
     """KL(q, p_lam), from log p_lam: finite at every finite lam, also where
-    p_lam itself underflows to zero on some outcome."""
+    p_lam itself underflows to zero on some outcome (see dist._kl_sum)."""
     _, z, _, s = _shifted_log_weights(fam, lam)
-    log_p = z - np.log(s)
     m = q.probs > 0
-    return float(np.sum(q.probs[m] * (np.log(q.probs[m]) - log_p[m])))
+    return _kl_sum(q.probs[m], (z - np.log(s))[m])
 
 
 def moment(fam: TiltedFamily, lam: float):

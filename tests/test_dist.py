@@ -107,6 +107,14 @@ class TestKL:
         p = random_dist(rng, outcomes)
         assert kl_divergence_finite(p, FiniteDistribution(outcomes, p.probs)) == 0.0
 
+    def test_subnormal_q_is_finite(self):
+        # p / q overflows a double at q = 5e-324; the KL is 0.5 log(0.5 / 5e-324)
+        outcomes = ("a", "b")
+        p = FiniteDistribution.uniform(outcomes)
+        q = FiniteDistribution(outcomes, (1.0, 5e-324))
+        want = 0.5 * (math.log(0.5) - math.log(5e-324)) + 0.5 * math.log(0.5)
+        assert kl_divergence_finite(p, q) == pytest.approx(want, rel=1e-15)
+
     def test_dimension_mismatch(self):
         p = FiniteDistribution.uniform(("a", "b"))
         q = FiniteDistribution.uniform(("a", "c"))

@@ -212,12 +212,15 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(1, "trigram", (1.0,), TINY_CFG, TINY_TVD)
 
-    def test_reference_metrics_populated(self):
-        summary = run_sweep(3, "bigram", (1.0,), TINY_CFG, TINY_TVD)
+    @pytest.mark.parametrize("order", ["bigram", "full"])
+    def test_reference_metrics_populated(self, order):
+        # in the full order the projection is p* itself, to round-off: the
+        # sum of its KL terms is -1.3e-16 at seed 3, written as 0
+        summary = run_sweep(3, order, (1.0,), TINY_CFG, TINY_TVD)
         assert 0.0 <= summary.fkl_ref_validity <= 1.0
         assert summary.fkl_ref_kl >= 0.0
         assert 0.0 <= summary.tvd_ref_tvd <= 1.0
-        p = _toy_instance(3, "bigram")[1].probs
+        p = _toy_instance(3, order)[1].probs
         assert summary.pstar_entropy == pytest.approx(
             float(-(p[p > 0] * np.log(p[p > 0])).sum()), abs=1e-12)
 

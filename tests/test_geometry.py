@@ -15,7 +15,7 @@ from klgeo.dist import (
     kl_divergence_finite,
     total_variation,
 )
-from klgeo.experiments import _toy_instance
+from klgeo.experiments import _toy_instance, ordering_instance
 from klgeo.geometry import (
     GeometryPoint,
     TiltedFamily,
@@ -431,6 +431,15 @@ def test_kl_to_tilted_vanishes_at_large_lambda():
     for fam, pstar in sweep_families():
         for lam in (50.0, 1e3, 1e13, 1e17, 1e300):
             assert abs(kl_to_tilted(fam, pstar, lam)) <= 1e-15
+
+
+def test_kl_to_tilted_is_never_negative_and_keeps_nan():
+    # KL(p*, p_40) = log1p((A0/A1) e^-40) is 4.2e-18 on the ordering
+    # instance; its sum of cancelling terms reads -4.4e-17 in round-off
+    fam, pstar, _ = ordering_instance()
+    assert kl_to_tilted(fam, pstar, 40.0) == 0.0
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(kl_to_tilted(fam, pstar, math.nan))
 
 
 def old_log_partition(fam, lam):

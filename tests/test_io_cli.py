@@ -764,6 +764,19 @@ class TestCliErrors:
                 "KL divergence is infinite") in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("lam", ["720", "740"])
+    def test_subnormal_tilt_mass_exit_zero(self, tmp_path, capsys, lam):
+        # p_lam's invalid mass is subnormal here, not zero: the ratio
+        # pi / p_lam would overflow, but KL(pi, p_lam) is finite
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("command=sweep\nsteps=50\ntvd_restarts=1\ntvd_steps=10\n")
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", str(cfgfile), "--seeds", "1",
+                   "--lambdas", lam, "--out", str(out)])
+        assert rc == EXIT_OK and capsys.readouterr().err == ""
+        _, rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 1
+
     def test_unwritable_out_exit_two(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
