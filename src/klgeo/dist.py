@@ -172,9 +172,11 @@ def entropy(p: FiniteDistribution) -> float:
 
 
 def expected_reward(q: FiniteDistribution, r: RewardFn) -> float:
+    """E_q[r], clamped to [r.m, r.M]: a mean of r lies there, but the dot
+    product's round-off can leave it by an ulp."""
     if len(q) != len(r):
         raise ValueError("reward and distribution have mismatched dimensions")
-    return float(q.probs @ r.values)
+    return min(max(float(q.probs @ r.values), r.m), r.M)
 
 
 def condition(p: FiniteDistribution, mask) -> FiniteDistribution:

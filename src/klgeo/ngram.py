@@ -12,10 +12,8 @@ V^T sequences; there is no sampling anywhere.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -103,14 +101,15 @@ class _Structure:
         # the first flat logit of each row, and the row of each flat logit
         self.row_start = np.arange(0, self.n_params, V)
         self.row_of_flat = np.repeat(np.arange(self.n_rows), V)
+        self._stacks = {}
 
     @cached_property
     def polish_rows(self) -> list:
         """The rows in the TVD polish's order, by position and then row, each
-        as (row, uses, others, bounds): uses are the sequences through the
-        row, stably grouped by their token there, with token v's at
-        uses[bounds[v]:bounds[v + 1]], and others[:, j] the flat logits that
-        sequence uses[j] uses at every other position."""
+        as (row, uses, others): uses[v] are the sequences through the row
+        with token v there, in sequence order (every token has as many), and
+        others[:, v, j] the flat logits that sequence uses[v, j] uses at
+        every other position."""
         V = self.space.vocab_size
         row_of = self.index // V
         rows = []
@@ -119,10 +118,17 @@ class _Structure:
             for r in range(row_of[t].min(), row_of[t].max() + 1):
                 uses = np.flatnonzero(row_of[t] == r)
                 tok = self.index[t, uses] % V
-                uses = uses[np.argsort(tok, kind="stable")]
-                bounds = (0, *np.cumsum(np.bincount(tok, minlength=V)).tolist())
-                rows.append((r, uses, others[:, uses], bounds))
+                uses = uses[np.argsort(tok, kind="stable")].reshape(V, -1)
+                rows.append((r, uses, others[:, uses]))
         return rows
+
+    def stacked(self, copies: int) -> "_Stack":
+        """The kernel maps of `copies` copies of this structure, built once
+        per count."""
+        stack = self._stacks.get(copies)
+        if stack is None:
+            stack = self._stacks[copies] = _Stack(self, copies)
+        return stack
 
     @classmethod
     def get(cls, space: SequenceSpace, context_lengths: tuple) -> "_Structure":
@@ -130,6 +136,43 @@ class _Structure:
         if key not in cls._cache:
             cls._cache[key] = cls(space, context_lengths)
         return cls._cache[key]
+
+
+class _Stack:
+    """The maps of `copies` copies of one _Structure side by side, under the
+    names the kernel reads, so that _log_softmax and _log_probs run on them
+    unchanged.
+
+    Copy b's logits are entries b * n_params + k of one flat vector, its
+    rows b * n_rows + r and its sequences b * N + s.  Every reduceat segment
+    and bincount bin then holds one copy's entries in that copy's own order,
+    so each copy gets the bits of its own call.  The first n copies' maps
+    are prefixes of these; first(n) returns them as views.
+    """
+
+    __slots__ = ("unit", "n_rows", "n_params", "n_sequences",
+                 "row_start", "row_of_flat", "flat_index", "seq_of_flat")
+
+    def __init__(self, unit: _Structure, copies: int, of: "_Stack | None" = None):
+        self.unit = unit
+        self.n_rows = copies * unit.n_rows
+        self.n_params = copies * unit.n_params
+        self.n_sequences = copies * unit.n_sequences
+        if of is None:
+            offsets = np.arange(copies)[:, None]
+            self.row_start = np.arange(0, self.n_params, unit.space.vocab_size)
+            self.row_of_flat = np.repeat(np.arange(self.n_rows), unit.space.vocab_size)
+            self.flat_index = (unit.flat_index + offsets * unit.n_params).ravel()
+            self.seq_of_flat = (unit.seq_of_flat + offsets * unit.n_sequences).ravel()
+        else:
+            entries = copies * unit.flat_index.size
+            self.row_start = of.row_start[:self.n_rows]
+            self.row_of_flat = of.row_of_flat[:self.n_params]
+            self.flat_index = of.flat_index[:entries]
+            self.seq_of_flat = of.seq_of_flat[:entries]
+
+    def first(self, copies: int) -> "_Stack":
+        return _Stack(self.unit, copies, of=self)
 
 
 class NGramPolicy:
@@ -285,16 +328,18 @@ class TVDObjective:
 
     def value_theta(self, struct: _Structure, theta: np.ndarray) -> float:
         _check_space(struct, self._p)
-        return float(_tvd(struct, _log_softmax(struct, theta), self._p))
+        return float(_tvd(struct, _log_softmax(struct, theta), self._p)[0])
 
     def grad_theta(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
         _check_space(struct, self._p)
         return _tvd_subgradient(struct, theta, self._p)
 
 
-def _tvd(struct: _Structure, lsm: np.ndarray, p: np.ndarray) -> float:
-    """TVD(pi, p), from the row log-softmax lsm of pi's logits."""
-    return 0.5 * np.add.reduce(np.abs(np.exp(_log_probs(struct, lsm)) - p))
+def _tvd(struct, lsm: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """TVD(pi, p) of each copy pi in struct (one for a _Structure, one per
+    copy for a _Stack), from the row log-softmax lsm of the logits."""
+    q = _exp(_log_probs(struct, lsm)).reshape(-1, p.shape[0])
+    return _HALF * _add_reduce(np.abs(q - p), 1)
 
 
 def _tvd_subgradient(struct: _Structure, theta: np.ndarray,
@@ -305,85 +350,139 @@ def _tvd_subgradient(struct: _Structure, theta: np.ndarray,
     return _grad_weighted_logprob(struct, lsm, _HALF * _sign(q - p) * q)
 
 
-_kink = itemgetter(0)
-_slope_token = itemgetter(0, 1)
+def _row_tvd_argmin(c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """For each copy b, the x on the simplex minimizing
+    sum_{v,j} |c[b, v, j] x[v] - p[v, j]|, for c >= 0 of shape (B, V, n)
+    and p of shape (V, n); returns x, of shape (B, V).
 
-
-def _row_tvd_argmin(c: np.ndarray, p: np.ndarray, bounds: tuple) -> list:
-    """The x on the simplex minimizing sum_s |c_s x[tok_s] - p_s|, c_s >= 0.
-
-    The terms come grouped by token: token v's are c[bounds[v]:bounds[v + 1]]
-    and the same slice of p.  Terms with c_s = 0 do not depend on x and are
-    left out.  The sum is separable across tokens; each token's part is
-    convex and piecewise linear with kinks at p_s / c_s.  Filling the
-    segments in order of slope, ties broken by token, spends the unit budget
-    optimally.  The work is on Python floats, which round as numpy's
-    float64 does; each token's starting slope stays numpy's sum, which adds
-    8 or more entries pairwise, not left to right.
+    Terms with c = 0 do not depend on x and are left out.  The sum is
+    separable across tokens; token v's part is convex and piecewise linear
+    in x[v], with slope -sum c at 0 and kinks at p / c, where the slope
+    rises by 2c.  Filling the segments in order of slope, ties broken by
+    token and then by kink, spends the unit budget optimally.  Every copy
+    gets the bits of the fill that builds and walks its segments one at a
+    time on floats:
+    - a token's starting slope is numpy's sum of its live c in term order,
+      which adds 8 or more entries pairwise, not left to right;
+    - kinks sort stably, and a stable sort of slopes in token-major order
+      is the (slope, token) key;
+    - the budget is spent segment by segment, and x[v] adds its takes in
+      that order from 0.0.
+    Dead terms divide by 0, and segments past the fill's end may hold
+    inf - inf, so the caller turns off numpy's divide, over and invalid
+    warnings, as _polish_tvd does.
     """
-    segments = []  # (slope, token, length)
-    for v, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        cv, pv = c[lo:hi], p[lo:hi]
-        weights = cv.tolist()
-        if 0.0 in weights:
-            live = cv > 0.0
-            cv, pv = cv[live], pv[live]
-            weights = cv.tolist()
-        slope, left = -float(_add_reduce(cv)), 0.0
-        kinks = [ps / cs for ps, cs in zip(pv.tolist(), weights)]
-        # sorted is stable, so tied kinks keep their order in the row
-        for kink, weight in sorted(zip(kinks, weights), key=_kink):
-            segments.append((slope, v, kink - left))
-            slope, left = slope + 2.0 * weight, kink
-        segments.append((slope, v, math.inf))
-    segments.sort(key=_slope_token)
-    x = [0.0] * (len(bounds) - 1)
-    budget = 1.0
-    for _, v, length in segments:
-        take = min(length, budget)
-        x[v] += take
-        budget -= take
-        if budget <= 0.0:
-            break
-    return x
+    B, V, n = c.shape
+    total = _add_reduce(c, 2)
+    terms = np.arange(0, c.size, n).reshape(B, V, 1)  # each token's first term
+    # add.reduce sums fewer than 8 entries left to right, where a dead
+    # term's 0 changes nothing, and 8 or more pairwise: a token of 8 or more
+    # terms, some dead, is summed again over its live terms alone, and
+    # over 7 columns if it has fewer than 8
+    live = c > 0.0
+    if n >= 8 and not live.all():
+        counts = live.sum(2)
+        packed = c.take(np.argsort(~live, 2, kind="stable") + terms)
+        short = counts < 8
+        total[short] = _add_reduce(packed[..., :7], 2)[short]
+        for k in set(counts[~short & (counts < n)].tolist()):
+            at = counts == k
+            total[at] = _add_reduce(packed[at, :k], 1)
+    # each token's n + 1 segments, its terms in kink order as flat indices.
+    # A dead term's kink p / 0 is +inf, or nan if p = 0, so dead terms sort
+    # after the live ones, in order among any live kinks at +inf (p over a
+    # subnormal c); no segment after a token's first infinite or nan one
+    # is reached
+    kinks = p / c
+    by_kink = kinks.argsort(2, kind="stable") + terms
+    kinks = kinks.take(by_kink)
+    slopes = np.empty((B, V, n + 1))
+    slopes[..., 0] = -total
+    np.multiply(c.take(by_kink), 2.0, out=slopes[..., 1:])
+    np.add.accumulate(slopes, 2, out=slopes)
+    lengths = np.empty((B, V, n + 1))
+    lengths[..., 0] = kinks[..., 0]
+    np.subtract(kinks[..., 1:], kinks[..., :-1], out=lengths[..., 1:n])
+    lengths[..., n] = np.inf
+    # all segments by slope, as flat indices, whose quotient by n + 1 is
+    # the segment's copy and token, b * V + v.  The budget before each is
+    # spent one segment at a time: the fill takes each whole up to the first
+    # that holds the rest, which fmin finds in a nan length too (inf - inf,
+    # or a dead term's).  Past that one the budget is <= 0 or nan, which
+    # fmax makes 0, and fmin takes 0 from a nan length there.
+    width = V * (n + 1)
+    by_slope = (slopes.reshape(B, width).argsort(1, kind="stable")
+                + np.arange(0, B * width, width)[:, None])
+    lengths = lengths.take(by_slope)
+    budget = np.empty((B, width))
+    budget[:, 0] = 1.0
+    budget[:, 1:] = lengths[:, :-1]
+    np.subtract.accumulate(budget, 1, out=budget)
+    takes = np.fmin(lengths, np.fmax(budget, 0.0))
+    return _bincount((by_slope // (n + 1)).ravel(), takes.ravel(), B * V).reshape(B, V)
 
 
-def _polish_tvd(struct: _Structure, theta: np.ndarray, p: np.ndarray):
-    """Exact block-coordinate descent on TVD(pi, p), one softmax row at a time.
+def _polish_tvd(struct: _Structure, thetas: np.ndarray, p: np.ndarray):
+    """Exact block-coordinate descent on TVD(pi, p), one softmax row at a
+    time, from each of the B starts thetas[b] at once.
 
     With every other row fixed, a sequence s through row r has probability
     c_s * x[tok_s] in that row's conditional x, and uses the row at most
-    once, so the row's exact minimizer is _row_tvd_argmin.  Zero conditionals
-    become -inf logits.  A row update is kept only if TVD does not rise, and
-    sweeps over all rows repeat while one lowers TVD by more than POLISH_TOL.
+    once, so the row's exact minimizer is _row_tvd_argmin.  Zero
+    conditionals become -inf logits.  A copy whose c are all 0 at a row
+    skips it (TVD does not depend on the row), and a copy keeps a row
+    update only if its TVD does not rise.  A copy sweeps over all rows
+    again while its last sweep lowered its TVD by more than POLISH_TOL, up
+    to POLISH_MAX_SWEEPS sweeps; a copy that has stopped leaves the batch.
+    The copies run in lockstep on a _Stack, and every step is per copy, so
+    each gets the bits of its own polish.
 
-    Returns (logits, TVD there, sweeps run, whether the sweep cap stopped it).
+    Returns (logits, TVD there, sweeps run, whether the sweep cap stopped
+    it), each stacked by copy.
     """
-    row_data = [(r, others, bounds, p.take(uses))
-                for r, uses, others, bounds in struct.polish_rows]
-    theta = theta.copy()
-    rows = theta.reshape(-1, struct.space.vocab_size)  # a view into theta
-    lsm = _log_softmax(struct, theta)
-    value = _tvd(struct, lsm, p)
-    # a zero conditional's log is -inf; no other op here divides
-    with np.errstate(divide="ignore"):
+    V = struct.space.vocab_size
+    row_data = [(slice(r * V, (r + 1) * V), others, p.take(uses))
+                for r, uses, others in struct.polish_rows]
+    theta = np.array(thetas, dtype=float)  # the logits of the running copies
+    n_copies = theta.shape[0]
+    thetas, values = np.empty_like(theta), np.empty(n_copies)
+    sweeps = np.full(n_copies, POLISH_MAX_SWEEPS)
+    capped = np.ones(n_copies, dtype=bool)
+    running = np.arange(n_copies)
+    stack = struct.stacked(n_copies)
+    lsm = _log_softmax(stack, theta.ravel()).reshape(theta.shape)
+    value = _tvd(stack, lsm, p)
+    # a zero conditional's log is -inf, a dead term's kink p / 0, and the
+    # fill's segments past its end may hold inf - inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for sweep in range(1, POLISH_MAX_SWEEPS + 1):
             start_value = value
-            for r, others, bounds, p_r in row_data:
-                c = _exp(_add_reduce(lsm.take(others), 0))
-                if not c.any():  # TVD does not depend on this row
-                    continue
-                old_row = rows[r].copy()
-                rows[r] = _log(_row_tvd_argmin(c, p_r, bounds))
-                new_lsm = _log_softmax(struct, theta)
-                new_value = _tvd(struct, new_lsm, p)
-                if new_value <= value:
-                    value, lsm = new_value, new_lsm
+            for cols, others, p_r in row_data:
+                c = _exp(_add_reduce(lsm.take(others, 1), 1))
+                old_row = theta[:, cols].copy()
+                theta[:, cols] = _log(_row_tvd_argmin(c, p_r))
+                new_lsm = _log_softmax(stack, theta.ravel()).reshape(theta.shape)
+                new_value = _tvd(stack, new_lsm, p)
+                keep = c.any((1, 2)) & (new_value <= value)
+                if keep.all():
+                    lsm, value = new_lsm, new_value
                 else:
-                    rows[r] = old_row
-            if start_value - value <= POLISH_TOL:
-                return theta, value, sweep, False
-    return theta, value, POLISH_MAX_SWEEPS, True
+                    theta[~keep, cols] = old_row[~keep]
+                    lsm = np.where(keep[:, None], new_lsm, lsm)
+                    value = np.where(keep, new_value, value)
+            done = start_value - value <= POLISH_TOL
+            if done.any():
+                ended = running[done]
+                thetas[ended], values[ended] = theta[done], value[done]
+                sweeps[ended], capped[ended] = sweep, False
+                going = ~done
+                running, theta = running[going], theta[going]
+                lsm, value = lsm[going], value[going]
+                if not running.size:
+                    break
+                stack = stack.first(running.size)
+    thetas[running], values[running] = theta, value
+    return thetas, values, sweeps, capped
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,11 @@ TVD_FIT_CONFIG = OptimizerConfig(steps=5000, restarts=200)
 
 @dataclass(frozen=True)
 class RunTrace:
-    """One optimization run: the objective at its start and at final_policy."""
+    """One optimization run: the objective at its start and at final_policy.
+
+    wall_time is the time of the run's steps; a polished TVD restart's adds
+    the time of the one polish call that fit_tvd makes for all its
+    restarts."""
 
     start_value: float
     final_value: float
@@ -169,10 +173,11 @@ def fit_tvd(target: FiniteDistribution, template: NGramPolicy,
 
     In the full-order family the target lies in the family's closure, so the
     conditional projection attains TVD 0 (to round-off) and no step is run.
-    Otherwise each restart is a descent on the analytic subgradient followed,
-    unless it aborted, by the exact row polish of ngram._polish_tvd.  The
-    polished run counts as converged when the polish stopped before its
-    sweep cap, and its gradient norm is that of the analytic subgradient.
+    Otherwise every restart runs a descent on the analytic subgradient, and
+    then one call of ngram._polish_tvd polishes the endpoints of all the
+    restarts that did not abort, in lockstep.  A polished run counts as
+    converged when its polish stopped before the sweep cap, and its gradient
+    norm is that of the analytic subgradient.
     Restart i starts from SeededRng(0).spawn(i).normal(n_params) and takes
     the constant step cfg.learning_rate, so it depends only on i.
     Returns the first restart lowest in (aborted, TVD): the lowest TVD after
@@ -184,29 +189,34 @@ def fit_tvd(target: FiniteDistribution, template: NGramPolicy,
         # q = p, up to round-off, where every subdifferential of |q_s - p_s|
         # holds 0, so the least-norm subgradient is 0
         return _closed_form_run(objective, target, template, grad_norm=0.0)
-    p = target.probs
     rng = SeededRng(0)
-    best = None
+    traces = []
     for i in range(cfg.restarts):
         start_pol = template.with_logits(rng.spawn(i).normal(template.n_params))
         trace = _gradient_run(objective, start_pol, cfg, maximize=False)
-        if not trace.aborted:
-            start, pol = time.perf_counter(), trace.final_policy
-            theta, value, sweeps, capped = _polish_tvd(pol._struct, pol.logits, p)
-            trace = replace(
-                trace,
+        traces.append(replace(trace, restart_index=i))
+    polished = [i for i, trace in enumerate(traces) if not trace.aborted]
+    if polished:
+        struct, p = template._struct, target.probs
+        start = time.perf_counter()
+        thetas, values, sweeps, capped = _polish_tvd(
+            struct, [traces[i].final_policy.logits for i in polished], p)
+        polish_time = time.perf_counter() - start
+        for i, theta, value, n_sweeps, stopped in zip(
+                polished, thetas, values, sweeps.tolist(), capped.tolist()):
+            traces[i] = replace(
+                traces[i],
                 final_value=value,
-                final_policy=pol.with_logits(theta),
-                final_grad_norm=float(np.linalg.norm(
-                    _tvd_subgradient(pol._struct, theta, p))),
-                wall_time=trace.wall_time + time.perf_counter() - start,
-                diagnostic=(f"TVD polish stopped at its {sweeps}-sweep cap"
-                            if capped else ""),
-                converged=not capped,
-                polish_sweeps=sweeps)
-        trace = replace(trace, restart_index=i)
-        if best is None or (trace.aborted, trace.final_value) < (
-                best.aborted, best.final_value):
+                final_policy=template.with_logits(theta),
+                final_grad_norm=float(np.linalg.norm(_tvd_subgradient(struct, theta, p))),
+                wall_time=traces[i].wall_time + polish_time,
+                diagnostic=(f"TVD polish stopped at its {n_sweeps}-sweep cap"
+                            if stopped else ""),
+                converged=not stopped,
+                polish_sweeps=n_sweeps)
+    best = traces[0]
+    for trace in traces[1:]:
+        if (trace.aborted, trace.final_value) < (best.aborted, best.final_value):
             best = trace
     return best
 

@@ -185,6 +185,15 @@ class TestExpectedReward:
             q = random_dist(rng, OUTCOMES5)
             assert 0.0 <= expected_reward(q, verifier) <= 1.0
 
+    @pytest.mark.parametrize("n", [6, 10, 13, 27])
+    def test_constant_reward_mean_is_the_constant(self, n):
+        # the dot product of the uniform distribution with a constant reward
+        # leaves it by an ulp or more (1 + 4.4e-16 at n = 13 for ones), but a
+        # mean of r lies in [min r, max r]
+        q = FiniteDistribution.uniform(range(n))
+        for value in (1.0, -0.3, 2.5):
+            assert expected_reward(q, RewardFn(np.full(n, value))) == value
+
 
 class TestCondition:
     def test_filtered_model_values(self):

@@ -224,6 +224,11 @@ class TestRunSweep:
         assert summary.pstar_entropy == pytest.approx(
             float(-(p[p > 0] * np.log(p[p > 0])).sum()), abs=1e-12)
 
+    def test_full_order_fkl_validity_is_one(self):
+        # at seed 1 the projection's valid mass sums to 1 + 2.2e-16 in the
+        # dot product; refs.csv writes an expected reward, in [0, 1]
+        assert run_sweep(1, "full", (1.0,), TINY_CFG, TINY_TVD).fkl_ref_validity == 1.0
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_aborted_ascent_raises(self):
         # beta = 1/lambda = 1e300 makes the first gradient non-finite

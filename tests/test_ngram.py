@@ -31,7 +31,7 @@ from klgeo.optimize import OptimizerConfig, ascend_j_beta, fit_tvd, verify_gradi
 from klgeo.rng import SeededRng
 
 from conftest import FUZZ
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 SPACE = SequenceSpace(3, 3)
@@ -723,16 +723,22 @@ def old_row_tvd_argmin(c, p, tok, vocab_size):
 
 
 def row_argmin(c, p, tok, vocab_size):
-    """ngram._row_tvd_argmin on terms in any token order, grouped stably by
-    token first, as an array."""
-    order = np.argsort(tok, kind="stable")
-    bounds = tuple(np.cumsum([0] + np.bincount(tok, minlength=vocab_size).tolist()))
-    return np.array(ngram._row_tvd_argmin(c[order], p[order], bounds))
+    """ngram._row_tvd_argmin on one copy's terms in any token order: each
+    token's terms in their order, padded with dead terms (c = 0) to the
+    longest token's count."""
+    width = max(np.bincount(tok, minlength=vocab_size).max(), 1)
+    cs, ps = np.zeros((vocab_size, width)), np.zeros((vocab_size, width))
+    for v in range(vocab_size):
+        on = tok == v
+        cs[v, :on.sum()], ps[v, :on.sum()] = c[on], p[on]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return ngram._row_tvd_argmin(cs[None], ps)[0]
 
 
-def old_polish_tvd(struct, theta, p):
+def old_polish_run(struct, theta, p):
     """The row polish that recomputed every row's log-softmax for each row
-    update and each TVD value; returns (logits, TVD there)."""
+    update and each TVD value; returns (logits, TVD there, sweeps run,
+    whether the sweep cap stopped it)."""
     V = struct.space.vocab_size
     row_of = struct.index // V
     row_data = []
@@ -744,7 +750,7 @@ def old_polish_tvd(struct, theta, p):
     theta = theta.copy()
     rows = theta.reshape(-1, V)
     value = old_tvd(struct, theta, p)
-    for _ in range(ngram.POLISH_MAX_SWEEPS):
+    for sweep in range(1, ngram.POLISH_MAX_SWEEPS + 1):
         start_value = value
         for r, p_r, tok, others in row_data:
             c = np.exp(np.take(old_log_softmax(struct, theta), others).sum(axis=0))
@@ -761,8 +767,13 @@ def old_polish_tvd(struct, theta, p):
             else:
                 rows[r] = old_row
         if start_value - value <= ngram.POLISH_TOL:
-            break
-    return theta, value
+            return theta, value, sweep, False
+    return theta, value, ngram.POLISH_MAX_SWEEPS, True
+
+
+def old_polish_tvd(struct, theta, p):
+    """old_polish_run's (logits, TVD there)."""
+    return old_polish_run(struct, theta, p)[:2]
 
 
 @pytest.mark.parametrize("order", sorted(ORACLE_ORDERS))
@@ -910,6 +921,88 @@ class TestTVDPolish:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @staticmethod
+    @st.composite
+    def _row_batches(draw):
+        """(c, p) of one row in a batch: 1 to 4 copies of V = 2 to 4 tokens
+        with n = 1 to 12 terms each, c of shape (B, V, n) and p of (V, n).
+        Each copy draws n values of c (the subnormals 5e-324 and 1e-310, or
+        1e-300 to 1e3), and each of its tokens holds the first k of them,
+        k from 0 to n, at random places in random order, 0 elsewhere: live
+        counts differ by copy and by token, and the slopes of tokens with
+        equal k tie in exact arithmetic, so the sums' rounding orders them.
+        p comes from a pool of at most 4 values (0 or 1e-300 to 1), so
+        kinks tie too."""
+        copies, vocab_size, n = (draw(st.integers(1, 4)), draw(st.integers(2, 4)),
+                                 draw(st.integers(1, 12)))
+        value = st.one_of(st.sampled_from([5e-324, 1e-310]), st.floats(1e-300, 1e3))
+        c = np.zeros((copies, vocab_size, n))
+        for b in range(copies):
+            terms = draw(st.lists(value, min_size=n, max_size=n))
+            for v in range(vocab_size):
+                k = draw(st.integers(0, n))
+                c[b, v, draw(st.permutations(range(n)))[:k]] = terms[:k]
+        p_pool = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.0)),
+                               min_size=1, max_size=4))
+        p = draw(st.lists(st.sampled_from(p_pool), min_size=vocab_size * n,
+                          max_size=vocab_size * n))
+        return c, np.reshape(p, (vocab_size, n))
+
+    @FUZZ
+    @given(batch=_row_batches())
+    # two copies of 9 terms a token, dead terms placed differently, so
+    # that live counts of 9, 8, 7 and 0 are summed pairwise or not
+    @example(batch=(np.array([[[.3, .1, 0., .2, .5, .1, .7, .2, .4], [.2] * 9, [0.] * 9],
+                              [[.3, .1, .6, .2, .5, .1, .7, .2, .4], [0.] + [.2] * 8,
+                               [.1, 0., .2, 0., .3, .1, .2, .1, .3]]]),
+                    np.array([[.01, .02, 0., .03, .01, .05, .02, .01, .04]] * 3)))
+    # a subnormal c with p > 0 puts a kink at +inf, before the dead terms
+    @example(batch=(np.array([[[5e-324, .4, 0.], [.2, 1e-310, .3]],
+                              [[.1, 5e-324, 5e-324], [0., .3, 0.]]]),
+                    np.array([[.2, .1, .3], [.1, .2, .0]])))
+    # equal c and p everywhere: every kink and every slope ties
+    @example(batch=(np.full((2, 3, 4), .25), np.full((3, 4), 1 / 48)))
+    def test_batched_fill_matches_old_argmin_per_copy(self, batch):
+        # each copy's x has the bits, sign bits included, of the numpy
+        # argmin on that copy's live terms
+        c, p = batch
+        copies, vocab_size, n = c.shape
+        tok = np.repeat(np.arange(vocab_size), n)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            got = ngram._row_tvd_argmin(c, p)
+            for b in range(copies):
+                live = c[b].ravel() > 0.0
+                want = old_row_tvd_argmin(c[b].ravel()[live], p.ravel()[live],
+                                          tok[live], vocab_size)
+                assert np.array_equal(got[b], want)
+                assert np.array_equal(np.signbit(got[b]), np.signbit(want))
+
+    def test_batched_fill_matches_old_argmin_on_permuted_live_terms(self):
+        # as on permuted tokens, but each token of each copy keeps the first
+        # k of its copy's 12 terms (k from 5 to 12), at random places among
+        # 0s: tokens with equal k tie in exact arithmetic, and numpy sums
+        # their live terms left to right below 8 and pairwise from 8
+        rng = SeededRng(37)
+        for trial in range(200):
+            copies, vocab_size = 1 + trial % 3, 2 + trial % 4
+            c = np.zeros((copies, vocab_size, 12))
+            for b in range(copies):
+                terms = 10.0 ** (rng.uniform(12) * 6.0 - 3.0)
+                for v in range(vocab_size):
+                    k = 5 + int(rng.uniform(1)[0] * 8)
+                    c[b, v, np.argsort(rng.uniform(12))[:k]] = terms[:k]
+            p = rng.uniform(vocab_size * 12).reshape(vocab_size, 12)
+            p *= rng.uniform(p.size).reshape(p.shape) > 0.3
+            tok = np.repeat(np.arange(vocab_size), 12)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = ngram._row_tvd_argmin(c, p)
+            for b in range(copies):
+                live = c[b].ravel() > 0.0
+                want = old_row_tvd_argmin(c[b].ravel()[live], p.ravel()[live],
+                                          tok[live], vocab_size)
+                assert np.array_equal(got[b], want)
+                assert np.array_equal(np.signbit(got[b]), np.signbit(want))
+
     def test_row_update_is_exact_for_the_full_tvd(self):
         # with every other row fixed, the polish's update of one row gives the
         # lowest TVD over a grid of that row's conditionals
@@ -928,7 +1021,7 @@ class TestTVDPolish:
                 th = theta.copy()
                 with np.errstate(divide="ignore"):
                     th[r * V:(r + 1) * V] = np.log(cond)
-                return ngram._tvd(struct, ngram._log_softmax(struct, th), pstar.probs)
+                return ngram._tvd(struct, ngram._log_softmax(struct, th), pstar.probs)[0]
 
             assert tvd_with_row(x) <= min(map(tvd_with_row, grid)) + 1e-12
 
@@ -939,14 +1032,14 @@ class TestTVDPolish:
         _, _, _, _, pstar = toy_setup(seed)
         struct = ngram._Structure.get(SPACE, bigram_orders(SPACE))
         start = SeededRng(seed).normal(struct.n_params)
-        full_theta, full_value, full_sweeps, capped = ngram._polish_tvd(
-            struct, start, pstar.probs)
+        polish = lambda th: [out[0] for out in ngram._polish_tvd(struct, th[None], pstar.probs)]
+        full_theta, full_value, full_sweeps, capped = polish(start)
         assert not capped and full_sweeps >= 2
         monkeypatch.setattr(ngram, "POLISH_MAX_SWEEPS", 1)
-        tvd = lambda th: ngram._tvd(struct, ngram._log_softmax(struct, th), pstar.probs)
+        tvd = lambda th: ngram._tvd(struct, ngram._log_softmax(struct, th), pstar.probs)[0]
         theta, value = start, tvd(start)
         for _ in range(full_sweeps):
-            theta, new_value, sweeps, _ = ngram._polish_tvd(struct, theta, pstar.probs)
+            theta, new_value, sweeps, _ = polish(theta)
             assert sweeps == 1 and new_value <= value
             assert new_value == tvd(theta)
             value = new_value
@@ -957,3 +1050,131 @@ class TestTVDPolish:
         moved = np.any(rows != start.reshape(rows.shape), axis=1)
         assert moved.any() and np.isneginf(rows[moved]).any()
         assert np.allclose(np.exp(rows[moved]).sum(axis=1), 1.0, atol=1e-15)
+
+
+def polish_target(space, seed):
+    """p* of the toy instance on any space: the random base model
+    conditioned on the first token equalling the last."""
+    base = to_distribution(random_base_model(space, seed, DEFAULT_SIGMA))
+    return condition(base, make_verifier_first_equals_last(space).mask).probs
+
+
+def polish_starts(struct, copies, seed):
+    """copies Gaussian starts at sigma 2.  In every other copy about a
+    fifth of the logits are -inf, each row keeping its first one finite;
+    copy 0 also has x0(0) = 0, which leaves every c of the bigram row for
+    context 0 at position 1 at 0."""
+    V = struct.space.vocab_size
+    rng = SeededRng(seed)
+    thetas = rng.normal(copies * struct.n_params, sigma=2.0).reshape(copies, -1, V)
+    holes = rng.uniform(thetas.size).reshape(thetas.shape) < 0.2
+    holes[1::2] = False
+    holes[:, :, 0] = False
+    thetas[holes] = -np.inf
+    thetas[0, 0] = [-np.inf] + [0.5] * (V - 1)
+    return thetas.reshape(copies, -1)
+
+
+POLISH_ORDERS = {"unigram": ORACLE_ORDERS["unigram"], "bigram": bigram_orders}
+POLISH_SHAPES = [(3, 3), (2, 4), (4, 2)]
+
+
+class TestBatchedPolish:
+    """The lockstep polish over stacked starts equals the serial polish of
+    each copy, bit for bit."""
+
+    @staticmethod
+    def _assert_matches_serial(struct, thetas, p):
+        got = ngram._polish_tvd(struct, thetas, p)
+        assert [out.shape[0] for out in got] == [thetas.shape[0]] * 4
+        for b, start in enumerate(thetas):
+            theta, value, sweeps, capped = old_polish_run(struct, start, p)
+            assert np.array_equal(got[0][b], theta)
+            assert np.array_equal(np.signbit(got[0][b]), np.signbit(theta))
+            assert got[1][b] == value and np.signbit(got[1][b]) == np.signbit(value)
+            assert (got[2][b], got[3][b]) == (sweeps, capped)
+        return got
+
+    @pytest.mark.parametrize("copies", [1, 2, 16])
+    @pytest.mark.parametrize("order", sorted(POLISH_ORDERS))
+    @pytest.mark.parametrize("shape", POLISH_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matches_serial_polish(self, shape, order, copies):
+        space = SequenceSpace(*shape)
+        struct = ngram._Structure.get(space, POLISH_ORDERS[order](space))
+        thetas = polish_starts(struct, copies, seed=copies + shape[0])
+        self._assert_matches_serial(struct, thetas, polish_target(space, 1))
+
+    @pytest.mark.parametrize("order", sorted(POLISH_ORDERS))
+    def test_matches_serial_polish_over_200_starts(self, order):
+        struct = ngram._Structure.get(SPACE, POLISH_ORDERS[order](SPACE))
+        got = self._assert_matches_serial(struct, polish_starts(struct, 200, seed=5),
+                                          toy_setup()[4].probs)
+        # copies leave the batch at different sweeps
+        assert len(set(got[2].tolist())) > 2
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    @pytest.mark.parametrize("order", sorted(POLISH_ORDERS))
+    def test_matches_serial_polish_at_the_sweep_cap(self, order, cap, monkeypatch):
+        monkeypatch.setattr(ngram, "POLISH_MAX_SWEEPS", cap)
+        struct = ngram._Structure.get(SPACE, POLISH_ORDERS[order](SPACE))
+        got = self._assert_matches_serial(struct, polish_starts(struct, 16, seed=3),
+                                          toy_setup(2)[4].probs)
+        assert got[3].any() and np.all(got[2][got[3]] == cap)
+
+    def test_skips_a_row_whose_terms_are_all_zero(self):
+        # p = 0 on every sequence that starts with token 0, so a copy's
+        # first row update sets x0(0) = 0 unless round-off leaves it a
+        # crumb of the budget.  Where it is 0, no sequence through the
+        # position-1 row of context 0 has mass after it: that row is
+        # skipped in every sweep and keeps its start logits
+        struct = ngram._Structure.get(SPACE, bigram_orders(SPACE))
+        p = toy_setup()[4].probs.copy()
+        p[:9] = 0.0
+        p /= p.sum()
+        thetas = polish_starts(struct, 16, seed=4)
+        got = self._assert_matches_serial(struct, thetas, p)
+        zero = np.isneginf(got[0][:, 0])
+        assert zero.sum() >= 8
+        assert np.array_equal(got[0][zero, 3:6], thetas[zero, 3:6])
+
+
+@pytest.mark.parametrize("order", sorted(ORACLE_ORDERS))
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_stacked_maps_give_each_copy_its_own_bits(shape, order):
+    space = SequenceSpace(*shape)
+    struct = ngram._Structure.get(space, ORACLE_ORDERS[order](space))
+    thetas = SeededRng(43).normal(4 * struct.n_params, sigma=2.0).reshape(4, -1)
+    thetas[1, ::5] = -np.inf
+    for copies in (1, 3, 4):
+        stack = struct.stacked(copies)
+        lsm = ngram._log_softmax(stack, thetas[:copies].ravel()).reshape(copies, -1)
+        logq = ngram._log_probs(stack, lsm.ravel()).reshape(copies, -1)
+        for b in range(copies):
+            want = ngram._log_softmax(struct, thetas[b])
+            assert np.array_equal(lsm[b], want)
+            assert np.array_equal(np.signbit(lsm[b]), np.signbit(want))
+            assert np.array_equal(logq[b], ngram._log_probs(struct, want))
+    # the first copies' maps are views of a larger stack's
+    first = struct.stacked(4).first(3)
+    for name in ("row_start", "row_of_flat", "flat_index", "seq_of_flat"):
+        assert np.array_equal(getattr(first, name), getattr(struct.stacked(3), name))
+        assert np.shares_memory(getattr(first, name), getattr(struct.stacked(4), name))
+
+
+def test_stacked_maps_are_built_once_per_batch_size(monkeypatch):
+    # a fresh structure, so that no earlier test has built its stacks
+    struct = ngram._Structure(SPACE, bigram_orders(SPACE))
+    builds = []
+    init = ngram._Stack.__init__
+
+    def counting(self, unit, copies, of=None):
+        if of is None:
+            builds.append(copies)
+        init(self, unit, copies, of)
+
+    monkeypatch.setattr(ngram._Stack, "__init__", counting)
+    p = toy_setup()[4].probs
+    for copies in (16, 16, 4, 16):
+        ngram._polish_tvd(struct, polish_starts(struct, copies, seed=6), p)
+    assert builds == [16, 4]
+    assert struct.stacked(16) is struct.stacked(16)

@@ -207,7 +207,8 @@ class TestTVDFit:
                 q = np.exp(ngram._log_probs(struct, lsm))
                 grad = ngram._grad_weighted_logprob(struct, lsm, 0.5 * np.sign(q - p) * q)
                 theta = theta - 0.1 * grad
-            theta, value, sweeps, capped = ngram._polish_tvd(struct, theta, p)
+            theta, value, sweeps, capped = (
+                out[0] for out in ngram._polish_tvd(struct, theta[None], p))
             assert not capped
             finals.append((value, i, theta, sweeps))
         value, index, theta, sweeps = min(finals, key=lambda f: f[0])
@@ -258,11 +259,110 @@ class TestTVDFit:
 
         monkeypatch.setattr(optimize, "_gradient_run", first_aborts)
         trace = fit_tvd(pstar, template, OptimizerConfig(steps=300, restarts=3))
-        polished = [ngram._polish_tvd(template._struct, d.final_policy.logits,
-                                      pstar.probs)[1] for d in descents[1:]]
+        polished = [ngram._polish_tvd(template._struct, d.final_policy.logits[None],
+                                      pstar.probs)[1][0] for d in descents[1:]]
         assert not trace.aborted and trace.final_value > 0.0
         assert trace.restart_index == 1 + int(np.argmin(polished))
         assert trace.final_value == min(polished)
+
+    @staticmethod
+    def _mark_aborted(monkeypatch, aborted):
+        """Makes the restarts in `aborted` abort, each with its own final
+        value; returns the list of descents run, as they came back."""
+        descents = []
+
+        def some_abort(*args, **kwargs):
+            trace = _gradient_run(*args, **kwargs)
+            if len(descents) in aborted:
+                trace = dataclasses.replace(
+                    trace, final_value=aborted[len(descents)], aborted=True,
+                    diagnostic="non-finite gradient at step 100")
+            descents.append(trace)
+            return trace
+
+        monkeypatch.setattr(optimize, "_gradient_run", some_abort)
+        return descents
+
+    @staticmethod
+    def _record_polishes(monkeypatch, fake=None):
+        """Records the stack of every polish call; with fake, a function of
+        the stack, returns fake's (values, sweeps, capped) at the unmoved
+        starts instead of polishing."""
+        calls = []
+
+        def polish(struct, thetas, p):
+            calls.append(np.array(thetas))
+            if fake is None:
+                return ngram._polish_tvd(struct, thetas, p)
+            return (np.array(thetas), *map(np.array, fake(len(thetas))))
+
+        monkeypatch.setattr(optimize, "_polish_tvd", polish)
+        return calls
+
+    def test_aborted_restarts_stay_out_of_the_polish(self, monkeypatch):
+        _, _, _, pstar, template = setup()
+        descents = self._mark_aborted(monkeypatch, {1: 0.0, 3: 0.5})
+        calls = self._record_polishes(monkeypatch)
+        trace = fit_tvd(pstar, template, OptimizerConfig(steps=200, restarts=5))
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], [descents[i].final_policy.logits for i in (0, 2, 4)])
+        assert trace.restart_index in (0, 2, 4) and not trace.aborted
+
+    def test_all_aborted_runs_no_polish(self, monkeypatch):
+        # the first lowest aborted restart, as a serial loop would keep it
+        _, _, _, pstar, template = setup()
+        descents = self._mark_aborted(monkeypatch, {0: 0.5, 1: 0.2, 2: 0.2, 3: 0.7})
+        calls = self._record_polishes(monkeypatch)
+        trace = fit_tvd(pstar, template, OptimizerConfig(steps=100, restarts=4))
+        assert calls == []
+        assert trace == dataclasses.replace(descents[1], restart_index=1)
+
+    def test_first_of_tied_tvds_wins(self, monkeypatch):
+        _, _, _, pstar, template = setup()
+        self._record_polishes(monkeypatch, lambda n: ([0.4, 0.3, 0.3, 0.3][:n], [2] * n,
+                                                      [False] * n))
+        trace = fit_tvd(pstar, template, OptimizerConfig(steps=100, restarts=4))
+        assert (trace.restart_index, trace.final_value) == (1, 0.3)
+
+    @pytest.mark.parametrize("winner", [0, 1, 2])
+    def test_bookkeeping_follows_each_restart(self, winner, monkeypatch):
+        # each restart gets its own copy's value, sweeps and cap flag, and
+        # the subgradient norm at its own logits
+        _, _, _, pstar, template = setup()
+        sweeps, capped = [7, 100, 4], [False, True, False]
+        values = [0.5] * 3
+        values[winner] = 0.25
+        descents = self._mark_aborted(monkeypatch, {})
+        self._record_polishes(monkeypatch, lambda n: (values, sweeps, capped))
+        trace = fit_tvd(pstar, template, OptimizerConfig(steps=100, restarts=3))
+        logits = descents[winner].final_policy.logits
+        assert trace.restart_index == winner and trace.final_value == 0.25
+        assert np.array_equal(trace.final_policy.logits, logits)
+        assert trace.polish_sweeps == sweeps[winner]
+        assert trace.converged == (not capped[winner]) and not trace.aborted
+        assert trace.diagnostic == ("TVD polish stopped at its 100-sweep cap"
+                                    if capped[winner] else "")
+        assert trace.final_grad_norm == float(np.linalg.norm(
+            ngram._tvd_subgradient(template._struct, logits, pstar.probs)))
+        assert trace.wall_time > descents[winner].wall_time
+
+    def test_bookkeeping_matches_a_lone_polish_at_the_cap(self, monkeypatch):
+        # with a 2-sweep cap some restarts stop at it: the best one reports
+        # what a polish of its descent alone reports
+        _, _, _, pstar, template = setup()
+        monkeypatch.setattr(ngram, "POLISH_MAX_SWEEPS", 2)
+        descents = self._mark_aborted(monkeypatch, {})
+        calls = self._record_polishes(monkeypatch)
+        trace = fit_tvd(pstar, template, OptimizerConfig(steps=300, restarts=6))
+        _, values, sweeps, capped = ngram._polish_tvd(template._struct, calls[0], pstar.probs)
+        assert capped.any() and not capped.all()
+        theta, value, n_sweeps, stopped = (out[0] for out in ngram._polish_tvd(
+            template._struct, descents[trace.restart_index].final_policy.logits[None],
+            pstar.probs))
+        assert trace.final_value == value == values.min()
+        assert np.array_equal(trace.final_policy.logits, theta)
+        assert (trace.polish_sweeps, trace.converged) == (n_sweeps, not stopped)
+        assert ("2-sweep cap" in trace.diagnostic) == stopped
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_full_order_is_closed_form(self, seed):
