@@ -101,7 +101,6 @@ class _Structure:
         # the first flat logit of each row, and the row of each flat logit
         self.row_start = np.arange(0, self.n_params, V)
         self.row_of_flat = np.repeat(np.arange(self.n_rows), V)
-        self._stacks = {}
 
     @cached_property
     def polish_rows(self) -> list:
@@ -122,14 +121,6 @@ class _Structure:
                 rows.append((r, uses, others[:, uses]))
         return rows
 
-    def stacked(self, copies: int) -> "_Stack":
-        """The kernel maps of `copies` copies of this structure, built once
-        per count."""
-        stack = self._stacks.get(copies)
-        if stack is None:
-            stack = self._stacks[copies] = _Stack(self, copies)
-        return stack
-
     @classmethod
     def get(cls, space: SequenceSpace, context_lengths: tuple) -> "_Structure":
         key = (space.vocab_size, space.length, tuple(context_lengths))
@@ -146,33 +137,21 @@ class _Stack:
     Copy b's logits are entries b * n_params + k of one flat vector, its
     rows b * n_rows + r and its sequences b * N + s.  Every reduceat segment
     and bincount bin then holds one copy's entries in that copy's own order,
-    so each copy gets the bits of its own call.  The first n copies' maps
-    are prefixes of these; first(n) returns them as views.
+    so each copy gets the bits of its own call.
     """
 
-    __slots__ = ("unit", "n_rows", "n_params", "n_sequences",
+    __slots__ = ("n_rows", "n_params", "n_sequences",
                  "row_start", "row_of_flat", "flat_index", "seq_of_flat")
 
-    def __init__(self, unit: _Structure, copies: int, of: "_Stack | None" = None):
-        self.unit = unit
+    def __init__(self, unit: _Structure, copies: int):
         self.n_rows = copies * unit.n_rows
         self.n_params = copies * unit.n_params
         self.n_sequences = copies * unit.n_sequences
-        if of is None:
-            offsets = np.arange(copies)[:, None]
-            self.row_start = np.arange(0, self.n_params, unit.space.vocab_size)
-            self.row_of_flat = np.repeat(np.arange(self.n_rows), unit.space.vocab_size)
-            self.flat_index = (unit.flat_index + offsets * unit.n_params).ravel()
-            self.seq_of_flat = (unit.seq_of_flat + offsets * unit.n_sequences).ravel()
-        else:
-            entries = copies * unit.flat_index.size
-            self.row_start = of.row_start[:self.n_rows]
-            self.row_of_flat = of.row_of_flat[:self.n_params]
-            self.flat_index = of.flat_index[:entries]
-            self.seq_of_flat = of.seq_of_flat[:entries]
-
-    def first(self, copies: int) -> "_Stack":
-        return _Stack(self.unit, copies, of=self)
+        offsets = np.arange(copies)[:, None]
+        self.row_start = np.arange(0, self.n_params, unit.space.vocab_size)
+        self.row_of_flat = np.repeat(np.arange(self.n_rows), unit.space.vocab_size)
+        self.flat_index = (unit.flat_index + offsets * unit.n_params).ravel()
+        self.seq_of_flat = (unit.seq_of_flat + offsets * unit.n_sequences).ravel()
 
 
 class NGramPolicy:
@@ -362,8 +341,8 @@ def _row_tvd_argmin(c: np.ndarray, p: np.ndarray) -> np.ndarray:
     token and then by kink, spends the unit budget optimally.  Every copy
     gets the bits of the fill that builds and walks its segments one at a
     time on floats:
-    - a token's starting slope is numpy's sum of its live c in term order,
-      which adds 8 or more entries pairwise, not left to right;
+    - a token's starting slope is the sum of its c left to right, where a
+      dead term adds an exact 0;
     - kinks sort stably, and a stable sort of slopes in token-major order
       is the (slope, token) key;
     - the budget is spent segment by segment, and x[v] adds its takes in
@@ -373,21 +352,7 @@ def _row_tvd_argmin(c: np.ndarray, p: np.ndarray) -> np.ndarray:
     warnings, as _polish_tvd does.
     """
     B, V, n = c.shape
-    total = _add_reduce(c, 2)
     terms = np.arange(0, c.size, n).reshape(B, V, 1)  # each token's first term
-    # add.reduce sums fewer than 8 entries left to right, where a dead
-    # term's 0 changes nothing, and 8 or more pairwise: a token of 8 or more
-    # terms, some dead, is summed again over its live terms alone, and
-    # over 7 columns if it has fewer than 8
-    live = c > 0.0
-    if n >= 8 and not live.all():
-        counts = live.sum(2)
-        packed = c.take(np.argsort(~live, 2, kind="stable") + terms)
-        short = counts < 8
-        total[short] = _add_reduce(packed[..., :7], 2)[short]
-        for k in set(counts[~short & (counts < n)].tolist()):
-            at = counts == k
-            total[at] = _add_reduce(packed[at, :k], 1)
     # each token's n + 1 segments, its terms in kink order as flat indices.
     # A dead term's kink p / 0 is +inf, or nan if p = 0, so dead terms sort
     # after the live ones, in order among any live kinks at +inf (p over a
@@ -397,7 +362,7 @@ def _row_tvd_argmin(c: np.ndarray, p: np.ndarray) -> np.ndarray:
     by_kink = kinks.argsort(2, kind="stable") + terms
     kinks = kinks.take(by_kink)
     slopes = np.empty((B, V, n + 1))
-    slopes[..., 0] = -total
+    slopes[..., 0] = -np.add.accumulate(c, 2)[..., -1]
     np.multiply(c.take(by_kink), 2.0, out=slopes[..., 1:])
     np.add.accumulate(slopes, 2, out=slopes)
     lengths = np.empty((B, V, n + 1))
@@ -434,8 +399,9 @@ def _polish_tvd(struct: _Structure, thetas: np.ndarray, p: np.ndarray):
     update only if its TVD does not rise.  A copy sweeps over all rows
     again while its last sweep lowered its TVD by more than POLISH_TOL, up
     to POLISH_MAX_SWEEPS sweeps; a copy that has stopped leaves the batch.
-    The copies run in lockstep on a _Stack, and every step is per copy, so
-    each gets the bits of its own polish.
+    The copies run in lockstep on a _Stack of the running copies, built
+    again when the batch shrinks, and every step is per copy, so each gets
+    the bits of its own polish.
 
     Returns (logits, TVD there, sweeps run, whether the sweep cap stopped
     it), each stacked by copy.
@@ -449,7 +415,7 @@ def _polish_tvd(struct: _Structure, thetas: np.ndarray, p: np.ndarray):
     sweeps = np.full(n_copies, POLISH_MAX_SWEEPS)
     capped = np.ones(n_copies, dtype=bool)
     running = np.arange(n_copies)
-    stack = struct.stacked(n_copies)
+    stack = _Stack(struct, n_copies)
     lsm = _log_softmax(stack, theta.ravel()).reshape(theta.shape)
     value = _tvd(stack, lsm, p)
     # a zero conditional's log is -inf, a dead term's kink p / 0, and the
@@ -464,12 +430,9 @@ def _polish_tvd(struct: _Structure, thetas: np.ndarray, p: np.ndarray):
                 new_lsm = _log_softmax(stack, theta.ravel()).reshape(theta.shape)
                 new_value = _tvd(stack, new_lsm, p)
                 keep = c.any((1, 2)) & (new_value <= value)
-                if keep.all():
-                    lsm, value = new_lsm, new_value
-                else:
-                    theta[~keep, cols] = old_row[~keep]
-                    lsm = np.where(keep[:, None], new_lsm, lsm)
-                    value = np.where(keep, new_value, value)
+                theta[~keep, cols] = old_row[~keep]
+                lsm = np.where(keep[:, None], new_lsm, lsm)
+                value = np.where(keep, new_value, value)
             done = start_value - value <= POLISH_TOL
             if done.any():
                 ended = running[done]
@@ -480,7 +443,7 @@ def _polish_tvd(struct: _Structure, thetas: np.ndarray, p: np.ndarray):
                 lsm, value = lsm[going], value[going]
                 if not running.size:
                     break
-                stack = stack.first(running.size)
+                stack = _Stack(struct, running.size)
     thetas[running], values[running] = theta, value
     return thetas, values, sweeps, capped
 

@@ -63,9 +63,10 @@ TVD_FIT_CONFIG = OptimizerConfig(steps=5000, restarts=200)
 class RunTrace:
     """One optimization run: the objective at its start and at final_policy.
 
-    wall_time is the time of the run's steps; a polished TVD restart's adds
-    the time of the one polish call that fit_tvd makes for all its
-    restarts."""
+    wall_time is the time of the run's steps.  fit_tvd polishes all its
+    restarts in one call, but returns one trace: only that restart gets the
+    polish fields, the polish call's time added to its wall_time, and the
+    norm of the subgradient at its polished logits."""
 
     start_value: float
     final_value: float
@@ -177,7 +178,8 @@ def fit_tvd(target: FiniteDistribution, template: NGramPolicy,
     then one call of ngram._polish_tvd polishes the endpoints of all the
     restarts that did not abort, in lockstep.  A polished run counts as
     converged when its polish stopped before the sweep cap, and its gradient
-    norm is that of the analytic subgradient.
+    norm is that of the analytic subgradient, taken for the returned run
+    alone.
     Restart i starts from SeededRng(0).spawn(i).normal(n_params) and takes
     the constant step cfg.learning_rate, so it depends only on i.
     Returns the first restart lowest in (aborted, TVD): the lowest TVD after
@@ -190,35 +192,32 @@ def fit_tvd(target: FiniteDistribution, template: NGramPolicy,
         # holds 0, so the least-norm subgradient is 0
         return _closed_form_run(objective, target, template, grad_norm=0.0)
     rng = SeededRng(0)
-    traces = []
-    for i in range(cfg.restarts):
-        start_pol = template.with_logits(rng.spawn(i).normal(template.n_params))
-        trace = _gradient_run(objective, start_pol, cfg, maximize=False)
-        traces.append(replace(trace, restart_index=i))
+    traces = [_gradient_run(objective,
+                            template.with_logits(rng.spawn(i).normal(template.n_params)),
+                            cfg, maximize=False)
+              for i in range(cfg.restarts)]
     polished = [i for i, trace in enumerate(traces) if not trace.aborted]
-    if polished:
-        struct, p = template._struct, target.probs
-        start = time.perf_counter()
-        thetas, values, sweeps, capped = _polish_tvd(
-            struct, [traces[i].final_policy.logits for i in polished], p)
-        polish_time = time.perf_counter() - start
-        for i, theta, value, n_sweeps, stopped in zip(
-                polished, thetas, values, sweeps.tolist(), capped.tolist()):
-            traces[i] = replace(
-                traces[i],
-                final_value=value,
-                final_policy=template.with_logits(theta),
-                final_grad_norm=float(np.linalg.norm(_tvd_subgradient(struct, theta, p))),
-                wall_time=traces[i].wall_time + polish_time,
-                diagnostic=(f"TVD polish stopped at its {n_sweeps}-sweep cap"
-                            if stopped else ""),
-                converged=not stopped,
-                polish_sweeps=n_sweeps)
-    best = traces[0]
-    for trace in traces[1:]:
-        if (trace.aborted, trace.final_value) < (best.aborted, best.final_value):
-            best = trace
-    return best
+    if not polished:
+        i = min(range(cfg.restarts), key=lambda j: traces[j].final_value)
+        return replace(traces[i], restart_index=i)
+    struct, p = template._struct, target.probs
+    start = time.perf_counter()
+    thetas, values, sweeps, capped = _polish_tvd(
+        struct, [traces[i].final_policy.logits for i in polished], p)
+    polish_time = time.perf_counter() - start
+    k = min(range(len(polished)), key=values.__getitem__)
+    i, theta = polished[k], thetas[k]
+    n_sweeps, stopped = int(sweeps[k]), bool(capped[k])
+    return replace(
+        traces[i],
+        restart_index=i,
+        final_value=values[k],
+        final_policy=template.with_logits(theta),
+        final_grad_norm=float(np.linalg.norm(_tvd_subgradient(struct, theta, p))),
+        wall_time=traces[i].wall_time + polish_time,
+        diagnostic=f"TVD polish stopped at its {n_sweeps}-sweep cap" if stopped else "",
+        converged=not stopped,
+        polish_sweeps=n_sweeps)
 
 
 def _closed_form_run(objective, target: FiniteDistribution, template: NGramPolicy,

@@ -559,6 +559,34 @@ def test_bincount_sums_in_add_reduce_order(vocab_size, length):
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("n", range(1, 41))
+def test_accumulate_sums_left_to_right(n):
+    # the TVD fill takes each token's total as the last entry of
+    # add.accumulate over its n terms, and keeps the bits of the oracle's
+    # loop only because accumulate adds left to right at every n, where
+    # add.reduce sums 8 or more entries pairwise.  Values span 1e-320 to
+    # 1e300, so the order of the additions shows in the bits; a fifth are
+    # 0, at any place, and a tenth subnormal
+    rng = SeededRng(700 + n)
+    shape = (3, 4, n)
+    for _ in range(20):
+        c = 10.0 ** (620.0 * rng.uniform(12 * n) - 320.0)
+        pick = rng.uniform(c.size)
+        c[pick < 0.2] = 0.0
+        tiny = (pick >= 0.2) & (pick < 0.3)
+        c[tiny] = 5e-324 * np.ceil(1e4 * rng.uniform(c.size)[tiny])
+        c = c.reshape(shape)
+        want = np.empty(shape[:2])
+        for index in np.ndindex(*shape[:2]):
+            total = 0.0
+            for x in c[index]:
+                total += x
+            want[index] = total
+        got = np.add.accumulate(c, 2)[..., -1]
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("order", sorted(ORACLE_ORDERS))
 @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_undispatched_bincount_matches_bincount(shape, order):
@@ -700,13 +728,16 @@ def old_tvd(struct, theta, p):
 
 def old_row_tvd_argmin(c, p, tok, vocab_size):
     """The row minimizer as first written on numpy arrays, terms in any token
-    order, c_s > 0."""
+    order, c_s > 0; a token's starting slope sums its c left to right."""
     segments = []  # (slope, token, length)
     for v in range(vocab_size):
         on = tok == v
         kinks = p[on] / c[on]
         order = np.argsort(kinks, kind="stable")
-        slope, left = -c[on].sum(), 0.0
+        total = 0.0
+        for weight in c[on]:
+            total += weight
+        slope, left = -total, 0.0
         for kink, weight in zip(kinks[order], c[on][order]):
             segments.append((slope, v, kink - left))
             slope, left = slope + 2.0 * weight, kink
@@ -891,7 +922,8 @@ class TestTVDPolish:
     @given(terms=_row_terms())
     def test_row_argmin_matches_old_argmin(self, terms):
         # the same bits, sign bits included, as the numpy argmin on the
-        # terms with c > 0; tokens with 8 or more terms are common at 40
+        # terms with c > 0, both summing a token's c left to right; tokens
+        # with dead terms among their live ones are common at 40
         c, p, tok, vocab_size = terms
         live = c > 0.0
         want = old_row_tvd_argmin(c[live], p[live], tok[live], vocab_size)
@@ -901,7 +933,7 @@ class TestTVDPolish:
 
     def test_row_argmin_matches_old_argmin_on_permuted_tokens(self):
         # every token holds the same 9 terms in its own order, 9 as on bigram
-        # row 0, where numpy sums a token's starting slope pairwise: exact
+        # row 0, and its starting slope sums them left to right: exact
         # arithmetic would tie every token, so the fill follows the rounding
         # of each sum and the tie rules.  Kinks tie (p = 0), and c = 1e-300
         # leaves a slope unchanged, so segments of one token tie too (its
@@ -951,7 +983,8 @@ class TestTVDPolish:
     @FUZZ
     @given(batch=_row_batches())
     # two copies of 9 terms a token, dead terms placed differently, so
-    # that live counts of 9, 8, 7 and 0 are summed pairwise or not
+    # that live counts of 9, 8, 7 and 0 are summed left to right with
+    # dead terms between them
     @example(batch=(np.array([[[.3, .1, 0., .2, .5, .1, .7, .2, .4], [.2] * 9, [0.] * 9],
                               [[.3, .1, .6, .2, .5, .1, .7, .2, .4], [0.] + [.2] * 8,
                                [.1, 0., .2, 0., .3, .1, .2, .1, .3]]]),
@@ -964,7 +997,7 @@ class TestTVDPolish:
     @example(batch=(np.full((2, 3, 4), .25), np.full((3, 4), 1 / 48)))
     def test_batched_fill_matches_old_argmin_per_copy(self, batch):
         # each copy's x has the bits, sign bits included, of the numpy
-        # argmin on that copy's live terms
+        # argmin on that copy's live terms, summed left to right
         c, p = batch
         copies, vocab_size, n = c.shape
         tok = np.repeat(np.arange(vocab_size), n)
@@ -980,8 +1013,8 @@ class TestTVDPolish:
     def test_batched_fill_matches_old_argmin_on_permuted_live_terms(self):
         # as on permuted tokens, but each token of each copy keeps the first
         # k of its copy's 12 terms (k from 5 to 12), at random places among
-        # 0s: tokens with equal k tie in exact arithmetic, and numpy sums
-        # their live terms left to right below 8 and pairwise from 8
+        # 0s: tokens with equal k tie in exact arithmetic, and each token's
+        # terms are summed left to right, a dead one adding an exact 0
         rng = SeededRng(37)
         for trial in range(200):
             copies, vocab_size = 1 + trial % 3, 2 + trial % 4
@@ -1146,7 +1179,7 @@ def test_stacked_maps_give_each_copy_its_own_bits(shape, order):
     thetas = SeededRng(43).normal(4 * struct.n_params, sigma=2.0).reshape(4, -1)
     thetas[1, ::5] = -np.inf
     for copies in (1, 3, 4):
-        stack = struct.stacked(copies)
+        stack = ngram._Stack(struct, copies)
         lsm = ngram._log_softmax(stack, thetas[:copies].ravel()).reshape(copies, -1)
         logq = ngram._log_probs(stack, lsm.ravel()).reshape(copies, -1)
         for b in range(copies):
@@ -1154,27 +1187,3 @@ def test_stacked_maps_give_each_copy_its_own_bits(shape, order):
             assert np.array_equal(lsm[b], want)
             assert np.array_equal(np.signbit(lsm[b]), np.signbit(want))
             assert np.array_equal(logq[b], ngram._log_probs(struct, want))
-    # the first copies' maps are views of a larger stack's
-    first = struct.stacked(4).first(3)
-    for name in ("row_start", "row_of_flat", "flat_index", "seq_of_flat"):
-        assert np.array_equal(getattr(first, name), getattr(struct.stacked(3), name))
-        assert np.shares_memory(getattr(first, name), getattr(struct.stacked(4), name))
-
-
-def test_stacked_maps_are_built_once_per_batch_size(monkeypatch):
-    # a fresh structure, so that no earlier test has built its stacks
-    struct = ngram._Structure(SPACE, bigram_orders(SPACE))
-    builds = []
-    init = ngram._Stack.__init__
-
-    def counting(self, unit, copies, of=None):
-        if of is None:
-            builds.append(copies)
-        init(self, unit, copies, of)
-
-    monkeypatch.setattr(ngram._Stack, "__init__", counting)
-    p = toy_setup()[4].probs
-    for copies in (16, 16, 4, 16):
-        ngram._polish_tvd(struct, polish_starts(struct, copies, seed=6), p)
-    assert builds == [16, 4]
-    assert struct.stacked(16) is struct.stacked(16)

@@ -346,6 +346,26 @@ class TestTVDFit:
             ngram._tvd_subgradient(template._struct, logits, pstar.probs)))
         assert trace.wall_time > descents[winner].wall_time
 
+    @pytest.mark.parametrize("aborted", [{}, {0: 0.5, 5: 0.1}, dict.fromkeys(range(16), 0.5)],
+                             ids=["none", "two", "all"])
+    def test_one_subgradient_per_fit(self, aborted, monkeypatch):
+        # only the returned restart gets a subgradient norm: one subgradient
+        # in a fit that polishes any restart, none when every restart aborts
+        _, _, _, pstar, template = setup()
+        self._mark_aborted(monkeypatch, aborted)
+        calls = []
+
+        def counting(struct, theta, p):
+            calls.append(theta)
+            return ngram._tvd_subgradient(struct, theta, p)
+
+        monkeypatch.setattr(optimize, "_tvd_subgradient", counting)
+        trace = fit_tvd(pstar, template, OptimizerConfig(steps=50, restarts=16))
+        assert len(calls) == (0 if trace.aborted else 1)
+        assert trace.aborted == (len(aborted) == 16)
+        if calls:
+            assert np.array_equal(calls[0], trace.final_policy.logits)
+
     def test_bookkeeping_matches_a_lone_polish_at_the_cap(self, monkeypatch):
         # with a 2-sweep cap some restarts stop at it: the best one reports
         # what a polish of its descent alone reports
