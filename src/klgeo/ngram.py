@@ -62,17 +62,46 @@ def full_orders(space: SequenceSpace) -> tuple:
     return tuple(range(space.length))
 
 
-class _Structure:
-    """Precomputed index tying sequences to rows of one flat logit array.
+class _Stack:
+    """The kernel's maps over `copies` copies of one policy side by side,
+    worked out from the policy's (T, N) index: index[t, s] is the flat
+    logit that sequence s uses at position t, and a row of logits has
+    width vocab_size.
+
+    Copy b's logits are entries b * n_params + k of one flat vector, its
+    rows b * n_rows + r and its sequences b * N + s.  flat_index is each
+    copy's index.ravel() in turn, seq_of_flat[k] the sequence behind
+    flat_index[k], row_of_flat[k] the row of flat logit k, and row_start
+    the first flat logit of each row.  The kernel keys its sums by these
+    maps: bincount over row_of_flat sums each row, over seq_of_flat each
+    sequence's T log-probabilities, and over flat_index the sequences
+    using each logit.  Every reduceat segment and bincount bin holds one
+    copy's entries in that copy's own order, so each copy gets the bits
+    of its own call.
+    """
+
+    __slots__ = ("n_rows", "n_params", "n_sequences",
+                 "row_start", "row_of_flat", "flat_index", "seq_of_flat")
+
+    def __init__(self, index: np.ndarray, vocab_size: int, copies: int = 1):
+        T, N = index.shape
+        n_params = int(index.max()) + 1  # every row is reached by some sequence
+        offsets = np.arange(copies)[:, None]
+        self.n_params = copies * n_params
+        self.n_rows = self.n_params // vocab_size
+        self.n_sequences = copies * N
+        self.row_start = np.arange(0, self.n_params, vocab_size)
+        self.row_of_flat = np.repeat(np.arange(self.n_rows), vocab_size)
+        self.flat_index = (index.ravel() + offsets * n_params).ravel()
+        self.seq_of_flat = (np.arange(T * N) % N + offsets * N).ravel()
+
+
+class _Structure(_Stack):
+    """A policy's index, and the kernel's maps over it as one _Stack copy.
 
     Every softmax block has width V, so the logits are one (R, V) array
     whose rows are the blocks' contexts stacked by position (block t holds
-    V^c_t rows).  index[t, s] is the flat logit that sequence s uses at
-    position t; flat_index is index.ravel() and seq_of_flat[k] the sequence
-    behind flat_index[k], and row_of_flat[k] is the row of flat logit k.
-    The kernel keys its sums by these maps: bincount over row_of_flat sums
-    each row, over seq_of_flat each sequence's T log-probabilities, and
-    over flat_index the sequences using each logit.
+    V^c_t rows).
     """
 
     _cache: dict = {}
@@ -88,19 +117,11 @@ class _Structure:
         self.space = space
         self.context_lengths = tuple(context_lengths)
         first_row = np.cumsum([0] + [V ** c for c in context_lengths])
-        self.n_rows = int(first_row[-1])
-        self.n_params = self.n_rows * V
-        # stored, not read through space's property on every objective call
-        self.n_sequences = space.n_sequences
-        self.index = np.empty((T, self.n_sequences), dtype=np.intp)
+        self.index = np.empty((T, space.n_sequences), dtype=np.intp)
         for t, c in enumerate(context_lengths):
             ctx = seqs[:, t - c:t] @ V ** np.arange(c - 1, -1, -1, dtype=np.intp)
             self.index[t] = (first_row[t] + ctx) * V + seqs[:, t]
-        self.flat_index = self.index.ravel()
-        self.seq_of_flat = np.tile(np.arange(self.n_sequences), T)
-        # the first flat logit of each row, and the row of each flat logit
-        self.row_start = np.arange(0, self.n_params, V)
-        self.row_of_flat = np.repeat(np.arange(self.n_rows), V)
+        super().__init__(self.index, V)
 
     @cached_property
     def polish_rows(self) -> list:
@@ -127,31 +148,6 @@ class _Structure:
         if key not in cls._cache:
             cls._cache[key] = cls(space, context_lengths)
         return cls._cache[key]
-
-
-class _Stack:
-    """The maps of `copies` copies of one _Structure side by side, under the
-    names the kernel reads, so that _log_softmax and _log_probs run on them
-    unchanged.
-
-    Copy b's logits are entries b * n_params + k of one flat vector, its
-    rows b * n_rows + r and its sequences b * N + s.  Every reduceat segment
-    and bincount bin then holds one copy's entries in that copy's own order,
-    so each copy gets the bits of its own call.
-    """
-
-    __slots__ = ("n_rows", "n_params", "n_sequences",
-                 "row_start", "row_of_flat", "flat_index", "seq_of_flat")
-
-    def __init__(self, unit: _Structure, copies: int):
-        self.n_rows = copies * unit.n_rows
-        self.n_params = copies * unit.n_params
-        self.n_sequences = copies * unit.n_sequences
-        offsets = np.arange(copies)[:, None]
-        self.row_start = np.arange(0, self.n_params, unit.space.vocab_size)
-        self.row_of_flat = np.repeat(np.arange(self.n_rows), unit.space.vocab_size)
-        self.flat_index = (unit.flat_index + offsets * unit.n_params).ravel()
-        self.seq_of_flat = (unit.seq_of_flat + offsets * unit.n_sequences).ravel()
 
 
 class NGramPolicy:
@@ -315,8 +311,8 @@ class TVDObjective:
 
 
 def _tvd(struct, lsm: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """TVD(pi, p) of each copy pi in struct (one for a _Structure, one per
-    copy for a _Stack), from the row log-softmax lsm of the logits."""
+    """TVD(pi, p) of each copy pi in struct, from the row log-softmax lsm
+    of the logits."""
     q = _exp(_log_probs(struct, lsm)).reshape(-1, p.shape[0])
     return _HALF * _add_reduce(np.abs(q - p), 1)
 
@@ -399,9 +395,10 @@ def _polish_tvd(struct: _Structure, thetas: np.ndarray, p: np.ndarray):
     update only if its TVD does not rise.  A copy sweeps over all rows
     again while its last sweep lowered its TVD by more than POLISH_TOL, up
     to POLISH_MAX_SWEEPS sweeps; a copy that has stopped leaves the batch.
-    The copies run in lockstep on a _Stack of the running copies, built
-    again when the batch shrinks, and every step is per copy, so each gets
-    the bits of its own polish.
+    The copies run in lockstep on _Stack(struct.index, V, n), the maps of
+    the n running copies (struct's own are those at n = 1), built again
+    when the batch shrinks; every step is per copy, so each gets the bits
+    of its own polish.
 
     Returns (logits, TVD there, sweeps run, whether the sweep cap stopped
     it), each stacked by copy.
@@ -415,7 +412,7 @@ def _polish_tvd(struct: _Structure, thetas: np.ndarray, p: np.ndarray):
     sweeps = np.full(n_copies, POLISH_MAX_SWEEPS)
     capped = np.ones(n_copies, dtype=bool)
     running = np.arange(n_copies)
-    stack = _Stack(struct, n_copies)
+    stack = _Stack(struct.index, V, n_copies)
     lsm = _log_softmax(stack, theta.ravel()).reshape(theta.shape)
     value = _tvd(stack, lsm, p)
     # a zero conditional's log is -inf, a dead term's kink p / 0, and the
@@ -443,7 +440,7 @@ def _polish_tvd(struct: _Structure, thetas: np.ndarray, p: np.ndarray):
                 lsm, value = lsm[going], value[going]
                 if not running.size:
                     break
-                stack = _Stack(struct, running.size)
+                stack = _Stack(struct.index, V, running.size)
     thetas[running], values[running] = theta, value
     return thetas, values, sweeps, capped
 

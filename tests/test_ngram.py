@@ -1171,6 +1171,44 @@ class TestBatchedPolish:
         assert np.array_equal(got[0][zero, 3:6], thetas[zero, 3:6])
 
 
+MAP_NAMES = ("n_rows", "n_params", "n_sequences",
+             "row_start", "row_of_flat", "flat_index", "seq_of_flat")
+
+
+def old_one_copy_maps(space, context_lengths, index):
+    """The kernel's maps as _Structure spelled them before _Stack built
+    them from the index alone: sizes from the context lengths and the
+    space, maps by ravel, tile and repeat."""
+    V, T, N = space.vocab_size, space.length, space.n_sequences
+    n_rows = int(np.cumsum([0] + [V ** c for c in context_lengths])[-1])
+    return {"n_rows": n_rows, "n_params": n_rows * V, "n_sequences": N,
+            "row_start": np.arange(0, n_rows * V, V),
+            "row_of_flat": np.repeat(np.arange(n_rows), V),
+            "flat_index": index.ravel(),
+            "seq_of_flat": np.tile(np.arange(N), T)}
+
+
+@pytest.mark.parametrize("order", sorted(ORACLE_ORDERS))
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_one_copy_maps_match_the_old_spelling(shape, order):
+    space = SequenceSpace(*shape)
+    V, T = shape
+    orders = ORACLE_ORDERS[order](space)
+    struct = ngram._Structure.get(space, orders)
+    want = old_one_copy_maps(space, orders, struct.index)
+    for maps in (struct, ngram._Stack(struct.index, V)):
+        for name in MAP_NAMES:
+            got = getattr(maps, name)
+            assert type(got) is type(want[name]), name
+            if isinstance(got, np.ndarray):
+                assert got.dtype == want[name].dtype, name
+                assert np.array_equal(got, want[name]), name
+            else:
+                assert got == want[name], name
+    assert struct.n_params == struct.n_rows * V == sum(V ** (c + 1) for c in orders)
+    assert struct.n_sequences == V ** T
+
+
 @pytest.mark.parametrize("order", sorted(ORACLE_ORDERS))
 @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_stacked_maps_give_each_copy_its_own_bits(shape, order):
@@ -1179,7 +1217,7 @@ def test_stacked_maps_give_each_copy_its_own_bits(shape, order):
     thetas = SeededRng(43).normal(4 * struct.n_params, sigma=2.0).reshape(4, -1)
     thetas[1, ::5] = -np.inf
     for copies in (1, 3, 4):
-        stack = ngram._Stack(struct, copies)
+        stack = ngram._Stack(struct.index, space.vocab_size, copies)
         lsm = ngram._log_softmax(stack, thetas[:copies].ravel()).reshape(copies, -1)
         logq = ngram._log_probs(stack, lsm.ravel()).reshape(copies, -1)
         for b in range(copies):
