@@ -228,32 +228,24 @@ def check_ordering_crossing():
                 f"gap {gap:.3e}")
 
 
-def gradient_error(objective_name, base_seed, order, policy_seed):
-    """Max relative error of the analytic gradient of one sweep objective
-    ("j_beta" or "forward_kl") against central differences, at a random
-    policy of the given order ("bigram" or "full") on the (3, 3)
-    first-equals-last toy whose base model has seed base_seed."""
-    fam, pstar, template = _toy_instance(base_seed, order)
-    pol = template.with_logits(SeededRng(policy_seed).normal(template.n_params))
-    if objective_name == "j_beta":
-        obj = ngram.JBetaObjective(fam, beta=0.2)
-    else:
-        obj = ngram.ForwardKLObjective(pstar)
-    return optimize.verify_gradients(pol, obj)
-
-
 # (base seed, order, policy seed) of each instance the gradient checks run
 _GRADIENT_CASES = ((3, "bigram", 5), (3, "full", 5), (1, "bigram", 101),
                    (1, "bigram", 102), (1, "bigram", 103))
 
 
 def _gradcheck(objective_name):
-    """Fails unless every instance's error is below 1e-7; reports the worst
-    error of each order."""
+    """The max relative error of the analytic gradient of one sweep objective
+    ("j_beta" or "forward_kl") against central differences, at a random
+    policy of each instance's order ("bigram" or "full") on the (3, 3)
+    first-equals-last toy.  Fails unless every instance's error is below
+    1e-7; reports the worst error of each order."""
     worst = {"bigram": 0.0, "full": 0.0}
     for base_seed, order, policy_seed in _GRADIENT_CASES:
-        worst[order] = max(worst[order], gradient_error(
-            objective_name, base_seed, order, policy_seed))
+        fam, pstar, template = _toy_instance(base_seed, order)
+        pol = template.with_logits(SeededRng(policy_seed).normal(template.n_params))
+        obj = (ngram.JBetaObjective(fam, beta=0.2) if objective_name == "j_beta"
+               else ngram.ForwardKLObjective(pstar))
+        worst[order] = max(worst[order], optimize.verify_gradients(pol, obj))
     return (max(worst.values()) < 1e-7, "max relative error "
             + ", ".join(f"{order} {err:.3e}" for order, err in worst.items()))
 

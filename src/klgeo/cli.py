@@ -11,7 +11,7 @@ import ctypes
 import os
 import sys
 
-from . import checks, experiments, geometry, optimize
+from . import experiments, geometry, optimize
 from .io import (
     SCHEMAS,
     RunConfig,
@@ -200,6 +200,7 @@ def cmd_geometry(cfg: RunConfig, out: str, settings: None) -> int:
 
 
 def cmd_check(cfg: RunConfig, out: str, settings: None) -> int:
+    from . import checks  # here, so that no other command loads the registry
     results = checks.run_all()
     width = max(len(name) for name in results)
     failed = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -104,8 +104,6 @@ class _Structure(_Stack):
     V^c_t rows).
     """
 
-    _cache: dict = {}
-
     def __init__(self, space: SequenceSpace, context_lengths: tuple):
         V, T = space.vocab_size, space.length
         if len(context_lengths) != T:
@@ -123,31 +121,11 @@ class _Structure(_Stack):
             self.index[t] = (first_row[t] + ctx) * V + seqs[:, t]
         super().__init__(self.index, V)
 
-    @cached_property
-    def polish_rows(self) -> list:
-        """The rows in the TVD polish's order, by position and then row, each
-        as (row, uses, others): uses[v] are the sequences through the row
-        with token v there, in sequence order (every token has as many), and
-        others[:, v, j] the flat logits that sequence uses[v, j] uses at
-        every other position."""
-        V = self.space.vocab_size
-        row_of = self.index // V
-        rows = []
-        for t in range(self.space.length):
-            others = np.delete(self.index, t, axis=0)
-            for r in range(row_of[t].min(), row_of[t].max() + 1):
-                uses = np.flatnonzero(row_of[t] == r)
-                tok = self.index[t, uses] % V
-                uses = uses[np.argsort(tok, kind="stable")].reshape(V, -1)
-                rows.append((r, uses, others[:, uses]))
-        return rows
-
     @classmethod
+    @cache
     def get(cls, space: SequenceSpace, context_lengths: tuple) -> "_Structure":
-        key = (space.vocab_size, space.length, tuple(context_lengths))
-        if key not in cls._cache:
-            cls._cache[key] = cls(space, context_lengths)
-        return cls._cache[key]
+        """The one structure of each space and order tuple, built on first use."""
+        return cls(space, context_lengths)
 
 
 class NGramPolicy:
@@ -404,8 +382,18 @@ def _polish_tvd(struct: _Structure, thetas: np.ndarray, p: np.ndarray):
     it), each stacked by copy.
     """
     V = struct.space.vocab_size
-    row_data = [(slice(r * V, (r + 1) * V), others, p.take(uses))
-                for r, uses, others in struct.polish_rows]
+    # per row, by position and then row: its logit columns; others[:, v, j],
+    # the flat logits that its j-th sequence with token v there (in sequence
+    # order; every token has as many) uses at every other position; and p
+    # of those sequences
+    row_of = struct.index // V
+    row_data = []
+    for t in range(struct.space.length):
+        others = np.delete(struct.index, t, axis=0)
+        for r in range(row_of[t].min(), row_of[t].max() + 1):
+            uses = np.flatnonzero(row_of[t] == r)
+            uses = uses[np.argsort(struct.index[t, uses] % V, kind="stable")].reshape(V, -1)
+            row_data.append((slice(r * V, (r + 1) * V), others[:, uses], p.take(uses)))
     theta = np.array(thetas, dtype=float)  # the logits of the running copies
     n_copies = theta.shape[0]
     thetas, values = np.empty_like(theta), np.empty(n_copies)

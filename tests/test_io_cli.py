@@ -487,6 +487,28 @@ class TestCliCheck:
         assert rc == EXIT_CHECK
         assert lines[-1] == "failed checks: closed-form-convergence"
 
+    @pytest.mark.parametrize("argv", [["sweep"], ["geometry"]], ids=["sweep", "geometry"])
+    def test_other_commands_do_not_load_the_registry(self, tmp_path, argv):
+        if argv[0] == "sweep":
+            write_tiny_sweep_config(tmp_path / "cfg")
+            argv = [*argv, "--config", str(tmp_path / "cfg")]
+        env = dict(os.environ)
+        src = str(Path(main.__code__.co_filename).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", REGISTRY_PROBE, *argv,
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
+# a fresh interpreter runs one command; only `check` may import klgeo.checks
+REGISTRY_PROBE = """
+import sys
+import klgeo.cli
+assert klgeo.cli.main(sys.argv[1:]) == 0
+assert "klgeo.checks" not in sys.modules
+"""
+
 
 class TestCliGradcheck:
     """The gradient checks that `klgeo check` runs, in both policy families."""

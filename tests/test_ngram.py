@@ -102,6 +102,34 @@ class TestParameterCounts:
             NGramPolicy(SPACE, (1, 1, 1), np.zeros(27))
 
 
+class TestStructureCache:
+    """One _Structure per space and order tuple, whatever instances name them."""
+
+    def test_equal_spaces_and_orders_share_one_structure(self):
+        a, b = SequenceSpace(3, 3), SequenceSpace(3, 3)
+        orders_a, orders_b = bigram_orders(a), tuple([0, 1, 1])
+        assert a is not b and orders_a is not orders_b
+        struct = ngram._Structure.get(a, orders_a)
+        assert ngram._Structure.get(b, orders_b) is struct
+        assert struct.space == b and struct.context_lengths == orders_b
+
+    def test_other_orders_or_space_get_another_structure(self):
+        struct = ngram._Structure.get(SequenceSpace(3, 3), (0, 1, 1))
+        others = [ngram._Structure.get(SequenceSpace(3, 3), (0, 1, 2)),
+                  ngram._Structure.get(SequenceSpace(2, 3), (0, 1, 1)),
+                  ngram._Structure.get(SequenceSpace(3, 4), (0, 1, 1, 1))]
+        assert len({id(s) for s in [struct, *others]}) == 4
+        assert [s.n_params for s in others] == [39, 10, 30]
+
+    def test_policies_of_one_family_share_the_structure(self):
+        pol = NGramPolicy(SequenceSpace(3, 3), [0, 1, 1], np.zeros(21))
+        same = [NGramPolicy(SequenceSpace(3, 3), bigram_orders(SPACE), np.ones(21)),
+                pol.with_logits(np.arange(21.0)),
+                random_base_model(SPACE, 1, DEFAULT_SIGMA).with_logits(np.zeros(39))]
+        assert [p._struct is pol._struct for p in same] == [True, True, False]
+        assert same[2]._struct is ngram._Structure.get(SPACE, full_orders(SPACE))
+
+
 class TestToDistribution:
     def test_zero_logits_uniform(self):
         pol = NGramPolicy(SPACE, bigram_orders(SPACE), np.zeros(21))
