@@ -159,19 +159,18 @@ class NGramPolicy:
 # numbers, where a numpy call's overhead outweighs its arithmetic, so it
 # works on the flat logit vector with the numpy functions bound once here.
 # It gathers with the array's own take, and spreads a row value back by
-# take(row_of_flat) rather than broadcasting an (R, 1) column against the
-# (R, V) rows, which costs more than twice a same-shape op at this size.
-# Each row sum and each sequence's log-probability is a bincount, which
-# adds a bin's entries in index order from 0.0 (add.reduce does the same
-# on rows of fewer than 8 entries, and sums pairwise from 8 on).  Never sum
-# a row with add.reduceat: it adds a0 + (a1 + a2), not (a0 + a1) + a2.
-# bincount is bound below numpy's __array_function__ dispatcher, to the C
-# function it forwards to, with the same input checks: 0.22 µs a call
-# against 0.32 µs.  A constant operand of a per-step op is a 0-d array,
-# never a Python float (0.41 µs an op, against 0.28 µs) and never a (1,)
-# array (0.54 µs, a broadcast); timeit, 27 entries.
+# take(row_of_flat), as broadcasting an (R, 1) column against the (R, V)
+# rows costs more than twice a same-shape op at this size.  A row's
+# log-sum-exp is one logaddexp.reduceat, which reduces each row left to
+# right at any copy count.  A row sum or a sequence's log-probability is a
+# bincount, which adds a bin's entries in index order from 0.0, as add.reduce
+# does below 8 entries (pairwise from 8); add.reduceat adds a0 + (a1 + a2).
+# bincount is bound to the C function below numpy's __array_function__
+# dispatcher, with the same input checks: 0.22 µs a call against 0.32 µs.
+# A per-step op's constant operand is a 0-d array (0.28 µs an op; timeit,
+# 27 entries), never a Python float (0.41 µs) or a (1,) array (0.54 µs).
 
-_max_reduceat = np.maximum.reduceat
+_lae_reduceat = np.logaddexp.reduceat
 _add_reduce = np.add.reduce
 _exp, _log, _sign = np.exp, np.log, np.sign
 _bincount = np.bincount._implementation
@@ -180,9 +179,7 @@ _HALF = np.array(0.5)
 
 def _log_softmax(struct: _Structure, theta: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax of the flat logit vector theta."""
-    row_of_flat = struct.row_of_flat
-    zm = theta - _max_reduceat(theta, struct.row_start).take(row_of_flat)
-    return zm - _log(_bincount(row_of_flat, _exp(zm), struct.n_rows)).take(row_of_flat)
+    return theta - _lae_reduceat(theta, struct.row_start).take(struct.row_of_flat)
 
 
 def _log_probs(struct: _Structure, lsm: np.ndarray) -> np.ndarray:

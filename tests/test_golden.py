@@ -8,6 +8,10 @@ relative.
 
 Regenerate the fixtures, only for an intended output change, with
     PYTHONPATH=src python tests/test_golden.py
+which prints, for each file that changed, how many of its numbers moved
+(each probability of a `top_sequences` cell counts on its own), the
+largest relative and the largest absolute move and where they are, and
+where any non-numeric cell changed.
 """
 import json
 import math
@@ -109,13 +113,79 @@ def test_matches_golden(tmp_path, capsys, case):
             assert got == want, want_path.name
 
 
+def _cells(path: Path) -> list:
+    """(where, value) for every cell of a fixture file, in file order: a
+    float for each number, the text otherwise.  A `seq=prob` pair of a
+    top_sequences cell is two cells, the text seq and the number prob; a
+    file that is neither CSV nor JSON is one text cell."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        def walk(value, where):
+            if isinstance(value, dict):
+                for key in value:
+                    yield from walk(value[key], f"{where}.{key}")
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from walk(item, f"{where}[{i}]")
+            else:
+                yield where, float(value) if _is_json_number(value) else value
+        return list(walk(json.loads(text), path.name))
+    if path.suffix != ".csv":
+        return [(path.name, text)]
+    cells, header = [], None
+    for i, line in enumerate(text.splitlines(), 1):
+        if line.startswith("#") or header is None:  # a comment or the header
+            cells.append((f"{path.name} line {i}", line))
+            if not line.startswith("#"):
+                header = line.split(",")
+            continue
+        for name, cell in zip(header, line.split(",")):
+            for k, part in enumerate(cell.split(";")):
+                where = f"{path.name} line {i} {name}" + (f" {k + 1}" if k else "")
+                if "=" in part:
+                    label, part = part.split("=", 1)
+                    cells.append((where, label))
+                cells.append((where, float(part) if _is_number(part) else part))
+    return cells
+
+
+def _moves(old: Path, new: Path) -> str:
+    """What changed from the fixture file old to its regenerated new."""
+    before, after = _cells(old), _cells(new)
+    if len(before) != len(after):
+        return f"{len(before)} -> {len(after)} cells"
+    moved, rel, absolute, text = 0, (0.0, ""), (0.0, ""), []
+    for (_, a), (where, b) in zip(before, after):
+        if isinstance(a, float) and isinstance(b, float):
+            if a != b:
+                moved += 1
+                step = f"{where} ({a!r} -> {b!r})"
+                rel = max(rel, (abs(b - a) / abs(a) if a else math.inf, step))
+                absolute = max(absolute, (abs(b - a), step))
+        elif a != b:
+            text.append(where)
+    report = [f"{moved} numbers moved, largest relative {rel[0]:.1e} at {rel[1]}, "
+              f"largest absolute {absolute[0]:.1e} at {absolute[1]}"] if moved else []
+    return "; ".join(report + ([f"text changed at {', '.join(text)}"] if text else []))
+
+
 def regenerate():
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             out = run_case(case, Path(tmp))
-            shutil.rmtree(GOLDEN / case, ignore_errors=True)
-            shutil.copytree(out, GOLDEN / case)
-        print(f"wrote {GOLDEN / case}")
+            old = GOLDEN / case
+            names = sorted({p.name for p in out.iterdir()}
+                           | {p.name for p in old.glob("*")})
+            changes = []
+            for name in names:
+                if not (old / name).exists() or not (out / name).exists():
+                    changes.append(f"{name}: {'new' if (out / name).exists() else 'gone'}")
+                elif (old / name).read_bytes() != (out / name).read_bytes():
+                    changes.append(f"{name}: {_moves(old / name, out / name)}")
+            shutil.rmtree(old, ignore_errors=True)
+            shutil.copytree(out, old)
+        print(f"wrote {old}" + ("".join(f"\n  {change}" for change in changes)
+                                or ": byte-identical to the files it replaces"))
 
 
 if __name__ == "__main__":

@@ -737,20 +737,23 @@ class TestCliErrors:
 
     # (config lines, arguments) -> the grid point whose ascent diverged and
     # the value it ended at, or None for exit 0.  The fixed step 0.1 makes
-    # the ascent fall from J_beta -2.381 to -54.1 at lambda 0.01 and from
+    # the ascent fall from J_beta -2.381 to -16.3 at lambda 0.01 and from
     # -2710 to -3.1e5 at 1e-05; the 1e10 step at lambda 0.5 falls from 0.275
     # to -4.52, and the ascent at 1e-20 from -2.7e18 to -2.8e20.  The last
     # three also end where a KL metric is infinite: the fall is what exit 1
-    # names.  At 0.05 the optimum it reaches has J_beta < 0; the second
-    # ascent, at the double after 0.5, starts at its optimum to round-off and
-    # ends 1.7e-16 below it, within round-off
+    # names.  At 0.05 the optimum it reaches has J_beta < 0.  The second
+    # ascent, at the double after 0.5 or after 0.1, starts at its optimum to
+    # round-off; after 0.5 it ends 5.6e-17 above it, after 0.1 1.9e-15
+    # below it, within round-off
     ASCENTS = {
-        ("", "--seeds 1 --lambdas 0.01"): ("0.01", "-54.10008947433906"),
-        ("", "--seeds 1 --lambdas 0.00001"): ("1e-05", "-310987.12268035027"),
-        ("steps=3 learning_rate=1e10", ""): ("0.5", "-4.521887669025527"),
-        ("steps=3 lambdas=1e-20", ""): ("1e-20", "-2.7639966221388543e+20"),
+        ("", "--seeds 1 --lambdas 0.01"): ("0.01", "-16.346991271687628"),
+        ("", "--seeds 1 --lambdas 0.00001"): ("1e-05", "-310987.1226803502"),
+        ("steps=3 learning_rate=1e10", ""): ("0.5", "-4.521887669025526"),
+        ("steps=3 lambdas=1e-20", ""): ("1e-20", "-2.763996622138854e+20"),
         ("", "--seeds 1 --lambdas 0.05"): None,
         ("", "--order full --warm-start --seeds 2 --lambdas 0.5,0.5000000000000001"):
+        None,
+        ("", "--order full --warm-start --seeds 2 --lambdas 0.1,0.10000000000000002"):
         None,
     }
 

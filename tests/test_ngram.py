@@ -163,6 +163,65 @@ class TestToDistribution:
         assert diag_mass > 0.99
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (7, 2)], ids=lambda s: f"{s[0]}x{s[1]}")
+class TestLogSoftmaxAccuracy:
+    """The row log-softmax is within (V - 1) eps max(1, max|row|) of a
+    50-digit reference at every finite entry (max over the row's finite
+    logits), one eps per step of a row's log-sum-exp, and exactly -inf at
+    every -inf logit: a bound on accuracy, not on bits, so it holds whatever
+    order the kernel reduces a row in.  The max-shifted form the kernel
+    used before meets it too; a fixed 2 eps does not hold for it at V >= 4."""
+
+    def _assert_accurate(self, shape, theta):
+        mpmath = pytest.importorskip("mpmath")
+        V = shape[0]
+        got = ngram._log_softmax(self._struct(shape), theta)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(50):
+            for row, out in zip(theta.reshape(-1, V), got.reshape(-1, V)):
+                lse = mpmath.log(mpmath.fsum(mpmath.exp(z) for z in row))
+                bound = (V - 1) * eps * max(1.0, np.abs(row[np.isfinite(row)]).max())
+                for z, value in zip(row, out):
+                    if z == -np.inf:
+                        assert value == -np.inf
+                    else:
+                        assert abs(mpmath.mpf(value) - (z - lse)) <= bound
+
+    def _struct(self, shape):
+        space = SequenceSpace(*shape)
+        return ngram._Structure.get(space, full_orders(space))
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 30.0, 300.0])
+    def test_random_rows(self, shape, scale):
+        rng = SeededRng(40 + int(scale))
+        n = self._struct(shape).n_params
+        for _ in range(5):
+            self._assert_accurate(shape, rng.normal(n, sigma=scale))
+
+    def test_rows_with_neg_inf_entries(self, shape):
+        rng = SeededRng(41)
+        n = self._struct(shape).n_params
+        for _ in range(5):
+            theta = rng.normal(n, sigma=3.0)
+            dead = rng.uniform(n) < 0.4
+            dead[::shape[0]] = False  # every row keeps a finite logit
+            theta[dead] = -np.inf
+            self._assert_accurate(shape, theta)
+
+    def test_logits_near_max_float(self, shape):
+        # each row's logits are of one sign and 0.9e308 to 1.7e308 in size,
+        # with some of moderate size among them, so no difference of two
+        # logits overflows
+        rng = SeededRng(42)
+        n = self._struct(shape).n_params
+        for _ in range(5):
+            sign = np.where(rng.uniform(n // shape[0]) < 0.5, -1.0, 1.0).repeat(shape[0])
+            theta = sign * (0.9 + 0.8 * rng.uniform(n)) * 1e308
+            moderate = rng.uniform(n) < 0.3
+            theta[moderate] = rng.normal(n, sigma=3.0)[moderate]
+            self._assert_accurate(shape, theta)
+
+
 class TestVerifier:
     def test_valid_count(self):
         v = make_verifier_first_equals_last(SPACE)
@@ -261,7 +320,9 @@ class TestGradients:
         # verify_gradients' error, written out on the loop's difference
         analytic = obj.grad_theta(struct, theta)
         f = obj.value_theta(struct, theta)
-        round_off = max(np.finfo(float).eps * abs(f) / FD_STEP, 1e-12)
+        logq = ngram._log_probs(struct, ngram._log_softmax(struct, theta))
+        scale = max(abs(f), np.abs(logq[logq > -np.inf]).max())
+        round_off = max(np.finfo(float).eps * scale / FD_STEP, 1e-12)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-12)
         err = np.abs(analytic - fd) / denom
         err[(np.abs(analytic) < 1e-12) & (np.abs(fd) < round_off)] = 0.0
@@ -390,9 +451,7 @@ class _PerBlockReference:
         out = []
         for t, (nc, V) in enumerate(self.block_shapes):
             z = theta[self.offsets[t]:self.offsets[t + 1]].reshape(nc, V)
-            m = z.max(axis=1, keepdims=True)
-            e = np.exp(z - m)
-            out.append((z - m) - np.log(e.sum(axis=1, keepdims=True)))
+            out.append(z - np.logaddexp.reduce(z, axis=-1, keepdims=True))
         return out
 
     def probs(self, theta):
@@ -587,6 +646,27 @@ def test_bincount_sums_in_add_reduce_order(vocab_size, length):
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("vocab_size", range(2, 17))
+def test_logaddexp_reduceat_matches_reduce_per_row(vocab_size):
+    # the kernel takes every row's log-sum-exp, over all copies at once, by
+    # one logaddexp.reduceat, and keeps the bits of the per-block and
+    # old-spelling oracles, which take logaddexp.reduce along each row, only
+    # because the two reduce a row in the same order at every row width and
+    # copy count.  Each row's logits have a scale of 0.5, 3, 30 or 300, and
+    # a fifth of all entries are -inf
+    rng = SeededRng(900 + vocab_size)
+    n_rows, max_copies = 3, 64
+    scales = np.array([0.5, 3.0, 30.0, 300.0])
+    row_scale = scales[(4 * rng.uniform(max_copies * n_rows)).astype(int)]
+    x = rng.normal(row_scale.size * vocab_size) * row_scale.repeat(vocab_size)
+    x[rng.uniform(x.size) < 0.2] = -np.inf
+    for copies in range(1, max_copies + 1):
+        flat = x[:copies * n_rows * vocab_size]
+        want = np.logaddexp.reduce(flat.reshape(-1, vocab_size), axis=-1)
+        got = np.logaddexp.reduceat(flat, np.arange(0, flat.size, vocab_size))
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("n", range(1, 41))
 def test_accumulate_sums_left_to_right(n):
     # the TVD fill takes each token's total as the last entry of
@@ -735,8 +815,7 @@ def old_scatter(struct, w):
 
 def old_log_softmax(struct, theta):
     z = theta.reshape(*theta.shape[:-1], -1, struct.space.vocab_size)
-    zm = z - z.max(axis=-1, keepdims=True)
-    return (zm - np.log(np.exp(zm).sum(axis=-1, keepdims=True))).reshape(theta.shape)
+    return (z - np.logaddexp.reduce(z, axis=-1, keepdims=True)).reshape(theta.shape)
 
 
 def old_log_probs(struct, lsm):

@@ -650,6 +650,23 @@ class TestVerifyGradients:
         err = verify_gradients(template, ForwardKLObjective(target))
         assert err == 0.0
 
+    @pytest.mark.parametrize("dead", [False, True], ids=["uniform", "zero_q"])
+    def test_guard_keeps_a_real_miss(self, dead):
+        # an analytic 0 against a central difference of 1e-8, far above its
+        # round-off eps * max(|f|, max|log q|) / h = 7.3e-11, is a miss; a
+        # -inf logit, whose sequences have log q = -inf, does not widen it
+        class Slope:
+            def value_theta(self, struct, theta):
+                return 1e-8 * float(theta[0])
+
+            def grad_theta(self, struct, theta):
+                return np.zeros_like(theta)
+
+        logits = np.zeros(21)
+        logits[20] = -np.inf if dead else 0.0
+        template = NGramPolicy(SPACE, bigram_orders(SPACE), logits)
+        assert verify_gradients(template, Slope()) == pytest.approx(1.0, abs=1e-6)
+
     def test_round_off_zero_component(self):
         # component 30 is 6.9e-18 analytically and -5.6e-12 by central
         # difference, below the difference's round-off eps * |f| / h = 1.9e-11;
