@@ -40,6 +40,7 @@ from .ngram import (
     make_verifier_first_equals_last,
     random_base_model,
     to_distribution,
+    verify_gradients,
 )
 from .optimize import (
     OptimizerConfig,
@@ -47,6 +48,5 @@ from .optimize import (
     ascend_j_beta,
     fit_forward_kl,
     fit_tvd,
-    verify_gradients,
 )
 from .rng import SeededRng

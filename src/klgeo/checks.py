@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from . import dist, geometry, ngram, optimize
+from . import dist, geometry, ngram
 from .experiments import (
     TABLE_A1,
     _toy_instance,
@@ -233,9 +233,9 @@ _GRADIENT_CASES = ((3, "bigram", 5), (3, "full", 5), (1, "bigram", 101),
                    (1, "bigram", 102), (1, "bigram", 103))
 
 
-def _gradcheck(objective_name):
-    """The max relative error of the analytic gradient of one sweep objective
-    ("j_beta" or "forward_kl") against central differences, at a random
+def _gradcheck(make_objective):
+    """The max relative error of the analytic gradient of the objective
+    make_objective(fam, pstar) against central differences, at a random
     policy of each instance's order ("bigram" or "full") on the (3, 3)
     first-equals-last toy.  Fails unless every instance's error is below
     1e-7; reports the worst error of each order."""
@@ -243,21 +243,20 @@ def _gradcheck(objective_name):
     for base_seed, order, policy_seed in _GRADIENT_CASES:
         fam, pstar, template = _toy_instance(base_seed, order)
         pol = template.with_logits(SeededRng(policy_seed).normal(template.n_params))
-        obj = (ngram.JBetaObjective(fam, beta=0.2) if objective_name == "j_beta"
-               else ngram.ForwardKLObjective(pstar))
-        worst[order] = max(worst[order], optimize.verify_gradients(pol, obj))
+        obj = make_objective(fam, pstar)
+        worst[order] = max(worst[order], ngram.verify_gradients(pol, obj))
     return (max(worst.values()) < 1e-7, "max relative error "
             + ", ".join(f"{order} {err:.3e}" for order, err in worst.items()))
 
 
 def check_gradient_j_beta():
     """Analytic vs central-difference gradients of the KL-control objective."""
-    return _gradcheck("j_beta")
+    return _gradcheck(lambda fam, pstar: ngram.JBetaObjective(fam, beta=0.2))
 
 
 def check_gradient_forward_kl():
     """Analytic vs central-difference gradients of the forward-KL fit."""
-    return _gradcheck("forward_kl")
+    return _gradcheck(lambda fam, pstar: ngram.ForwardKLObjective(pstar))
 
 
 def check_tvd_metric():

@@ -207,6 +207,26 @@ def central_difference(f, theta: np.ndarray) -> np.ndarray:
                      for e in FD_STEP * np.eye(theta.shape[0])])
 
 
+def verify_gradients(pol: NGramPolicy, objective) -> float:
+    """Max elementwise relative error between analytic and central-difference
+    gradients (step h = FD_STEP), over max(|analytic|, |fd|, 1e-12).  A
+    component counts as zero, error 0, when the analytic side is below
+    1e-12 and the difference within its round-off: f sums terms as large as
+    M = max(|f|, |log q_s| of every q_s > 0), so f(theta +- h e_i) is off by
+    about eps * M and their difference over 2h by eps * M / FD_STEP, or by
+    1e-12 if that is larger."""
+    struct, theta = pol._struct, pol.logits
+    analytic = objective.grad_theta(struct, theta)
+    fd = central_difference(lambda t: objective.value_theta(struct, t), theta)
+    size = np.abs(_log_probs(struct, _log_softmax(struct, theta)))
+    scale = max(abs(objective.value_theta(struct, theta)), size[size < np.inf].max())
+    round_off = max(np.finfo(float).eps * scale / FD_STEP, 1e-12)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-12)
+    err = np.abs(analytic - fd) / denom
+    err[(np.abs(analytic) < 1e-12) & (np.abs(fd) < round_off)] = 0.0
+    return float(err.max())
+
+
 def to_distribution(pol: NGramPolicy) -> FiniteDistribution:
     """The induced distribution over V^T, by exact enumeration."""
     return FiniteDistribution(pol.space.outcomes(), _probs(pol._struct, pol.logits))

@@ -14,16 +14,12 @@ import numpy as np
 
 from .geometry import TiltedFamily
 from .ngram import (
-    FD_STEP,
     ForwardKLObjective,
     JBetaObjective,
     NGramPolicy,
     TVDObjective,
-    _log_probs,
-    _log_softmax,
     _polish_tvd,
     _tvd_subgradient,
-    central_difference,
     conditional_projection,
     full_orders,
 )
@@ -156,7 +152,10 @@ def _gradient_run(objective, pol: NGramPolicy, cfg: OptimizerConfig,
 
 def ascend_j_beta(fam: TiltedFamily, pol: NGramPolicy,
                   cfg: OptimizerConfig, beta: float) -> RunTrace:
-    """Gradient ascent on E_pi[r] - beta * KL(pi, base), from the given policy."""
+    """Gradient ascent on E_pi[r] - beta * KL(pi, base), from the given policy.
+    The ascent is one run: cfg.restarts must be 1."""
+    if cfg.restarts != 1:
+        raise ValueError("the J_beta ascent runs once; restarts must be 1")
     return _gradient_run(JBetaObjective(fam, beta), pol, cfg, maximize=True)
 
 
@@ -240,22 +239,3 @@ def _closed_form_run(objective, target: FiniteDistribution, template: NGramPolic
         steps_run=0,
         converged=grad_norm < CONVERGED_GRAD_NORM)
 
-
-def verify_gradients(pol: NGramPolicy, objective) -> float:
-    """Max elementwise relative error between analytic and central-difference
-    gradients (step h = FD_STEP), over max(|analytic|, |fd|, 1e-12).  A
-    component counts as zero, error 0, when the analytic side is below
-    1e-12 and the difference within its round-off: f sums terms as large as
-    M = max(|f|, |log q_s| of every q_s > 0), so f(theta +- h e_i) is off by
-    about eps * M and their difference over 2h by eps * M / FD_STEP, or by
-    1e-12 if that is larger."""
-    struct, theta = pol._struct, pol.logits
-    analytic = objective.grad_theta(struct, theta)
-    fd = central_difference(lambda t: objective.value_theta(struct, t), theta)
-    size = np.abs(_log_probs(struct, _log_softmax(struct, theta)))
-    scale = max(abs(objective.value_theta(struct, theta)), size[size < np.inf].max())
-    round_off = max(np.finfo(float).eps * scale / FD_STEP, 1e-12)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-12)
-    err = np.abs(analytic - fd) / denom
-    err[(np.abs(analytic) < 1e-12) & (np.abs(fd) < round_off)] = 0.0
-    return float(err.max())

@@ -1,11 +1,13 @@
 """Config parsing, serialization formats, SVG emission, CLI exit codes."""
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from conftest import FUZZ
 from hypothesis import given
 from hypothesis import strategies as st
 
-from klgeo import checks
+from klgeo import checks, cli
 from klgeo.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from klgeo.experiments import GEOMETRY_LAMBDAS, PROFILE_A1, TABLE_A1, TABLE_MU
 from klgeo.io import (
@@ -136,6 +138,16 @@ class TestReadmeConfigKeys:
             for key, text in rows.items():
                 parse, default = schema[key]
                 assert parse(text) == default, (command, key, text)
+
+
+class TestReadmeDivergedAscent:
+    def test_example_quotes_the_pinned_endpoint(self):
+        # README's diverged-ascent example quotes, to one decimal, where the
+        # ascent at lambda 0.01 of seed 1 ends, as TestCliErrors pins it
+        _, final = TestCliErrors.ASCENTS["", "--seeds 1 --lambdas 0.01"]
+        quoted = f"{float(final):.1f}".replace("-", "−")
+        text = " ".join(README.read_text(encoding="utf-8").split())
+        assert f"at λ = 0.01 seed 1 falls from −2.38 to {quoted}." in text
 
 
 class TestFloatFormat:
@@ -575,6 +587,53 @@ class TestBlasThreads:
         if not openblas or before == 1:
             pytest.skip("numpy's BLAS is not OpenBLAS with a thread pool")
         assert after == 1
+
+    # _release_blas_threads, in-process, on a faked /proc/self/maps and
+    # ctypes.CDLL: it reads the maps, loads each mapped OpenBLAS once and
+    # calls its blas_thread_shutdown_ only where it finds one
+    MAPS = ("7f00-7f01 r-xp 00000000 08:01 11 /usr/lib/libopenblasp-r0.3.so\n"
+            "7f02-7f03 r-xp 00000000 08:01 12 /opt/lib/libopenblas64_.so.0\n"
+            "7f04-7f05 r-xp 00000000 08:01 13 /usr/lib/libm.so.6\n")
+
+    def fake_maps(self, monkeypatch, text):
+        def fake_open(path, *args, **kwargs):
+            assert path == "/proc/self/maps"
+            if text is None:
+                raise PermissionError(13, "Permission denied", path)
+            return io.StringIO(text)
+
+        monkeypatch.setattr(cli, "open", fake_open, raising=False)
+
+    def test_unreadable_maps_return_quietly(self, monkeypatch):
+        self.fake_maps(monkeypatch, None)
+        monkeypatch.setattr(cli.ctypes, "CDLL", pytest.fail)
+        assert cli._release_blas_threads() is None
+
+    def test_unloadable_openblas_is_skipped(self, monkeypatch):
+        # the first mapped OpenBLAS does not load; the second is still stopped
+        self.fake_maps(monkeypatch, self.MAPS)
+        loaded, calls = [], []
+
+        def fake_cdll(path):
+            loaded.append(path)
+            if path.startswith("/opt/"):
+                raise OSError(f"{path}: cannot open shared object file")
+            return types.SimpleNamespace(blas_thread_shutdown_=lambda: calls.append(path))
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll)
+        cli._release_blas_threads()
+        assert loaded == ["/opt/lib/libopenblas64_.so.0", "/usr/lib/libopenblasp-r0.3.so"]
+        assert calls == ["/usr/lib/libopenblasp-r0.3.so"]
+
+    def test_library_without_shutdown_is_skipped(self, monkeypatch):
+        # a near-miss name is not the shutdown, and nothing is called
+        self.fake_maps(monkeypatch, self.MAPS)
+        calls = []
+        lib = types.SimpleNamespace(blas_thread_shutdown=lambda: calls.append(1),
+                                    openblas_set_num_threads=calls.append)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: lib)
+        cli._release_blas_threads()
+        assert calls == []
 
 
 class TestCliErrors:

@@ -28,7 +28,6 @@ from klgeo.optimize import (
     ascend_j_beta,
     fit_forward_kl,
     fit_tvd,
-    verify_gradients,
 )
 from klgeo.rng import SeededRng
 
@@ -163,6 +162,13 @@ class TestJBetaAscent:
         _, _, fam, _, template = setup()
         with pytest.raises(ValueError):
             ascend_j_beta(fam, template, OptimizerConfig(), beta=0.0)
+
+    def test_rejects_restarts(self):
+        # the ascent is one run from its start: a restart count other than
+        # 1 is refused, not ignored
+        _, _, fam, _, template = setup()
+        with pytest.raises(ValueError, match="restarts must be 1"):
+            ascend_j_beta(fam, template, OptimizerConfig(steps=10, restarts=7), beta=1.0)
 
 
 class TestTVDFit:
@@ -638,42 +644,6 @@ class TestDiverged:
         assert trace.final_grad_norm < CONVERGED_GRAD_NORM
         assert trace.final_value < -1000.0 < trace.start_value
         assert not trace.converged and "worse than its start" in trace.diagnostic
-
-
-class TestVerifyGradients:
-    def test_guarded_zero_components(self):
-        # at the uniform template every forward-KL gradient component is
-        # tiny-but-nonzero except none; construct a symmetric case where
-        # some components vanish and confirm the guard reports 0 for them
-        target = to_distribution(NGramPolicy(SPACE, bigram_orders(SPACE), np.zeros(21)))
-        template = NGramPolicy(SPACE, bigram_orders(SPACE), np.zeros(21))
-        err = verify_gradients(template, ForwardKLObjective(target))
-        assert err == 0.0
-
-    @pytest.mark.parametrize("dead", [False, True], ids=["uniform", "zero_q"])
-    def test_guard_keeps_a_real_miss(self, dead):
-        # an analytic 0 against a central difference of 1e-8, far above its
-        # round-off eps * max(|f|, max|log q|) / h = 7.3e-11, is a miss; a
-        # -inf logit, whose sequences have log q = -inf, does not widen it
-        class Slope:
-            def value_theta(self, struct, theta):
-                return 1e-8 * float(theta[0])
-
-            def grad_theta(self, struct, theta):
-                return np.zeros_like(theta)
-
-        logits = np.zeros(21)
-        logits[20] = -np.inf if dead else 0.0
-        template = NGramPolicy(SPACE, bigram_orders(SPACE), logits)
-        assert verify_gradients(template, Slope()) == pytest.approx(1.0, abs=1e-6)
-
-    def test_round_off_zero_component(self):
-        # component 30 is 6.9e-18 analytically and -5.6e-12 by central
-        # difference, below the difference's round-off eps * |f| / h = 1.9e-11;
-        # a fixed 1e-12 guard reported relative error 1.0 there
-        _, _, _, pstar, _ = setup(1)
-        pol = NGramPolicy(SPACE, full_orders(SPACE), SeededRng(5).normal(39))
-        assert verify_gradients(pol, TVDObjective(pstar)) < 1e-7
 
 
 class TestWarmStart:
