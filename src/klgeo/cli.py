@@ -117,8 +117,6 @@ REFS_COLUMNS = ("seed", *experiments.REF_METRICS)
 def _sweep_settings(cfg: RunConfig) -> tuple:
     """The checked grid and the ascent and TVD-fit configs of a sweep."""
     lambdas = experiments.check_lambdas(cfg["lambdas"])
-    if min(cfg["seeds"]) < 0:
-        raise ValueError("seeds must be non-negative")
     opt_cfg = optimize.OptimizerConfig(learning_rate=cfg["learning_rate"],
                                        steps=cfg["steps"])
     tvd_cfg = optimize.OptimizerConfig(steps=cfg["tvd_steps"],

@@ -18,6 +18,7 @@ from .dist import (
     condition,
     entropy,
     expected_reward,
+    kl_divergence,
     kl_divergence_finite,
     total_variation,
 )
@@ -103,14 +104,17 @@ def _toy_instance(seed: int, family_order: str):
 def make_sweep_record(fam: TiltedFamily, pstar: FiniteDistribution,
                       policy_dist: FiniteDistribution, lam: float) -> SweepRecord:
     beta = 1.0 / lam
-    p_lam = tilted(fam, lam)
+    rkl = kl_divergence(policy_dist, tilted(fam, lam))
+    if rkl == math.inf:
+        raise ValueError("KL(pi, p_lambda) is infinite: p_lambda underflows to 0 "
+                         "on sequences where the policy has mass")
     return SweepRecord(
         lam=lam,
         beta=beta,
         validity=expected_reward(policy_dist, fam.reward),
         tvd_to_pstar=total_variation(policy_dist, pstar),
         fkl_from_pstar=kl_divergence_finite(pstar, policy_dist),
-        rkl_to_tilted=kl_divergence_finite(policy_dist, p_lam),
+        rkl_to_tilted=rkl,
         entropy=entropy(policy_dist),
         j_beta_value=j_beta(fam, policy_dist, beta),
         top_sequences=top_sequences(policy_dist),

@@ -40,7 +40,7 @@ def _parse_order(s: str) -> str:
 
 
 def _parse_int_list(s: str):
-    """Distinct comma-separated integers; 'a..b' is an inclusive, non-empty range."""
+    """Distinct comma-separated seeds >= 0; 'a..b' is an inclusive, non-empty range."""
     out = []
     for part in s.split(","):
         part = part.strip()
@@ -53,6 +53,8 @@ def _parse_int_list(s: str):
             out.append(int(part))
     if len(set(out)) != len(out):
         raise ValueError("seeds must be distinct")
+    if min(out) < 0:
+        raise ValueError("seeds must be non-negative")
     return out
 
 

@@ -64,9 +64,9 @@ def full_orders(space: SequenceSpace) -> tuple:
 
 class _Stack:
     """The kernel's maps over `copies` copies of one policy side by side,
-    worked out from the policy's (T, N) index: index[t, s] is the flat
-    logit that sequence s uses at position t, and a row of logits has
-    width vocab_size.
+    worked out from the family's space and its (T, N) index: index[t, s]
+    is the flat logit that sequence s uses at position t, and a row of
+    logits has width vocab_size.  Every copy shares space and index.
 
     Copy b's logits are entries b * n_params + k of one flat vector, its
     rows b * n_rows + r and its sequences b * N + s.  flat_index is each
@@ -80,52 +80,45 @@ class _Stack:
     of its own call.
     """
 
-    __slots__ = ("n_rows", "n_params", "n_sequences",
+    __slots__ = ("space", "index", "n_rows", "n_params", "n_sequences",
                  "row_start", "row_of_flat", "flat_index", "seq_of_flat")
 
-    def __init__(self, index: np.ndarray, vocab_size: int, copies: int = 1):
-        T, N = index.shape
+    def __init__(self, space: SequenceSpace, index: np.ndarray, copies: int = 1):
+        V, (T, N) = space.vocab_size, index.shape
         n_params = int(index.max()) + 1  # every row is reached by some sequence
         offsets = np.arange(copies)[:, None]
+        self.space = space
+        self.index = index
         self.n_params = copies * n_params
-        self.n_rows = self.n_params // vocab_size
+        self.n_rows = self.n_params // V
         self.n_sequences = copies * N
-        self.row_start = np.arange(0, self.n_params, vocab_size)
-        self.row_of_flat = np.repeat(np.arange(self.n_rows), vocab_size)
+        self.row_start = np.arange(0, self.n_params, V)
+        self.row_of_flat = np.repeat(np.arange(self.n_rows), V)
         self.flat_index = (index.ravel() + offsets * n_params).ravel()
         self.seq_of_flat = (np.arange(T * N) % N + offsets * N).ravel()
 
 
-class _Structure(_Stack):
-    """A policy's index, and the kernel's maps over it as one _Stack copy.
+@cache
+def _structure(space: SequenceSpace, context_lengths: tuple) -> _Stack:
+    """A policy family's one-copy stack, built once per space and order tuple.
 
     Every softmax block has width V, so the logits are one (R, V) array
     whose rows are the blocks' contexts stacked by position (block t holds
     V^c_t rows).
     """
-
-    def __init__(self, space: SequenceSpace, context_lengths: tuple):
-        V, T = space.vocab_size, space.length
-        if len(context_lengths) != T:
-            raise ValueError("need one context length per position")
-        for t, c in enumerate(context_lengths):
-            if not 0 <= c <= t:
-                raise ValueError(f"context length at position {t} must be in [0, {t}]")
-        seqs = np.array(space.outcomes(), dtype=np.intp)  # (N, T)
-        self.space = space
-        self.context_lengths = tuple(context_lengths)
-        first_row = np.cumsum([0] + [V ** c for c in context_lengths])
-        self.index = np.empty((T, space.n_sequences), dtype=np.intp)
-        for t, c in enumerate(context_lengths):
-            ctx = seqs[:, t - c:t] @ V ** np.arange(c - 1, -1, -1, dtype=np.intp)
-            self.index[t] = (first_row[t] + ctx) * V + seqs[:, t]
-        super().__init__(self.index, V)
-
-    @classmethod
-    @cache
-    def get(cls, space: SequenceSpace, context_lengths: tuple) -> "_Structure":
-        """The one structure of each space and order tuple, built on first use."""
-        return cls(space, context_lengths)
+    V, T = space.vocab_size, space.length
+    if len(context_lengths) != T:
+        raise ValueError("need one context length per position")
+    for t, c in enumerate(context_lengths):
+        if not 0 <= c <= t:
+            raise ValueError(f"context length at position {t} must be in [0, {t}]")
+    seqs = np.array(space.outcomes(), dtype=np.intp)  # (N, T)
+    first_row = np.cumsum([0] + [V ** c for c in context_lengths])
+    index = np.empty((T, space.n_sequences), dtype=np.intp)
+    for t, c in enumerate(context_lengths):
+        ctx = seqs[:, t - c:t] @ V ** np.arange(c - 1, -1, -1, dtype=np.intp)
+        index[t] = (first_row[t] + ctx) * V + seqs[:, t]
+    return _Stack(space, index)
 
 
 class NGramPolicy:
@@ -134,13 +127,14 @@ class NGramPolicy:
     __slots__ = ("space", "context_lengths", "logits", "_struct")
 
     def __init__(self, space: SequenceSpace, context_lengths, logits):
-        struct = _Structure.get(space, tuple(context_lengths))
+        context_lengths = tuple(context_lengths)
+        struct = _structure(space, context_lengths)
         logits = np.array(logits, dtype=float)
         if logits.shape != (struct.n_params,):
             raise ValueError(f"expected {struct.n_params} logits, got {logits.shape}")
         logits.setflags(write=False)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "context_lengths", struct.context_lengths)
+        object.__setattr__(self, "context_lengths", context_lengths)
         object.__setattr__(self, "logits", logits)
         object.__setattr__(self, "_struct", struct)
 
@@ -177,21 +171,21 @@ _bincount = np.bincount._implementation
 _HALF = np.array(0.5)
 
 
-def _log_softmax(struct: _Structure, theta: np.ndarray) -> np.ndarray:
+def _log_softmax(struct: _Stack, theta: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax of the flat logit vector theta."""
     return theta - _lae_reduceat(theta, struct.row_start).take(struct.row_of_flat)
 
 
-def _log_probs(struct: _Structure, lsm: np.ndarray) -> np.ndarray:
+def _log_probs(struct: _Stack, lsm: np.ndarray) -> np.ndarray:
     """log q_s of every sequence, from the row log-softmax lsm."""
     return _bincount(struct.seq_of_flat, lsm.take(struct.flat_index), struct.n_sequences)
 
 
-def _probs(struct: _Structure, theta: np.ndarray) -> np.ndarray:
+def _probs(struct: _Stack, theta: np.ndarray) -> np.ndarray:
     return np.exp(_log_probs(struct, _log_softmax(struct, theta)))
 
 
-def _grad_weighted_logprob(struct: _Structure, lsm: np.ndarray,
+def _grad_weighted_logprob(struct: _Stack, lsm: np.ndarray,
                            w: np.ndarray) -> np.ndarray:
     """Gradient of sum_s w_s * log q_s in the logits, for fixed weights w,
     given the row log-softmax lsm of those logits."""
@@ -236,7 +230,7 @@ def to_distribution(pol: NGramPolicy) -> FiniteDistribution:
 # Objectives
 
 
-def _check_space(struct: _Structure, values: np.ndarray):
+def _check_space(struct: _Stack, values: np.ndarray):
     if struct.n_sequences != values.shape[0]:
         raise ValueError("objective target does not match the policy's space")
 
@@ -254,13 +248,13 @@ class JBetaObjective:
         self._r = fam.reward.values
         self._log_base = fam._log_base
 
-    def value_theta(self, struct: _Structure, theta: np.ndarray) -> float:
+    def value_theta(self, struct: _Stack, theta: np.ndarray) -> float:
         _check_space(struct, self._r)
         logq = _log_probs(struct, _log_softmax(struct, theta))
         q = np.exp(logq)
         return float(q @ self._r - self.beta * (q @ (logq - self._log_base)))
 
-    def grad_theta(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
+    def grad_theta(self, struct: _Stack, theta: np.ndarray) -> np.ndarray:
         _check_space(struct, self._r)
         lsm = _log_softmax(struct, theta)
         logq = _log_probs(struct, lsm)
@@ -277,13 +271,13 @@ class ForwardKLObjective:
         self._p = target.probs
         self._neg_entropy = -entropy(target)
 
-    def value_theta(self, struct: _Structure, theta: np.ndarray) -> float:
+    def value_theta(self, struct: _Stack, theta: np.ndarray) -> float:
         _check_space(struct, self._p)
         logq = _log_probs(struct, _log_softmax(struct, theta))
         mask = self._p > 0
         return float(self._neg_entropy - self._p[mask] @ logq[mask])
 
-    def grad_theta(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
+    def grad_theta(self, struct: _Stack, theta: np.ndarray) -> np.ndarray:
         _check_space(struct, self._p)
         # per block: (target block-marginal) * (softmax - onehot), aggregated
         return -_grad_weighted_logprob(struct, _log_softmax(struct, theta), self._p)
@@ -296,11 +290,11 @@ class TVDObjective:
     def __init__(self, target: FiniteDistribution):
         self._p = target.probs
 
-    def value_theta(self, struct: _Structure, theta: np.ndarray) -> float:
+    def value_theta(self, struct: _Stack, theta: np.ndarray) -> float:
         _check_space(struct, self._p)
         return float(_tvd(struct, _log_softmax(struct, theta), self._p)[0])
 
-    def grad_theta(self, struct: _Structure, theta: np.ndarray) -> np.ndarray:
+    def grad_theta(self, struct: _Stack, theta: np.ndarray) -> np.ndarray:
         _check_space(struct, self._p)
         return _tvd_subgradient(struct, theta, self._p)
 
@@ -312,7 +306,7 @@ def _tvd(struct, lsm: np.ndarray, p: np.ndarray) -> np.ndarray:
     return _HALF * _add_reduce(np.abs(q - p), 1)
 
 
-def _tvd_subgradient(struct: _Structure, theta: np.ndarray,
+def _tvd_subgradient(struct: _Stack, theta: np.ndarray,
                      p: np.ndarray) -> np.ndarray:
     """A subgradient of TVD(pi, p) in the logits: dq_s = q_s dlog q_s."""
     lsm = _log_softmax(struct, theta)
@@ -378,7 +372,7 @@ def _row_tvd_argmin(c: np.ndarray, p: np.ndarray) -> np.ndarray:
     return _bincount((by_slope // (n + 1)).ravel(), takes.ravel(), B * V).reshape(B, V)
 
 
-def _polish_tvd(struct: _Structure, thetas: np.ndarray, p: np.ndarray):
+def _polish_tvd(struct: _Stack, thetas: np.ndarray, p: np.ndarray):
     """Exact block-coordinate descent on TVD(pi, p), one softmax row at a
     time, from each of the B starts thetas[b] at once.
 
@@ -390,8 +384,8 @@ def _polish_tvd(struct: _Structure, thetas: np.ndarray, p: np.ndarray):
     update only if its TVD does not rise.  A copy sweeps over all rows
     again while its last sweep lowered its TVD by more than POLISH_TOL, up
     to POLISH_MAX_SWEEPS sweeps; a copy that has stopped leaves the batch.
-    The copies run in lockstep on _Stack(struct.index, V, n), the maps of
-    the n running copies (struct's own are those at n = 1), built again
+    The copies run in lockstep on _Stack(struct.space, struct.index, n),
+    the maps of the n running copies (struct is the one at n = 1), built again
     when the batch shrinks; every step is per copy, so each gets the bits
     of its own polish.
 
@@ -417,7 +411,7 @@ def _polish_tvd(struct: _Structure, thetas: np.ndarray, p: np.ndarray):
     sweeps = np.full(n_copies, POLISH_MAX_SWEEPS)
     capped = np.ones(n_copies, dtype=bool)
     running = np.arange(n_copies)
-    stack = _Stack(struct.index, V, n_copies)
+    stack = _Stack(struct.space, struct.index, n_copies)
     lsm = _log_softmax(stack, theta.ravel()).reshape(theta.shape)
     value = _tvd(stack, lsm, p)
     # a zero conditional's log is -inf, a dead term's kink p / 0, and the
@@ -445,7 +439,7 @@ def _polish_tvd(struct: _Structure, thetas: np.ndarray, p: np.ndarray):
                 lsm, value = lsm[going], value[going]
                 if not running.size:
                     break
-                stack = _Stack(struct.index, V, running.size)
+                stack = _Stack(struct.space, struct.index, running.size)
     thetas[running], values[running] = theta, value
     return thetas, values, sweeps, capped
 
@@ -466,7 +460,7 @@ def random_base_model(space: SequenceSpace, seed: int, sigma: float) -> NGramPol
     """A full-order policy with i.i.d. Gaussian logits (sigma is the std dev)."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    struct = _Structure.get(space, full_orders(space))
+    struct = _structure(space, full_orders(space))
     logits = SeededRng(seed).normal(struct.n_params, sigma=sigma)
     return NGramPolicy(space, full_orders(space), logits)
 
@@ -481,7 +475,7 @@ def conditional_projection(target: FiniteDistribution, space: SequenceSpace,
     the closure of the family); contexts with no target mass get uniform
     conditionals.
     """
-    struct = _Structure.get(space, tuple(context_lengths))
+    struct = _structure(space, tuple(context_lengths))
     if len(target) != space.n_sequences:
         raise ValueError("target does not match the sequence space")
     row_of_flat = struct.row_of_flat

@@ -735,6 +735,22 @@ class TestCliErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, flags, message", [
+        ("seeds=-1", [], "line 5, column 7: bad value for 'seeds': "),
+        ("", ["--seeds=-1"], ""),
+    ], ids=["config", "flag"])
+    def test_negative_seed_exit_one_before_output(self, tmp_path, capsys, line,
+                                                  flags, message):
+        # the seeds parser refuses a negative seed on either input path
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"command=sweep\nsteps=3\ntvd_restarts=1\ntvd_steps=3\n{line}\n")
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", str(cfgfile), *flags, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {message}seeds must be non-negative\n")
+        assert not out.exists()
+
     def test_unknown_order_flag_exit_one(self, tmp_path, capsys):
         rc = main(["sweep", "--order", "trigram", "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
@@ -835,17 +851,21 @@ class TestCliErrors:
             assert f"ended at {final}," in err
             assert not (out / "sweep.csv").exists()
 
-    def test_uncomputable_value_exit_one(self, tmp_path, capsys):
-        # at lambda 750 the ascent does not fall, but the tilt p_750 puts
-        # no mass on the invalid sequences, to round-off, and the policy does
+    @pytest.mark.parametrize("lam", ["745", "750", "800", "1e6", "1e300"])
+    def test_uncomputable_value_exit_one(self, tmp_path, capsys, lam):
+        # from lambda 745 the ascent does not fall, but the tilt p_lambda
+        # underflows to 0 on the invalid sequences, and the policy, of full
+        # support, has mass there
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text("command=sweep\nsteps=3\ntvd_restarts=1\n"
-                           "tvd_steps=3\nlambdas=750\n")
+                           f"tvd_steps=3\nlambdas={lam}\n")
         out = tmp_path / "out"
         rc = main(["sweep", "--config", str(cfgfile), "--out", str(out)])
         assert rc == EXIT_CONFIG
-        assert ("config error: seed 1, lambda 750.0: "
-                "KL divergence is infinite") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: seed 1, lambda {float(lam)!r}: ")
+        assert "p_lambda underflows to 0" in err and "support mismatch" not in err
         assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize("lam", ["720", "740"])

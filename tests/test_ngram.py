@@ -104,21 +104,23 @@ class TestParameterCounts:
 
 
 class TestStructureCache:
-    """One _Structure per space and order tuple, whatever instances name them."""
+    """One structure per space and order tuple, whatever instances name them."""
 
     def test_equal_spaces_and_orders_share_one_structure(self):
         a, b = SequenceSpace(3, 3), SequenceSpace(3, 3)
         orders_a, orders_b = bigram_orders(a), tuple([0, 1, 1])
         assert a is not b and orders_a is not orders_b
-        struct = ngram._Structure.get(a, orders_a)
-        assert ngram._Structure.get(b, orders_b) is struct
-        assert struct.space == b and struct.context_lengths == orders_b
+        struct = ngram._structure(a, orders_a)
+        assert ngram._structure(b, orders_b) is struct
+        assert struct.space == b
+        pol = NGramPolicy(b, orders_b, np.zeros(21))
+        assert pol.context_lengths == orders_b and pol._struct is struct
 
     def test_other_orders_or_space_get_another_structure(self):
-        struct = ngram._Structure.get(SequenceSpace(3, 3), (0, 1, 1))
-        others = [ngram._Structure.get(SequenceSpace(3, 3), (0, 1, 2)),
-                  ngram._Structure.get(SequenceSpace(2, 3), (0, 1, 1)),
-                  ngram._Structure.get(SequenceSpace(3, 4), (0, 1, 1, 1))]
+        struct = ngram._structure(SequenceSpace(3, 3), (0, 1, 1))
+        others = [ngram._structure(SequenceSpace(3, 3), (0, 1, 2)),
+                  ngram._structure(SequenceSpace(2, 3), (0, 1, 1)),
+                  ngram._structure(SequenceSpace(3, 4), (0, 1, 1, 1))]
         assert len({id(s) for s in [struct, *others]}) == 4
         assert [s.n_params for s in others] == [39, 10, 30]
 
@@ -128,7 +130,14 @@ class TestStructureCache:
                 pol.with_logits(np.arange(21.0)),
                 random_base_model(SPACE, 1, DEFAULT_SIGMA).with_logits(np.zeros(39))]
         assert [p._struct is pol._struct for p in same] == [True, True, False]
-        assert same[2]._struct is ngram._Structure.get(SPACE, full_orders(SPACE))
+        assert same[2]._struct is ngram._structure(SPACE, full_orders(SPACE))
+
+    def test_structure_and_polish_stack_are_one_type(self):
+        struct = NGramPolicy(SPACE, bigram_orders(SPACE), np.zeros(21))._struct
+        stack = ngram._Stack(struct.space, struct.index, 3)
+        assert type(struct) is type(stack) is ngram._Stack
+        assert stack.space is struct.space and stack.index is struct.index
+        assert stack.n_params == 3 * struct.n_params
 
 
 class TestToDistribution:
@@ -190,7 +199,7 @@ class TestLogSoftmaxAccuracy:
 
     def _struct(self, shape):
         space = SequenceSpace(*shape)
-        return ngram._Structure.get(space, full_orders(space))
+        return ngram._structure(space, full_orders(space))
 
     @pytest.mark.parametrize("scale", [0.5, 3.0, 30.0, 300.0])
     def test_random_rows(self, shape, scale):
@@ -291,7 +300,7 @@ class TestGradients:
         # TVD kinks where q_s = p*_s > 0 (q_s > 0 = p*_s is no kink); away
         # from them TVD is smooth and the analytic subgradient is its gradient
         _, _, _, _, pstar = toy_setup()
-        n_params = ngram._Structure.get(SPACE, orders(SPACE)).n_params
+        n_params = ngram._structure(SPACE, orders(SPACE)).n_params
         for seed in (4, 5, 6):
             pol = NGramPolicy(SPACE, orders(SPACE), SeededRng(seed).normal(n_params))
             q = to_distribution(pol).probs
@@ -313,7 +322,7 @@ class TestGradients:
                "forward_kl": ForwardKLObjective(pstar),
                "tvd": TVDObjective(pstar)}[name]
         pol = NGramPolicy(SPACE, orders(SPACE), SeededRng(6).normal(
-            ngram._Structure.get(SPACE, orders(SPACE)).n_params))
+            ngram._structure(SPACE, orders(SPACE)).n_params))
         struct, theta = pol._struct, pol.logits
         fd = loop_central_difference(obj, struct, theta, FD_STEP)
         assert np.array_equal(ngram.central_difference(
@@ -411,8 +420,9 @@ class TestVerifyGradients:
         assert verify_gradients(template, Slope()) == pytest.approx(1.0, abs=1e-6)
 
     def test_round_off_zero_component(self):
-        # component 30 is 6.9e-18 analytically and -5.6e-12 by central
-        # difference, below the difference's round-off eps * |f| / h = 1.9e-11;
+        # component 30 is 0.0 analytically and -5.6e-12 by central
+        # difference, below the difference's round-off
+        # eps * max(|f|, max |log q_s|) / h = 1.6e-10;
         # a fixed 1e-12 guard reported relative error 1.0 there
         _, _, _, _, pstar = toy_setup(1)
         pol = NGramPolicy(SPACE, full_orders(SPACE), SeededRng(5).normal(39))
@@ -541,7 +551,7 @@ class TestFlatKernelMatchesPerBlockReference:
     def _setup(self, shape, order):
         space = SequenceSpace(*shape)
         orders = ORACLE_ORDERS[order](space)
-        struct = ngram._Structure.get(space, orders)
+        struct = ngram._structure(space, orders)
         ref = _PerBlockReference(space, orders)
         assert struct.n_params == ref.n_params
         return space, orders, struct, ref, SeededRng(31 + sum(orders))
@@ -740,7 +750,7 @@ def test_undispatched_bincount_matches_bincount(shape, order):
     # weights included, and still rejects a negative index
     assert ngram._bincount is not np.bincount
     space = SequenceSpace(*shape)
-    struct = ngram._Structure.get(space, ORACLE_ORDERS[order](space))
+    struct = ngram._structure(space, ORACLE_ORDERS[order](space))
     rng = SeededRng(41 + struct.n_params)
     with np.errstate(invalid="ignore", over="ignore"):
         for keys, n_bins in ((struct.row_of_flat, struct.n_rows),
@@ -769,7 +779,7 @@ def test_j_beta_gradient_keeps_the_float_beta_bits(beta, orders):
     assert obj._beta == obj.beta and not obj._beta.flags.writeable
     with pytest.raises(ValueError):
         obj._beta[()] = 1.0
-    struct = ngram._Structure.get(SPACE, orders(SPACE))
+    struct = ngram._structure(SPACE, orders(SPACE))
     rng = SeededRng(43)
     for _ in range(5):
         theta = rng.normal(struct.n_params, sigma=2.0)
@@ -788,7 +798,7 @@ def test_descent_gradients_at_vocab_8_match_helpers_to_round_off(order):
     # V != 3.  Both descent gradients are still the helpers' composition.
     space = SequenceSpace(8, 2)
     orders = ORACLE_ORDERS[order](space)
-    struct = ngram._Structure.get(space, orders)
+    struct = ngram._structure(space, orders)
     ref = _PerBlockReference(space, orders)
     rng = SeededRng(31)
     n = space.n_sequences
@@ -823,7 +833,7 @@ def test_probs_and_projection_at_vocab_8_match_per_block_to_round_off(order):
     # and keep its -inf logits exactly
     space = SequenceSpace(8, 2)
     orders = ORACLE_ORDERS[order](space)
-    struct = ngram._Structure.get(space, orders)
+    struct = ngram._structure(space, orders)
     ref = _PerBlockReference(space, orders)
     rng = SeededRng(37)
     for _ in range(5):
@@ -955,7 +965,7 @@ def old_polish_tvd(struct, theta, p):
 @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_lean_kernel_matches_old_spelling(shape, order):
     space = SequenceSpace(*shape)
-    struct = ngram._Structure.get(space, ORACLE_ORDERS[order](space))
+    struct = ngram._structure(space, ORACLE_ORDERS[order](space))
     rng = SeededRng(41)
     for _ in range(5):
         theta = rng.normal(struct.n_params, sigma=2.0)
@@ -1184,7 +1194,7 @@ class TestTVDPolish:
         # with every other row fixed, the polish's update of one row gives the
         # lowest TVD over a grid of that row's conditionals
         _, _, _, _, pstar = toy_setup()
-        struct = ngram._Structure.get(SPACE, bigram_orders(SPACE))
+        struct = ngram._structure(SPACE, bigram_orders(SPACE))
         theta = SeededRng(8).normal(struct.n_params)
         grid = self._simplex_grid(60)
         V = SPACE.vocab_size
@@ -1207,7 +1217,7 @@ class TestTVDPolish:
         # one sweep per call: the TVD after each is no higher than before it,
         # and the sweeps chained end where one uncapped polish ends
         _, _, _, _, pstar = toy_setup(seed)
-        struct = ngram._Structure.get(SPACE, bigram_orders(SPACE))
+        struct = ngram._structure(SPACE, bigram_orders(SPACE))
         start = SeededRng(seed).normal(struct.n_params)
         polish = lambda th: [out[0] for out in ngram._polish_tvd(struct, th[None], pstar.probs)]
         full_theta, full_value, full_sweeps, capped = polish(start)
@@ -1277,13 +1287,13 @@ class TestBatchedPolish:
     @pytest.mark.parametrize("shape", POLISH_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
     def test_matches_serial_polish(self, shape, order, copies):
         space = SequenceSpace(*shape)
-        struct = ngram._Structure.get(space, POLISH_ORDERS[order](space))
+        struct = ngram._structure(space, POLISH_ORDERS[order](space))
         thetas = polish_starts(struct, copies, seed=copies + shape[0])
         self._assert_matches_serial(struct, thetas, polish_target(space, 1))
 
     @pytest.mark.parametrize("order", sorted(POLISH_ORDERS))
     def test_matches_serial_polish_over_200_starts(self, order):
-        struct = ngram._Structure.get(SPACE, POLISH_ORDERS[order](SPACE))
+        struct = ngram._structure(SPACE, POLISH_ORDERS[order](SPACE))
         got = self._assert_matches_serial(struct, polish_starts(struct, 200, seed=5),
                                           toy_setup()[4].probs)
         # copies leave the batch at different sweeps
@@ -1293,7 +1303,7 @@ class TestBatchedPolish:
     @pytest.mark.parametrize("order", sorted(POLISH_ORDERS))
     def test_matches_serial_polish_at_the_sweep_cap(self, order, cap, monkeypatch):
         monkeypatch.setattr(ngram, "POLISH_MAX_SWEEPS", cap)
-        struct = ngram._Structure.get(SPACE, POLISH_ORDERS[order](SPACE))
+        struct = ngram._structure(SPACE, POLISH_ORDERS[order](SPACE))
         got = self._assert_matches_serial(struct, polish_starts(struct, 16, seed=3),
                                           toy_setup(2)[4].probs)
         assert got[3].any() and np.all(got[2][got[3]] == cap)
@@ -1304,7 +1314,7 @@ class TestBatchedPolish:
         # crumb of the budget.  Where it is 0, no sequence through the
         # position-1 row of context 0 has mass after it: that row is
         # skipped in every sweep and keeps its start logits
-        struct = ngram._Structure.get(SPACE, bigram_orders(SPACE))
+        struct = ngram._structure(SPACE, bigram_orders(SPACE))
         p = toy_setup()[4].probs.copy()
         p[:9] = 0.0
         p /= p.sum()
@@ -1320,7 +1330,7 @@ MAP_NAMES = ("n_rows", "n_params", "n_sequences",
 
 
 def old_one_copy_maps(space, context_lengths, index):
-    """The kernel's maps as _Structure spelled them before _Stack built
+    """The kernel's maps as the structure spelled them before _Stack built
     them from the index alone: sizes from the context lengths and the
     space, maps by ravel, tile and repeat."""
     V, T, N = space.vocab_size, space.length, space.n_sequences
@@ -1338,9 +1348,9 @@ def test_one_copy_maps_match_the_old_spelling(shape, order):
     space = SequenceSpace(*shape)
     V, T = shape
     orders = ORACLE_ORDERS[order](space)
-    struct = ngram._Structure.get(space, orders)
+    struct = ngram._structure(space, orders)
     want = old_one_copy_maps(space, orders, struct.index)
-    for maps in (struct, ngram._Stack(struct.index, V)):
+    for maps in (struct, ngram._Stack(space, struct.index)):
         for name in MAP_NAMES:
             got = getattr(maps, name)
             assert type(got) is type(want[name]), name
@@ -1357,11 +1367,11 @@ def test_one_copy_maps_match_the_old_spelling(shape, order):
 @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_stacked_maps_give_each_copy_its_own_bits(shape, order):
     space = SequenceSpace(*shape)
-    struct = ngram._Structure.get(space, ORACLE_ORDERS[order](space))
+    struct = ngram._structure(space, ORACLE_ORDERS[order](space))
     thetas = SeededRng(43).normal(4 * struct.n_params, sigma=2.0).reshape(4, -1)
     thetas[1, ::5] = -np.inf
     for copies in (1, 3, 4):
-        stack = ngram._Stack(struct.index, space.vocab_size, copies)
+        stack = ngram._Stack(space, struct.index, copies)
         lsm = ngram._log_softmax(stack, thetas[:copies].ravel()).reshape(copies, -1)
         logq = ngram._log_probs(stack, lsm.ravel()).reshape(copies, -1)
         for b in range(copies):
